@@ -3,7 +3,7 @@ characteristic 2: character lattices, orbit data, quadratic form
 classification, symbol invariants and the resulting bound tables."""
 
 from .abelian import (FgAbGroup, GroupElement, Presentation, Subgroup,
-                      elem_reduce, iso_type, smith_normal_form, subgroup_span)
+                      smith_normal_form, subgroup_span)
 from .spinlat import (Parity, SpinCharData, WeylElt, build_char_data,
                       center_restriction, free_transitive_check,
                       orbits_on_faithful, weyl_act)

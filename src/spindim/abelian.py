@@ -268,16 +268,6 @@ class FgAbGroup:
                 for c in itertools.product(*(range(m) for m in self._moduli))]
 
 
-def iso_type(presentation: Presentation) -> FgAbGroup:
-    """Structure of Z^g / (row span of relations) as an FgAbGroup."""
-    return FgAbGroup(presentation)
-
-
-def elem_reduce(group: FgAbGroup, word) -> GroupElement:
-    """Canonical reduced form of a generator word."""
-    return group.element(word)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A finite subgroup given by its full element set."""

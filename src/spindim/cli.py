@@ -430,3 +430,7 @@ def main() -> None:
     sys.stdout.write(out)
     sys.stderr.write(err)
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -285,21 +285,15 @@ def consistency_check(n: int) -> ConsistencyReport:
     if entry.value is not None and not (entry.upper == entry.lower == entry.value):
         problems.append("value does not equal both bounds")
     live = []
-    if n >= 15:
-        if n % 2:
-            r = (n - 1) // 2
-            if r <= LIVE_RANK_LIMIT:
-                got = merkurjev_index_bound(build_char_data(r, Parity.ODD))
-                live.append(LiveCheck(
-                    f"odd-rank Heisenberg gcd at r={r} equals 2^r",
-                    1 << r, got))
+    r, parity = n // 2, Parity.ODD if n % 2 else Parity.EVEN
+    if n >= 15 and r <= LIVE_RANK_LIMIT:
+        if parity is Parity.ODD:
+            power, expected = "2^r", 1 << r
         else:
-            r = n // 2
-            if r <= LIVE_RANK_LIMIT:
-                got = merkurjev_index_bound(build_char_data(r, Parity.EVEN))
-                live.append(LiveCheck(
-                    f"even-rank Heisenberg gcd at r={r} equals 2^(r-1)",
-                    1 << (r - 1), got))
+            power, expected = "2^(r-1)", 1 << (r - 1)
+        live.append(LiveCheck(
+            f"{parity.value}-rank Heisenberg gcd at r={r} equals {power}",
+            expected, _heisenberg_gcd(r, parity)))
     if any(not c.ok for c in live):
         problems.append("live orbit recomputation disagrees with the formula")
     return ConsistencyReport(n, not problems, entry, tuple(live),

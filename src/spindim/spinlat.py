@@ -19,13 +19,11 @@ with subset-sum translations, which is what this module does.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .abelian import (FgAbGroup, GroupElement, Presentation, Subgroup,
-                      iso_type)
+from .abelian import FgAbGroup, GroupElement, Presentation, Subgroup
 
 MAX_RANK = 16
 
@@ -109,10 +107,10 @@ def build_char_data(r: int, parity: Parity) -> SpinCharData:
     # generators x_1..x_r, A;  relation rows: 2x_i = 0 (only in X(L)),
     # and x_1 + ... + x_r - 2A = 0 written as (-1,...,-1,2)
     half_spin_rel = tuple([-1] * r + [2])
-    xT = iso_type(Presentation(r + 1, (half_spin_rel,)))
+    xT = FgAbGroup(Presentation(r + 1, (half_spin_rel,)))
     two_torsion = tuple(
         tuple(2 if j == i else 0 for j in range(r + 1)) for i in range(r))
-    xL = iso_type(Presentation(r + 1, two_torsion + (half_spin_rel,)))
+    xL = FgAbGroup(Presentation(r + 1, two_torsion + (half_spin_rel,)))
 
     x = tuple(xL.generator(i) for i in range(r))
     A = xL.generator(r)
@@ -186,9 +184,7 @@ class FreeTransitiveReport:
         return len(self.orbit_sizes) == 1
 
 
-_ORBIT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
+@lru_cache(maxsize=None)
 def orbits_on_faithful(data: SpinCharData):
     """Orbits of the sign-flip subsets on S, each sorted, deterministically
     ordered by smallest member.
@@ -198,9 +194,6 @@ def orbits_on_faithful(data: SpinCharData):
     s + T; the disjointness assertion below would catch any failure of
     that closure.
     """
-    got = _ORBIT_CACHE.get(data)
-    if got is not None:
-        return got
     remaining = set(data.faithful)
     orbits = []
     while remaining:
@@ -210,9 +203,7 @@ def orbits_on_faithful(data: SpinCharData):
         orbits.append(tuple(sorted(orbit)))
         remaining -= orbit
     orbits.sort(key=lambda o: o[0])
-    got = tuple(orbits)
-    _ORBIT_CACHE[data] = got
-    return got
+    return tuple(orbits)
 
 
 def free_transitive_check(data: SpinCharData) -> FreeTransitiveReport:

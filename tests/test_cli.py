@@ -1,4 +1,5 @@
-"""End-to-end command-line checks through run(), no subprocesses.
+"""End-to-end command-line checks through run(); one subprocess test
+covers the `python -m` entry points.
 
 Exit code contract: 0 success, 1 a verification failed, 2 usage error.
 The failure paths that cannot be reached with honest inputs (the
@@ -8,9 +9,13 @@ library functions the commands call.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spindim
 from spindim import cli
 from spindim.cli import run
 from spindim.edcalc import ed_table
@@ -337,3 +342,15 @@ def test_main_raises_system_exit(capsys, monkeypatch):
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert captured.out == "15\t23\t23\t23\todd\n"
+
+
+@pytest.mark.parametrize("module", ["spindim", "spindim.cli"])
+def test_python_dash_m_matches_run(module):
+    argv = ["ed-table", "--min", "15", "--max", "20"]
+    src = os.path.dirname(os.path.dirname(spindim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, out, _ = run(argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert out

@@ -23,7 +23,8 @@ from spindim.qform2 import (MAX_FIELD_BITS, BinaryBlock, ConcreteField2,
                             format_qform, hyperbolic, is_isotropic,
                             is_nonsingular, min_poly_for, orth_sum,
                             pfister_build, pfister_expand, scale,
-                            tensor_bilinear, witt_decompose)
+                            tensor_bilinear, witt_decompose,
+                            _check_certificate)
 
 F2 = ConcreteField2(1)
 F4 = ConcreteField2(2)
@@ -789,6 +790,53 @@ def test_block_normalize_basis_is_a_change_of_coordinates():
         q, basis = block_normalize_with_basis(F8, M)
         assert is_invertible(F8, basis)
         assert q.dim == dim
+
+
+def emitted(q):
+    """Coefficients q(b_i) and standard pairing b(b_i, b_j) of block shape."""
+    coeffs = [c for bl in q.blocks for c in (bl.a, bl.b)] + list(q.diag)
+    n = len(coeffs)
+    gram = [[int(i // 2 == j // 2 and i != j and max(i, j) < 2 * len(q.blocks))
+             for j in range(n)] for i in range(n)]
+    return coeffs, gram
+
+
+@pytest.mark.parametrize("field,dim", [(ConcreteField2(16), 4),
+                                       (ConcreteField2(1), 13)])
+def test_block_normalize_basis_gram_beyond_exhaustive_sizes(field, dim):
+    # order^dim > 4096: recompute the values and the polar Gram matrix
+    # of the returned basis, b(u, v) = q(u+v) + q(u) + q(v)
+    rng = random.Random(61)
+    for _ in range(3):
+        M = [[rng.randrange(field.order) if j >= i else 0 for j in range(dim)]
+             for i in range(dim)]
+        q, basis = block_normalize_with_basis(field, M)
+        assert is_invertible(field, basis)
+        coeffs, gram = emitted(q)
+        assert [mat_eval(field, M, b) for b in basis] == coeffs
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                uv = [x ^ y for x, y in zip(u, v)]
+                got = (mat_eval(field, M, uv) ^ mat_eval(field, M, u)
+                       ^ mat_eval(field, M, v))
+                assert got == gram[i][j]
+
+
+def test_certificate_rejects_tampering():
+    M = [[1, 2, 3, 1], [0, 2, 1, 3], [0, 0, 3, 2], [0, 0, 0, 1]]
+    q, basis = block_normalize_with_basis(F4, M)
+    assert q.blocks
+    _check_certificate(M, q, basis)
+    bl = q.blocks[0]
+    bad_coeff = QForm(F4, (BinaryBlock(bl.a ^ 1, bl.b),) + q.blocks[1:],
+                      q.diag)
+    with pytest.raises(AssertionError, match="certificate"):
+        _check_certificate(M, bad_coeff, basis)
+    # b(b_1, b_1) = 0, so a first block vector replaced by its partner
+    # cannot pair to 1 with it
+    bad_basis = [basis[1]] + basis[1:]
+    with pytest.raises(AssertionError, match="certificate"):
+        _check_certificate(M, q, bad_basis)
 
 
 # ---------------------------------------------------------------------------
