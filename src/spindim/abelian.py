@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 Matrix = list[list[int]]
@@ -33,6 +33,12 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
     chosen by minimal absolute value, which keeps intermediate entries
     small in practice.  Rejects empty or ragged input.
     """
+    return _smith_with_inverse(mat)[:3]
+
+
+def _smith_with_inverse(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """`smith_normal_form` plus V^-1, kept in step with V: each column
+    operation V <- V*E is matched by V^-1 <- E^-1 * V^-1."""
     if not mat or not mat[0]:
         raise ValueError("matrix must be non-empty")
     n, g = len(mat), len(mat[0])
@@ -41,6 +47,7 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
     A = [[int(x) for x in row] for row in mat]
     U = _identity(n)
     V = _identity(g)
+    V_inv = _identity(g)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -51,6 +58,7 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
+        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(src, dst, q):
         # row_dst += q * row_src
@@ -62,6 +70,8 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
             row[dst] += q * row[src]
         for row in V:
             row[dst] += q * row[src]
+        # the inverse column operation, applied to the rows of V^-1
+        V_inv[src] = [a - q * b for a, b in zip(V_inv[src], V_inv[dst])]
 
     t = 0
     while True:
@@ -117,26 +127,7 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return U, A, V
-
-
-def _int_inverse(mat: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if work[r][col])
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    out = [[row[n + j] for j in range(n)] for row in work]
-    assert all(x.denominator == 1 for row in out for x in row), "matrix was not unimodular"
-    return [[int(x) for x in row] for row in out]
+    return U, A, V, V_inv
 
 
 @dataclass(frozen=True)
@@ -204,13 +195,14 @@ class FgAbGroup:
         g = presentation.num_generators
         self.presentation = presentation
         if presentation.relations:
-            _, D, V = smith_normal_form([list(r) for r in presentation.relations])
+            _, D, V, V_inv = _smith_with_inverse(
+                [list(r) for r in presentation.relations])
             diag = [D[j][j] if j < len(D) else 0 for j in range(g)]
         else:
-            V = _identity(g)
+            V, V_inv = _identity(g), _identity(g)
             diag = [0] * g
         self._V = V
-        self._V_inv = _int_inverse(V)
+        self._V_inv = V_inv
         # unit factors carry no information and are dropped
         self._kept = [j for j in range(g) if diag[j] != 1]
         self._moduli = tuple(diag[j] for j in self._kept)
@@ -266,6 +258,42 @@ class FgAbGroup:
             raise ValueError("cannot enumerate an infinite group")
         return [GroupElement(self, c)
                 for c in itertools.product(*(range(m) for m in self._moduli))]
+
+    # -- packed integer codes -----------------------------------------
+
+    @cached_property
+    def _fields(self) -> tuple[tuple[int, int], ...]:
+        """(shift, modulus - 1) per reduced coordinate, coordinate 0 in
+        the most significant field.  A factor 2^k gets k bits plus one
+        guard bit above them, which catches the carry of a sum."""
+        if not self.is_finite() or any(m & (m - 1) for m in self._moduli):
+            raise ValueError("packed codes need a finite group whose "
+                             "invariant factors are powers of 2")
+        fields, shift = [], 0
+        for m in reversed(self._moduli):
+            fields.append((shift, m - 1))
+            shift += m.bit_length()
+        return tuple(reversed(fields))
+
+    @cached_property
+    def keep_mask(self) -> int:
+        """The value bits of every field: (pack(a) + pack(b)) & keep_mask
+        is pack(a + b), and codes order like elements."""
+        return sum(mask << shift for shift, mask in self._fields)
+
+    def pack(self, elem: GroupElement) -> int:
+        """The packed code of `elem`; ValueError unless the group is
+        finite with all invariant factors powers of 2."""
+        if elem.group is not self:
+            raise ValueError("element belongs to a different group")
+        return sum(c << shift for c, (shift, _) in zip(elem.coords, self._fields))
+
+    def unpack(self, code: int) -> GroupElement:
+        """The element whose packed code is `code`."""
+        if code < 0 or code & ~self.keep_mask:
+            raise ValueError("not a packed code of this group")
+        return GroupElement(self, tuple(code >> shift & mask
+                                        for shift, mask in self._fields))
 
 
 @dataclass(frozen=True)

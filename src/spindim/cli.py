@@ -222,8 +222,8 @@ def _cmd_verify_lattice(args) -> int:
             ok = (data.xL.invariant_factors == (2,) * (r - 1) + (4,)
                   and data.xT.free_rank == r
                   and data.xT.invariant_factors == ()
-                  and data.xK.order == 1 << r
-                  and len(data.faithful) == 1 << r
+                  and len(data.xK_codes) == 1 << r
+                  and len(data.faithful_codes) == 1 << r
                   and rep.is_free
                   and rep.orbit_sizes == want_sizes)
             all_ok = all_ok and ok
@@ -231,8 +231,8 @@ def _cmd_verify_lattice(args) -> int:
                 "r": r, "parity": parity.value,
                 "xL_invariant_factors": list(data.xL.invariant_factors),
                 "xT_free_rank": data.xT.free_rank,
-                "xK_order": data.xK.order,
-                "faithful_count": len(data.faithful),
+                "xK_order": len(data.xK_codes),
+                "faithful_count": len(data.faithful_codes),
                 "action_free": rep.is_free,
                 "orbit_sizes": list(rep.orbit_sizes),
                 "ok": ok,

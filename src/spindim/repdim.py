@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .abelian import GroupElement
-from .spinlat import Parity, SpinCharData, orbits_on_faithful
+from .spinlat import Parity, SpinCharData, orbit_codes
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,14 @@ def min_faithful_dim(data: SpinCharData) -> int:
     a nonnegative combination of orbit sizes and the minimum nonzero
     value is the smallest orbit size (achieved by `orbit_multiset`).
     """
-    return min(len(o) for o in orbits_on_faithful(data))
+    return min(map(len, orbit_codes(data)))
 
 
 def merkurjev_index_bound(data: SpinCharData) -> int:
     """gcd of the dimensions of all invariant multisets on S, i.e. the
     gcd of the orbit sizes.  Every achievable dimension is a multiple
     of this, and it is itself achieved up to sums."""
-    return math.gcd(*(len(o) for o in orbits_on_faithful(data)))
+    return math.gcd(*map(len, orbit_codes(data)))
 
 
 def _constraint_components(data: SpinCharData):
@@ -170,11 +170,11 @@ def divisibility_report(data: SpinCharData, exhaustive: bool = False
     bound; optionally confirm both against the brute-force enumeration
     (everything below min_dim is absent, everything up to twice the
     largest orbit is divisible by the gcd)."""
-    orbits = orbits_on_faithful(data)
-    sizes = tuple(len(o) for o in orbits)
+    orbits = orbit_codes(data)
+    sizes = tuple(map(len, orbits))
     mind = min(sizes)
     gcdd = math.gcd(*sizes)
-    smallest = min(orbits, key=len)
+    smallest = map(data.xL.unpack, min(orbits, key=len))
     checked_to = ok = None
     if exhaustive:
         checked_to = 2 * max(sizes)

@@ -14,14 +14,17 @@ coset of X(K) and is permuted by the Weyl group.  Sign flips act on S
 by translation:  flipping the signs in a subset I sends a character s
 to s + sum_{i in I} x_i, since every s in S is A - (partial sum) and
 2x_i = 0.  The whole orbit analysis therefore reduces to bookkeeping
-with subset-sum translations, which is what this module does.
+with subset-sum translations, which is what this module does.  It runs
+on packed integer codes of X(L) (`FgAbGroup.pack`), where translation
+is one add and one mask; `GroupElement`s appear only at the public
+boundary and are decoded on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abelian import FgAbGroup, GroupElement, Presentation, Subgroup
 
@@ -74,31 +77,56 @@ def weyl_identity(r: int) -> WeylElt:
 class SpinCharData:
     """Everything the orbit computations downstream need, precomputed.
 
-    Instances compare by identity so they can key caches."""
+    Characters of L are held as packed codes of X(L) (`FgAbGroup.pack`),
+    so translation is `(code + t) & xL.keep_mask`.  `shifts`, `xK` and
+    `faithful` give the same sets as `GroupElement`s, decoded on first
+    access.  Instances compare by identity so they can key caches."""
 
     r: int
     parity: Parity
     xT: FgAbGroup
     xL: FgAbGroup
-    xK: Subgroup
     x: tuple[GroupElement, ...]   # images of x_1..x_r in X(L)
     A: GroupElement               # image of A in X(L)
-    faithful: frozenset           # S = X(L) minus X(K)
     acting_masks: tuple[int, ...]  # sign-flip subsets as bitmasks
-    shifts: dict                  # mask -> sum_{i in mask} x_i
+    shift_codes: tuple[int, ...]  # mask -> code of sum_{i in mask} x_i
+    xK_codes: frozenset           # codes of X(K)
+    faithful_codes: frozenset     # codes of S = X(L) minus X(K)
+
+    @cached_property
+    def shifts(self) -> dict:
+        """mask -> sum_{i in mask} x_i."""
+        return {m: self.xL.unpack(c) for m, c in enumerate(self.shift_codes)}
+
+    @cached_property
+    def xK(self) -> Subgroup:
+        return Subgroup(self.xL, frozenset(map(self.xL.unpack, self.xK_codes)))
+
+    @cached_property
+    def faithful(self) -> frozenset:
+        return frozenset(map(self.xL.unpack, self.faithful_codes))
 
     def shift(self, mask: int) -> GroupElement:
-        return self.shifts[mask]
+        return self.xL.unpack(self.shift_codes[mask])
+
+
+def _require(ok: bool, message: str) -> None:
+    # an explicit raise, so the check also runs under python -O
+    if not ok:
+        raise AssertionError(message)
 
 
 @lru_cache(maxsize=None)
 def build_char_data(r: int, parity: Parity) -> SpinCharData:
     """Construct X(T), X(L), X(K) and the sign-flip translation data.
 
-    X(K) is read off the subset sums of x_1..x_r, since 2x_i = 0.
-    Rank is capped at MAX_RANK: X(L) is enumerated in full, so memory
-    grows as 2^r.  Results are cached; the returned data is shared and
-    must be treated as read-only.
+    X(K) is read off the subset sums of x_1..x_r, since 2x_i = 0, and S
+    is the coset A + X(K).  S is certified to be the complement of X(K)
+    without enumerating X(L): A is not in X(K), A + X(K) has 2^r
+    elements none of which lie in X(K), and 2^r + 2^r = |X(L)|.
+    Rank is capped at MAX_RANK: the codes of X(K) and S are held in
+    full, so memory grows as 2^r.  Results are cached; the returned
+    data is shared and must be treated as read-only.
     """
     if not 1 <= r <= MAX_RANK:
         raise ValueError(f"rank must be between 1 and {MAX_RANK}")
@@ -114,25 +142,32 @@ def build_char_data(r: int, parity: Parity) -> SpinCharData:
 
     x = tuple(xL.generator(i) for i in range(r))
     A = xL.generator(r)
-    assert xL.order() == 1 << (r + 1), "X(L) must have order 2^(r+1)"
-    assert (2 * A) == sum(x[1:], x[0]), "2A = sum x_i must survive the quotient"
-    assert all((2 * xi).is_identity() for xi in x)
+    _require(xL.order() == 1 << (r + 1), "X(L) must have order 2^(r+1)")
+    _require(2 * A == sum(x[1:], x[0]), "2A = sum x_i must survive the quotient")
+    _require(all((2 * xi).is_identity() for xi in x), "2x_i must vanish in X(L)")
 
-    shifts = {0: xL.identity()}
-    for m in range(1, 1 << r):
-        low = m & -m
-        shifts[m] = shifts[m ^ low] + x[low.bit_length() - 1]
+    keep = xL.keep_mask
+    shift_codes = [0]
+    for xi in map(xL.pack, x):
+        # bit i of the mask selects x_i
+        shift_codes += [(c + xi) & keep for c in shift_codes]
+    xK_codes = frozenset(shift_codes)
+    _require(len(xK_codes) == 1 << r, "X(K) must have order 2^r")
 
-    xK = Subgroup(xL, frozenset(shifts.values()))
-    assert xK.order == 1 << r, "X(K) must have order 2^r"
-    faithful = frozenset(e for e in xL.elements() if e not in xK)
-    assert len(faithful) == 1 << r
+    a = xL.pack(A)
+    _require(a not in xK_codes, "A must not lie in X(K)")
+    faithful_codes = frozenset({(a + t) & keep for t in shift_codes})
+    _require(len(faithful_codes) == 1 << r
+             and faithful_codes.isdisjoint(xK_codes)
+             and len(xK_codes) + len(faithful_codes) == xL.order(),
+             "A + X(K) must be the complement of X(K) in X(L)")
 
     if parity is Parity.ODD:
         masks = tuple(range(1 << r))
     else:
-        masks = tuple(m for m in range(1 << r) if bin(m).count("1") % 2 == 0)
-    return SpinCharData(r, parity, xT, xL, xK, x, A, faithful, masks, shifts)
+        masks = tuple(m for m in range(1 << r) if m.bit_count() % 2 == 0)
+    return SpinCharData(r, parity, xT, xL, x, A, masks, tuple(shift_codes),
+                        xK_codes, faithful_codes)
 
 
 def center_restriction(data: SpinCharData, c: GroupElement) -> str:
@@ -140,7 +175,7 @@ def center_restriction(data: SpinCharData, c: GroupElement) -> str:
     'trivial' exactly when c lies in X(K)."""
     if c.group is not data.xL:
         raise ValueError("character does not live on X(L)")
-    return "trivial" if c in data.xK else "faithful"
+    return "trivial" if data.xL.pack(c) in data.xK_codes else "faithful"
 
 
 def weyl_act(data: SpinCharData, w: WeylElt, c: GroupElement) -> GroupElement:
@@ -172,38 +207,61 @@ def weyl_act(data: SpinCharData, w: WeylElt, c: GroupElement) -> GroupElement:
 
 @dataclass(frozen=True)
 class FreeTransitiveReport:
+    """Freeness and orbit sizes of the sign-flip action on S.  `orbits`
+    and `witness` are decoded to `GroupElement`s on first access."""
+
     r: int
     parity: Parity
     is_free: bool
     orbit_sizes: tuple[int, ...]
-    orbits: tuple[tuple[GroupElement, ...], ...]
-    witness: dict     # mask -> A + shift(mask), the orbit chart at A
+    data: SpinCharData = field(repr=False)
 
     @property
     def is_transitive(self) -> bool:
         return len(self.orbit_sizes) == 1
 
+    @property
+    def orbits(self) -> tuple[tuple[GroupElement, ...], ...]:
+        return orbits_on_faithful(self.data)
+
+    @cached_property
+    def witness(self) -> dict:
+        """mask -> A + shift(mask), the orbit chart at A."""
+        data = self.data
+        a, keep = data.xL.pack(data.A), data.xL.keep_mask
+        return {m: data.xL.unpack((a + data.shift_codes[m]) & keep)
+                for m in data.acting_masks}
+
 
 @lru_cache(maxsize=None)
-def orbits_on_faithful(data: SpinCharData):
-    """Orbits of the sign-flip subsets on S, each sorted, deterministically
-    ordered by smallest member.
+def orbit_codes(data: SpinCharData) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the sign-flip subsets on S as packed codes, each
+    sorted, ordered by smallest member (code order is element order).
 
     The translations T = {shift(m)} form a subgroup of X(L) (the shift
     is additive in the mask), so the orbit of s is the single coset
-    s + T; the disjointness assertion below would catch any failure of
-    that closure.
+    s + T; the closure check below catches any failure of that.
     """
-    remaining = set(data.faithful)
+    keep = data.xL.keep_mask
+    translations = [data.shift_codes[m] for m in data.acting_masks]
+    remaining = set(data.faithful_codes)
     orbits = []
     while remaining:
         start = min(remaining)
-        orbit = {start + data.shifts[m] for m in data.acting_masks}
-        assert orbit <= remaining, "translation set failed to be a subgroup"
+        orbit = {(start + t) & keep for t in translations}
+        _require(orbit <= remaining, "translation set failed to be a subgroup")
         orbits.append(tuple(sorted(orbit)))
         remaining -= orbit
-    orbits.sort(key=lambda o: o[0])
+    orbits.sort()
     return tuple(orbits)
+
+
+@lru_cache(maxsize=None)
+def orbits_on_faithful(data: SpinCharData):
+    """`orbit_codes` decoded: the orbits of the sign-flip subsets on S,
+    each sorted, deterministically ordered by smallest member."""
+    unpack = data.xL.unpack
+    return tuple(tuple(map(unpack, o)) for o in orbit_codes(data))
 
 
 def free_transitive_check(data: SpinCharData) -> FreeTransitiveReport:
@@ -213,11 +271,7 @@ def free_transitive_check(data: SpinCharData) -> FreeTransitiveReport:
     when no nonempty acting subset has zero translation; that is checked
     directly, mask by mask.
     """
-    is_free = all(not data.shifts[m].is_identity()
-                  for m in data.acting_masks if m != 0)
-    orbits = orbits_on_faithful(data)
-    witness = {m: data.A + data.shifts[m] for m in data.acting_masks}
+    is_free = all(data.shift_codes[m] for m in data.acting_masks if m != 0)
     return FreeTransitiveReport(
         r=data.r, parity=data.parity, is_free=is_free,
-        orbit_sizes=tuple(len(o) for o in orbits), orbits=orbits,
-        witness=witness)
+        orbit_sizes=tuple(map(len, orbit_codes(data))), data=data)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindim.abelian import (FgAbGroup, Presentation, smith_normal_form,
-                             subgroup_span)
+from spindim.abelian import (FgAbGroup, Presentation, _smith_with_inverse,
+                             smith_normal_form, subgroup_span)
+from spindim.spinlat import Parity, build_char_data
 
 
 def matmul(A, B):
@@ -90,6 +91,18 @@ def test_snf_random_matrices(n, g, data):
     if all(all(x == 0 for x in row) for row in M):
         M[0][0] = 1
     assert_snf_contract(M)
+
+
+def test_snf_tracks_the_inverse_of_v():
+    rng = random.Random(13)
+    for _ in range(200):
+        n, g = rng.randint(1, 6), rng.randint(1, 6)
+        M = [[rng.randint(-6, 6) for _ in range(g)] for _ in range(n)]
+        U, D, V, V_inv = _smith_with_inverse(M)
+        assert (U, D, V) == smith_normal_form(M)
+        identity = [[int(i == j) for j in range(g)] for i in range(g)]
+        assert matmul(V, V_inv) == identity
+        assert matmul(V_inv, V) == identity
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,3 +236,40 @@ def test_mixed_group_elements_do_not_mix(z2_z4):
 def test_word_length_validation(z2_z4):
     with pytest.raises(ValueError):
         z2_z4.element([1, 2])
+
+
+# ---------------------------------------------------------------------------
+# packed codes, checked against GroupElement arithmetic
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_pack_round_trip_and_order(r):
+    xL = build_char_data(r, Parity.ODD).xL
+    els = xL.elements()
+    codes = [xL.pack(e) for e in els]
+    assert len(set(codes)) == len(els) == 2 ** (r + 1)
+    assert [xL.unpack(c) for c in codes] == els
+    assert sorted(els) == sorted(els, key=xL.pack)
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_packed_addition_matches_group_addition(r):
+    xL = build_char_data(r, Parity.ODD).xL
+    keep = xL.keep_mask
+    for a, b in itertools.product(xL.elements(), repeat=2):
+        assert xL.pack(a + b) == (xL.pack(a) + xL.pack(b)) & keep
+
+
+def test_packing_needs_finite_two_power_factors(z2_z4):
+    xT = build_char_data(3, Parity.ODD).xT
+    with pytest.raises(ValueError):
+        xT.pack(xT.identity())
+    z6 = FgAbGroup(Presentation(1, ((6,),)))
+    with pytest.raises(ValueError):
+        z6.pack(z6.generator(0))
+    with pytest.raises(ValueError):
+        z6.unpack(0)
+    with pytest.raises(ValueError):
+        z2_z4.pack(z6.generator(0))
+    with pytest.raises(ValueError):
+        z2_z4.unpack(z2_z4.keep_mask + 1)

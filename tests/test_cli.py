@@ -19,7 +19,7 @@ import spindim
 from spindim import cli
 from spindim.cli import run
 from spindim.edcalc import ed_table
-from spindim.spinlat import Parity, build_char_data
+from spindim.spinlat import MAX_RANK, Parity, build_char_data
 
 
 def ok_json(argv):
@@ -82,6 +82,13 @@ def test_verify_lattice():
     assert odd4["orbit_sizes"] == [16]
 
 
+def test_verify_lattice_at_max_rank():
+    payload = ok_json(["verify-lattice", "--r-max", str(MAX_RANK)])
+    assert payload["ok"] is True
+    assert len(payload["rows"]) == 2 * MAX_RANK
+    assert all(row["ok"] for row in payload["rows"])
+
+
 def test_verify_lattice_usage():
     usage_error(["verify-lattice", "--r-max", "0"])
     usage_error(["verify-lattice", "--r-max", "99"])
@@ -124,6 +131,14 @@ def test_verify_heisenberg_skips_brute_force_at_large_rank():
     assert payload["ok"] is True
     assert payload["exhaustive_checked_to"] is None
     assert payload["exhaustive_ok"] is None
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_verify_heisenberg_at_max_rank(parity):
+    payload = ok_json(["verify-heisenberg", "--r", str(MAX_RANK),
+                       "--parity", parity])
+    assert payload["ok"] is True
+    assert payload["achieving_multiset_size"] == payload["expected"]
 
 
 def test_verify_heisenberg_usage():
@@ -354,3 +369,30 @@ def test_python_dash_m_matches_run(module):
     code, out, _ = run(argv)
     assert (proc.returncode, proc.stdout) == (code, out)
     assert out
+
+
+TAMPERED_ORBITS = """
+import dataclasses
+from spindim.spinlat import Parity, build_char_data, orbits_on_faithful
+data = build_char_data(2, Parity.EVEN)
+try:
+    orbits_on_faithful(dataclasses.replace(data, acting_masks=(0, 1, 3)))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_lattice_checks_survive_python_dash_o():
+    # -O strips assert statements; the lattice checks raise explicitly,
+    # so verify-lattice prints the same report and a tampered
+    # translation set is still caught
+    argv = ["verify-lattice", "--r-max", "8"]
+    src = os.path.dirname(os.path.dirname(spindim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "spindim", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == run(argv)[:2]
+    assert json.loads(proc.stdout)["ok"] is True
+    proc = subprocess.run([sys.executable, "-O", "-c", TAMPERED_ORBITS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "translation set failed to be a subgroup\n"

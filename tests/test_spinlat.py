@@ -6,6 +6,7 @@ recompute images at the word level so they do not trust the lift/reduce
 plumbing they are checking.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -245,6 +246,17 @@ def brute_orbits(data):
 def test_orbits_match_brute_force_closure(r, parity):
     data = build_char_data(r, parity)
     assert orbits_on_faithful(data) == brute_orbits(data)
+
+
+def test_orbit_closure_check_rejects_a_tampered_translation_set():
+    # {0, x_1, x_1 + x_2} is not a subgroup, so the orbit of the second
+    # start point runs into the first orbit
+    data = build_char_data(2, Parity.EVEN)
+    tampered = dataclasses.replace(data, acting_masks=(0, 1, 3))
+    with pytest.raises(AssertionError, match="failed to be a subgroup"):
+        orbits_on_faithful(tampered)
+    with pytest.raises(AssertionError, match="failed to be a subgroup"):
+        free_transitive_check(tampered)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
