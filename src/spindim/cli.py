@@ -33,6 +33,7 @@ import json
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 
 from . import edcalc, invariants, qform2, repdim, spinlat
 from .invariants import SpinId, TorsorData
@@ -345,7 +346,11 @@ def _cmd_invariant(args) -> int:
 # wiring
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built once per process.  Reuse is safe: parse results
+    live in the returned Namespace, and help and errors are written to
+    the sys.stdout / sys.stderr current at call time."""
     p = _Parser(prog="spindim", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

@@ -132,10 +132,14 @@ class ConcreteField2:
         return x
 
     def add(self, x: int, y: int) -> int:
-        return self.check(x) ^ self.check(y)
+        """x + y.  Unchecked: both operands must already be elements
+        (see `check`); callers check values where they enter."""
+        return x ^ y
 
     def mul(self, x: int, y: int) -> int:
-        return _poly_mul_mod(self.check(x), self.check(y), self.min_poly, self.k)
+        """x * y.  Unchecked: both operands must already be elements
+        (see `check`); callers check values where they enter."""
+        return _poly_mul_mod(x, y, self.min_poly, self.k)
 
     def pow(self, x: int, e: int) -> int:
         self.check(x)
@@ -160,25 +164,42 @@ class ConcreteField2:
         return self.pow(x, 1 << (self.k - 1))
 
     def trace(self, x: int) -> int:
-        t = acc = self.check(x)
-        for _ in range(self.k - 1):
-            t = self.mul(t, t)
-            acc ^= t
-        assert acc in (0, 1)
-        return acc
+        """Absolute trace, as the parity of x's overlap with the trace
+        mask (the trace is F_2-linear)."""
+        return (self.check(x) & _trace_mask(self.k)).bit_count() & 1
 
     def trace_one_element(self) -> int:
-        """Smallest element of absolute trace 1 (trace is onto F_2)."""
-        for x in range(1, self.order):
-            if self.trace(x) == 1:
-                return x
-        raise AssertionError("trace cannot be identically zero")
+        """Smallest element of absolute trace 1: the lowest set bit of
+        the trace mask, since every smaller integer misses the mask."""
+        mask = _trace_mask(self.k)
+        return mask & -mask
 
     def elements(self):
         return range(self.order)
 
     def is_zero(self, x) -> bool:
         return self.check(x) == 0
+
+
+@lru_cache(maxsize=None)
+def _trace_mask(k: int) -> int:
+    """Bit i set iff Tr(x^i) = 1, for the generator x of F_{2^k}, with
+    each trace taken as the Frobenius sum t + t^2 + ... + t^(2^(k-1)).
+    Tr is F_2-linear, so Tr(y) is the parity of y & mask."""
+    f = ConcreteField2(k)
+    mask = 0
+    for i in range(k):
+        t = acc = 1 << i
+        for _ in range(k - 1):
+            t = f.mul(t, t)
+            acc ^= t
+        # explicit raises, so the checks also run under python -O
+        if acc not in (0, 1):
+            raise AssertionError("the trace must lie in F_2")
+        mask |= acc << i
+    if not mask:
+        raise AssertionError("trace cannot be identically zero")
+    return mask
 
 
 class FormalField2:
@@ -309,6 +330,7 @@ def evaluate(q: QForm, vec) -> object:
         raise TypeError("evaluation needs a concrete field")
     if len(vec) != q.dim:
         raise ValueError(f"vector length {len(vec)} != dim {q.dim}")
+    vec = [f.check(x) for x in vec]
     acc = 0
     i = 0
     for bl in q.blocks:
@@ -462,7 +484,8 @@ def classify_form(q: QForm) -> FormClass:
     vec = [0] * q.dim
     vec[offset] = f.sqrt(q.diag[1])
     vec[offset + 1] = f.sqrt(q.diag[0])
-    assert evaluate(q, vec) == 0
+    if evaluate(q, vec) != 0:   # explicit, so it also runs under python -O
+        raise AssertionError("radical vector does not vanish")
     return FormClass(SINGULAR, t, tuple(vec))
 
 
@@ -579,14 +602,17 @@ def _matrix_eval(field, M, vec):
 
 
 def _polar(field, M, u, v):
-    # b(u, v) = q(u+v) + q(u) + q(v) = sum_{i != j} M[i][j] u_i v_j
+    # b(u, v) = q(u+v) + q(u) + q(v) = sum_{i<j} M[i][j] (u_i v_j + u_j v_i)
+    mul = field.mul
     n = len(M)
     acc = 0
     for i in range(n):
-        for j in range(n):
-            if i != j and M[min(i, j)][max(i, j)]:
-                acc ^= field.mul(M[min(i, j)][max(i, j)],
-                                 field.mul(u[i], v[j]))
+        row, ui, vi = M[i], u[i], v[i]
+        for j in range(i + 1, n):
+            if row[j]:
+                s = mul(ui, v[j]) ^ mul(u[j], vi)
+                if s:
+                    acc ^= mul(row[j], s)
     return acc
 
 

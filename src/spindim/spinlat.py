@@ -117,21 +117,9 @@ def _require(ok: bool, message: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def build_char_data(r: int, parity: Parity) -> SpinCharData:
-    """Construct X(T), X(L), X(K) and the sign-flip translation data.
-
-    X(K) is read off the subset sums of x_1..x_r, since 2x_i = 0, and S
-    is the coset A + X(K).  S is certified to be the complement of X(K)
-    without enumerating X(L): A is not in X(K), A + X(K) has 2^r
-    elements none of which lie in X(K), and 2^r + 2^r = |X(L)|.
-    Rank is capped at MAX_RANK: the codes of X(K) and S are held in
-    full, so memory grows as 2^r.  Results are cached; the returned
-    data is shared and must be treated as read-only.
-    """
-    if not 1 <= r <= MAX_RANK:
-        raise ValueError(f"rank must be between 1 and {MAX_RANK}")
-    if not isinstance(parity, Parity):
-        raise ValueError("parity must be a Parity")
+def _lattice(r: int):
+    """The parity-free part of `build_char_data`, built once per rank:
+    (xT, xL, x, A, shift_codes, xK_codes, faithful_codes)."""
     # generators x_1..x_r, A;  relation rows: 2x_i = 0 (only in X(L)),
     # and x_1 + ... + x_r - 2A = 0 written as (-1,...,-1,2)
     half_spin_rel = tuple([-1] * r + [2])
@@ -161,12 +149,33 @@ def build_char_data(r: int, parity: Parity) -> SpinCharData:
              and faithful_codes.isdisjoint(xK_codes)
              and len(xK_codes) + len(faithful_codes) == xL.order(),
              "A + X(K) must be the complement of X(K) in X(L)")
+    return xT, xL, x, A, tuple(shift_codes), xK_codes, faithful_codes
 
+
+@lru_cache(maxsize=None)
+def build_char_data(r: int, parity: Parity) -> SpinCharData:
+    """Construct X(T), X(L), X(K) and the sign-flip translation data.
+
+    X(K) is read off the subset sums of x_1..x_r, since 2x_i = 0, and S
+    is the coset A + X(K).  S is certified to be the complement of X(K)
+    without enumerating X(L): A is not in X(K), A + X(K) has 2^r
+    elements none of which lie in X(K), and 2^r + 2^r = |X(L)|.
+    Only the acting sign flips depend on the parity; the lattice itself
+    is built once per rank and shared by both parities.
+    Rank is capped at MAX_RANK: the codes of X(K) and S are held in
+    full, so memory grows as 2^r.  Results are cached; the returned
+    data is shared and must be treated as read-only.
+    """
+    if not 1 <= r <= MAX_RANK:
+        raise ValueError(f"rank must be between 1 and {MAX_RANK}")
+    if not isinstance(parity, Parity):
+        raise ValueError("parity must be a Parity")
+    xT, xL, x, A, shift_codes, xK_codes, faithful_codes = _lattice(r)
     if parity is Parity.ODD:
         masks = tuple(range(1 << r))
     else:
         masks = tuple(m for m in range(1 << r) if m.bit_count() % 2 == 0)
-    return SpinCharData(r, parity, xT, xL, x, A, masks, tuple(shift_codes),
+    return SpinCharData(r, parity, xT, xL, x, A, masks, shift_codes,
                         xK_codes, faithful_codes)
 
 

@@ -396,3 +396,66 @@ def test_lattice_checks_survive_python_dash_o():
     proc = subprocess.run([sys.executable, "-O", "-c", TAMPERED_ORBITS],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.stdout == "translation set failed to be a subgroup\n"
+
+
+CHECKS_UNDER_O = """
+from spindim import qform2
+from spindim.qform2 import ConcreteField2, classify_form, diag_form
+f = ConcreteField2(3)
+real_eval = qform2.evaluate
+qform2.evaluate = lambda q, vec: 1
+try:
+    classify_form(diag_form(f, 1, 2))
+except AssertionError as exc:
+    print(exc)
+qform2.evaluate = real_eval
+ConcreteField2.mul = lambda self, x, y: 2
+try:
+    ConcreteField2(5).trace(1)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_qform_checks_survive_python_dash_o():
+    # the vanishing-vector check and the trace-in-F_2 check raise
+    # explicitly, so -O keeps them
+    argv = ["qform", "--field", "f2^2", "--op", "classify", "--form", "<1>+<2>"]
+    src = os.path.dirname(os.path.dirname(spindim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "spindim", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == run(argv)[:2]
+    assert "vanishing_radical_vector" in json.loads(proc.stdout)
+    proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == ("radical vector does not vanish\n"
+                           "the trace must lie in F_2\n"), proc.stderr
+
+
+PARSER_ROUND = [
+    ["qform", "--field", "f2^2"],
+    ["qform", "--help"],
+    ["qform", "--field", "f2^3", "--op", "witt", "--form", "[1,3]+<5>"],
+    ["symbol", "--normalize", "{a*b,c,d]+{b,c,d]"],
+]
+
+
+def test_reused_parser_leaks_no_state(monkeypatch):
+    # the parser is built once per process; a second round through the
+    # same parser must print what the first, freshly built, one did.
+    # COLUMNS pins the help and usage width on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    first = [run(argv) for argv in PARSER_ROUND]
+    assert cli._build_parser() is cli._build_parser()
+    second = [run(argv) for argv in PARSER_ROUND]
+    assert first == second
+    assert [r[0] for r in first] == [2, 0, 0, 0]
+    src = os.path.dirname(os.path.dirname(spindim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, (code, out, err) in zip(PARSER_ROUND[:2], first):
+        proc = subprocess.run([sys.executable, "-m", "spindim", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

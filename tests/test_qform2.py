@@ -24,7 +24,7 @@ from spindim.qform2 import (MAX_FIELD_BITS, BinaryBlock, ConcreteField2,
                             is_nonsingular, min_poly_for, orth_sum,
                             pfister_build, pfister_expand, scale,
                             tensor_bilinear, witt_decompose,
-                            _check_certificate)
+                            _check_certificate, _matrix_eval, _polar)
 
 F2 = ConcreteField2(1)
 F4 = ConcreteField2(2)
@@ -46,6 +46,30 @@ def poly_divmod(num, den):
         q ^= 1 << shift
         num ^= den << shift
     return q, num
+
+
+def carry_less_product(x, y):
+    out = 0
+    while y:
+        if y & 1:
+            out ^= x
+        x <<= 1
+        y >>= 1
+    return out
+
+
+def ref_mul(k, x, y):
+    """x * y in F_{2^k}: carry-less product, then long division."""
+    return poly_divmod(carry_less_product(x, y), min_poly_for(k))[1]
+
+
+def frobenius_trace(k, x):
+    """x + x^2 + x^4 + ... + x^(2^(k-1)), squaring with ref_mul."""
+    acc = t = x
+    for _ in range(k - 1):
+        t = ref_mul(k, t, t)
+        acc ^= t
+    return acc
 
 
 def irreducible_by_trial_division(p, k):
@@ -258,6 +282,81 @@ def test_artin_schreier_image_is_trace_kernel(k):
     kernel = {y for y in f.elements() if f.trace(y) == 0}
     assert image == kernel
     assert len(image) == f.order // 2
+
+
+def field_pairs(k):
+    """Every pair for k <= 6; 2000 seeded pairs above that."""
+    f = ConcreteField2(k)
+    if k <= 6:
+        return itertools.product(f.elements(), repeat=2)
+    rng = random.Random(k)
+    return [(rng.randrange(f.order), rng.randrange(f.order))
+            for _ in range(2000)]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6, 8, 16))
+def test_mul_matches_carry_less_product_and_long_division(k):
+    f = ConcreteField2(k)
+    for x, y in field_pairs(k):
+        assert f.mul(x, y) == ref_mul(k, x, y), (x, y)
+
+
+@pytest.mark.parametrize("k", (*range(1, 11), 16))
+def test_trace_mask_matches_frobenius_sum(k):
+    f = ConcreteField2(k)
+    if k <= 10:
+        xs = f.elements()
+    else:
+        rng = random.Random(k)
+        xs = [rng.randrange(f.order) for _ in range(500)]
+    for x in xs:
+        want = frobenius_trace(k, x)
+        assert want in (0, 1)
+        assert f.trace(x) == want, x
+
+
+@pytest.mark.parametrize("k", range(1, MAX_FIELD_BITS + 1))
+def test_trace_one_element_matches_linear_scan(k):
+    first = next(x for x in range(1, 1 << k) if frobenius_trace(k, x) == 1)
+    assert ConcreteField2(k).trace_one_element() == first
+    if k == 16:
+        assert first == 2048
+
+
+@pytest.mark.parametrize("field", (F2, F4, ConcreteField2(8),
+                                   ConcreteField2(16)))
+def test_polar_matches_value_differences(field):
+    # b(u, v) = q(u+v) + q(u) + q(v), on upper-triangular matrices with
+    # zero entries
+    rng = random.Random(field.k)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        M = [[rng.randrange(field.order) if j >= i and rng.random() < 0.6
+              else 0 for j in range(n)] for i in range(n)]
+        u, v = ([rng.choice((0, rng.randrange(field.order)))
+                 for _ in range(n)] for _ in range(2))
+        uv = [a ^ b for a, b in zip(u, v)]
+        want = (_matrix_eval(field, M, uv) ^ _matrix_eval(field, M, u)
+                ^ _matrix_eval(field, M, v))
+        assert _polar(field, M, u, v) == want
+
+
+def test_elements_are_checked_where_they_enter():
+    # mul and add take checked elements; every entry point checks
+    q = block(F4, 1, 2)
+    entries = [lambda: QForm(F4, diag=(4,)),
+               lambda: QForm(F4, blocks=(BinaryBlock(1, -1),)),
+               lambda: evaluate(q, (4, 0)),
+               lambda: evaluate(q, (1, True)),
+               lambda: block_normalize(F4, [[1, 4], [0, 1]]),
+               lambda: F4.pow(4, 3),
+               lambda: F4.inv(7),
+               lambda: F4.sqrt(4),
+               lambda: F4.trace(4),
+               lambda: F4.trace(-1)]
+    for entry in entries:
+        with pytest.raises(ValueError):
+            entry()
 
 
 def test_field_guards():

@@ -114,6 +114,17 @@ def test_build_is_cached():
     assert build_char_data(3, Parity.ODD) is build_char_data(3, Parity.ODD)
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_both_parities_share_one_lattice(r):
+    # only the acting masks depend on the parity; the lattice is built once
+    odd, even = build_char_data(r, Parity.ODD), build_char_data(r, Parity.EVEN)
+    assert odd is not even
+    assert odd.xL is even.xL and odd.xT is even.xT
+    assert odd.shift_codes is even.shift_codes
+    assert odd.faithful_codes is even.faithful_codes
+    assert len(odd.acting_masks) == 2 * len(even.acting_masks)
+
+
 def test_weyl_elt_validation():
     with pytest.raises(ValueError):
         WeylElt((0, 0), 0)
