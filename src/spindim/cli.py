@@ -18,7 +18,8 @@ Form expressions (qform): summands joined by '+', each '[a,b]' (the
 block ax^2 + xy + by^2), '<c>' (cz^2), or 'pf(a1,...,am-1;b)' (the
 Pfister form <<a1,...,b]]). Field elements are hex bit patterns.  The
 normalize op instead takes 'mat(r11,r12,...;r21,...;...)', a square
-coefficient matrix (entries below the diagonal are folded up).
+coefficient matrix of at most 64 rows (entries below the diagonal are
+folded up).
 
 Symbol expressions: terms '{s1,...,sn-1,b]' joined by '+'; slots are
 '*'-products of names or '1'; the final additive slot may itself be a
@@ -38,6 +39,12 @@ from functools import lru_cache
 from . import edcalc, invariants, qform2, repdim, spinlat
 from .invariants import SpinId, TorsorData
 from .qform2 import ConcreteField2, QForm, format_qform, orth_sum
+
+
+# Largest coefficient matrix `qform --op normalize` accepts.  The
+# reduction and its certificate cost O(n^3) field multiplies; a cold
+# normalize over f2^16 takes about 0.3 s at n = 32 and 1.1 s at n = 64.
+MAX_MATRIX_DIM = 64
 
 
 class _UsageError(Exception):
@@ -117,8 +124,11 @@ def parse_matrix(field, text: str):
     text = text.replace(" ", "")
     if not (text.startswith("mat(") and text.endswith(")")):
         raise _UsageError("normalize expects mat(row;row;...)")
-    rows = [[_parse_element(field, t) for t in row.split(",")]
-            for row in text[4:-1].split(";")]
+    cells = [row.split(",") for row in text[4:-1].split(";")]
+    if max(len(cells), *map(len, cells)) > MAX_MATRIX_DIM:
+        raise _UsageError(f"coefficient matrix is larger than "
+                          f"{MAX_MATRIX_DIM}x{MAX_MATRIX_DIM}")
+    rows = [[_parse_element(field, t) for t in row] for row in cells]
     if any(len(r) != len(rows) for r in rows):
         raise _UsageError("coefficient matrix must be square")
     return rows

@@ -589,15 +589,22 @@ def equivalent_ff(q1: QForm, q2: QForm) -> bool:
 # reduction of a raw coefficient matrix to block shape
 
 
-def _matrix_eval(field, M, vec):
+def _dot(mul, u, v):
     acc = 0
-    n = len(M)
-    for i in range(n):
-        if vec[i] == 0:
-            continue
-        for j in range(i, n):
-            if M[i][j] and vec[j]:
-                acc ^= field.mul(M[i][j], field.mul(vec[i], vec[j]))
+    for x, y in zip(u, v):
+        if x and y:
+            acc ^= mul(x, y)
+    return acc
+
+
+def _matrix_eval(field, M, vec):
+    # q(v) = sum_i v_i (sum_{j>=i} M[i][j] v_j)
+    acc = 0
+    for i, vi in enumerate(vec):
+        if vi:
+            s = _dot(field.mul, M[i][i:], vec[i:])
+            if s:
+                acc ^= field.mul(vi, s)
     return acc
 
 
@@ -616,17 +623,32 @@ def _polar(field, M, u, v):
     return acc
 
 
+def _polar_gram(M):
+    """Gram matrix S = M + M^T of the polar form of an upper-triangular
+    M: b(u, v) = u^T S v.  Symmetric, with zero diagonal."""
+    n = len(M)
+    return [[M[min(i, j)][max(i, j)] if i != j else 0 for j in range(n)]
+            for i in range(n)]
+
+
 def _check_certificate(M, q: QForm, basis) -> None:
-    """Raise unless q is the folded matrix M written in `basis`: each
-    q(b_i) is its emitted coefficient, and b(b_i, b_j) is 1 for a block
-    pair and 0 for any other i < j."""
+    """Raise unless q is the upper-triangular matrix M written in
+    `basis`: each q(b_i) is its emitted coefficient, and b(b_i, b_j) is
+    1 for a block pair and 0 for any other i < j.  The pairings are
+    entries of (P S) P^T, P the basis rows and S = M + M^T, so the
+    whole check costs O(n^3) multiplies.  b(b_i, b_j) is taken as row
+    i of P times row j of P S: the reduction's early rows are sparse."""
     f = q.field
+    mul = f.mul
     coeffs = [c for bl in q.blocks for c in (bl.a, bl.b)] + list(q.diag)
-    pairs = {(i, i + 1) for i in range(0, 2 * len(q.blocks), 2)}
+    paired = 2 * len(q.blocks)
+    S = _polar_gram(M)
+    ps_rows = ([_dot(mul, b, col) for col in S] for b in basis)   # P S, lazily
     if (len(basis) != len(coeffs)
             or any(_matrix_eval(f, M, b) != c for b, c in zip(basis, coeffs))
-            or any(_polar(f, M, basis[i], basis[j]) != int((i, j) in pairs)
-                   for i, j in itertools.combinations(range(len(basis)), 2))):
+            or any(_dot(mul, basis[i], ps)
+                   != int(j == i + 1 and j < paired and i % 2 == 0)
+                   for j, ps in enumerate(ps_rows) for i in range(j))):
         raise AssertionError("block reduction failed its certificate")
 
 
@@ -639,11 +661,23 @@ def block_normalize_with_basis(field, coeffs):
     the rest orthogonal to the pair; what remains spans the radical
     and contributes diagonal summands.
 
+    The reduction tracks the polar Gram matrix B[m][m'] = b(b_m, b_m')
+    and the values Q[m] = q(b_m) of the current basis.  For the pair
+    (i, j), scaled so that B[i][j] = 1, each other vector moves by
+    b_m += a_m b_i + d_m b_j with a_m = b(b_m, b_j), d_m = b(b_m, b_i),
+    so that, in characteristic 2,
+
+        Q[m]     += a_m^2 Q[i] + d_m^2 Q[j] + a_m d_m
+        B[m][m'] += a_m d_m' + d_m a_m'
+
+    and a step costs O(n^2) multiplies, the whole reduction O(n^3).
+
     The result is certified at every size.  In characteristic 2,
     q(sum x_i b_i) = sum x_i^2 q(b_i) + sum_{i<j} x_i x_j b(b_i, b_j),
     so the values q(b_i), which must be the emitted coefficients, and
     the pairings b(b_i, b_j), which must be 1 inside a block pair and 0
-    otherwise, fix the form in the new basis.  A mismatch raises
+    otherwise, fix the form in the new basis.  Both are recomputed from
+    the input matrix, not from B and Q.  A mismatch raises
     AssertionError.
     """
     if field.kind != "concrete":
@@ -658,39 +692,48 @@ def block_normalize_with_basis(field, coeffs):
             M[i][j] ^= M[j][i]
             M[j][i] = 0
 
+    mul = field.mul
     basis = [[field.one if i == j else field.zero for j in range(n)]
              for i in range(n)]
+    B = _polar_gram(M)
+    Q = [M[i][i] for i in range(n)]
     remaining = list(range(n))
     blocks = []
     new_basis = []
     while True:
-        pair = None
-        for ii, i in enumerate(remaining):
-            for j in remaining[ii + 1:]:
-                if _polar(field, M, basis[i], basis[j]):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for ii, i in enumerate(remaining)
+                     for j in remaining[ii + 1:] if B[i][j]), None)
         if pair is None:
             break
         i, j = pair
-        c = field.inv(_polar(field, M, basis[i], basis[j]))
-        basis[j] = [field.mul(c, x) for x in basis[j]]
-        for m in remaining:
-            if m in (i, j):
-                continue
-            # the components of basis[m] along basis[i] and basis[j]
-            ci = _polar(field, M, basis[m], basis[j])
-            cj = _polar(field, M, basis[m], basis[i])
-            basis[m] = [x ^ field.mul(ci, yi) ^ field.mul(cj, yj)
-                        for x, yi, yj in zip(basis[m], basis[i], basis[j])]
-        blocks.append(BinaryBlock(_matrix_eval(field, M, basis[i]),
-                                  _matrix_eval(field, M, basis[j])))
-        new_basis.extend([basis[i], basis[j]])
         remaining.remove(i)
         remaining.remove(j)
-    diag = tuple(_matrix_eval(field, M, basis[m]) for m in remaining)
+        # scale b_j so that b(b_i, b_j) = 1; row and column j of B are
+        # only read once more, through a below
+        c = field.inv(B[i][j])
+        bi = basis[i]
+        bj = basis[j] = [mul(c, x) for x in basis[j]]
+        qi, qj = Q[i], mul(mul(c, c), Q[j])
+        # the components of each remaining b_m along b_i and b_j
+        a = [mul(c, B[j][m]) for m in remaining]
+        d = [B[i][m] for m in remaining]
+        for p, m in enumerate(remaining):
+            am, dm = a[p], d[p]
+            if not (am or dm):
+                continue
+            basis[m] = [x ^ mul(am, yi) ^ mul(dm, yj)
+                        for x, yi, yj in zip(basis[m], bi, bj)]
+            Q[m] ^= mul(mul(am, am), qi) ^ mul(mul(dm, dm), qj) ^ mul(am, dm)
+            row = B[m]
+            for p2 in range(p + 1, len(remaining)):
+                s = mul(am, d[p2]) ^ mul(dm, a[p2])
+                if s:
+                    m2 = remaining[p2]
+                    row[m2] ^= s
+                    B[m2][m] ^= s
+        blocks.append(BinaryBlock(qi, qj))
+        new_basis.extend([bi, bj])
+    diag = tuple(Q[m] for m in remaining)
     new_basis.extend(basis[m] for m in remaining)
     out = QForm(field, tuple(blocks), diag)
     _check_certificate(M, out, new_basis)

@@ -7,7 +7,10 @@ orbit or enumeration code cannot hide behind a green assert.
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -270,3 +273,26 @@ def test_acceptance_8_cli_determinism():
         assert first == second
         assert first[0] == 0
     report(8, "identical invocations print identical bytes", t0, 10)
+
+
+# the fast criteria; 4 and 6 take seconds, not fractions of one
+FAST_UNDER_O = ("1_cli_table_matches_formulas", "2_anchor_values",
+                "3_lattice_structure_to_rank_12", "5_consistency_15_to_64",
+                "7_invariant_suite", "8_cli_determinism")
+
+
+def test_fast_acceptance_survives_python_dash_o():
+    # -O strips bare assert statements from the library.  pytest still
+    # checks the asserts of this file, which it rewrites into explicit
+    # raises, so the subset passes under -O only if every runtime check
+    # it relies on raises explicitly.
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    ids = [f"{os.path.abspath(__file__)}::test_acceptance_{name}"
+           for name in FAST_UNDER_O]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *ids], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert f"{len(FAST_UNDER_O)} passed" in proc.stdout

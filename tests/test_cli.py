@@ -210,6 +210,28 @@ def test_qform_normalize():
     assert payload2["form"] == "[1,1]"
 
 
+def test_qform_normalize_size_limit():
+    # the limit is checked before any entry is parsed, so an oversized
+    # matrix of bad entries is a size error, not an element error
+    limit = cli.MAX_MATRIX_DIM
+
+    def normalize(n, entry="1"):
+        rows = ";".join(",".join(entry if j >= i else "0" for j in range(n))
+                        for i in range(n))
+        return ["qform", "--field", "f2^1", "--op", "normalize",
+                "--form", f"mat({rows})"]
+
+    assert "larger than" in usage_error(normalize(limit + 1))
+    assert "larger than" in usage_error(normalize(limit + 1, entry="g"))
+    wide = ["qform", "--field", "f2^1", "--op", "normalize",
+            "--form", "mat(" + ",".join(["1"] * (limit + 1)) + ")"]
+    assert "larger than" in usage_error(wide)
+    payload = ok_json(normalize(limit))
+    # q = sum_{i<=j} x_i x_j over F_2: its polar Gram matrix is J - I,
+    # nonsingular at even n, so the form splits into n/2 blocks
+    assert payload["form"].count("[") == limit // 2
+
+
 def test_qform_equiv():
     payload = ok_json(["qform", "--field", "f2^2", "--op", "equiv",
                        "--form", "[1,1]", "--form2", "[0,0]"])

@@ -7,10 +7,12 @@ at tiny sizes, by enumerating actual changes of basis.  The helpers at
 the top are deliberately naive reimplementations.
 """
 
+import importlib.util
 import itertools
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -936,6 +938,99 @@ def test_certificate_rejects_tampering():
     bad_basis = [basis[1]] + basis[1:]
     with pytest.raises(AssertionError, match="certificate"):
         _check_certificate(M, q, bad_basis)
+
+
+def reference_reduction(field, M):
+    """The O(n^4) reduction: the same pair search and updates as the
+    library's, with every pairing recomputed through `_polar`.  M is
+    upper triangular; returns (QForm, basis rows)."""
+    n = len(M)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    remaining = list(range(n))
+    blocks, out_basis = [], []
+    while True:
+        pair = next(((i, j) for ii, i in enumerate(remaining)
+                     for j in remaining[ii + 1:]
+                     if _polar(field, M, basis[i], basis[j])), None)
+        if pair is None:
+            break
+        i, j = pair
+        c = field.inv(_polar(field, M, basis[i], basis[j]))
+        basis[j] = [field.mul(c, x) for x in basis[j]]
+        for m in remaining:
+            if m in (i, j):
+                continue
+            ci = _polar(field, M, basis[m], basis[j])
+            cj = _polar(field, M, basis[m], basis[i])
+            basis[m] = [x ^ field.mul(ci, yi) ^ field.mul(cj, yj)
+                        for x, yi, yj in zip(basis[m], basis[i], basis[j])]
+        blocks.append(BinaryBlock(_matrix_eval(field, M, basis[i]),
+                                  _matrix_eval(field, M, basis[j])))
+        out_basis += [basis[i], basis[j]]
+        remaining.remove(i)
+        remaining.remove(j)
+    diag = tuple(_matrix_eval(field, M, basis[m]) for m in remaining)
+    out_basis += [basis[m] for m in remaining]
+    return QForm(field, tuple(blocks), diag), out_basis
+
+
+def normalize_shapes():
+    """(k, n) of the normalize requests in the benchmark's forms-warm
+    workload, read from bench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.NORMALIZE_SHAPES
+
+
+def test_block_normalize_matches_reference_reduction():
+    # seeded matrices with zero entries, then one dense matrix (every
+    # entry on and above the diagonal nonzero) of each benchmark shape
+    rng = random.Random(67)
+    cases = []
+    for k in (1, 2, 3, 4, 8, 16):
+        field = ConcreteField2(k)
+        for n in range(1, 11):
+            for _ in range(2):
+                cases.append((field, [
+                    [rng.randrange(field.order)
+                     if j >= i and rng.random() < 0.6 else 0
+                     for j in range(n)] for i in range(n)]))
+    shapes = normalize_shapes()
+    assert len(shapes) == 8
+    for k, n in shapes:
+        field = ConcreteField2(k)
+        cases.append((field, [[rng.randrange(1, field.order) if j >= i else 0
+                               for j in range(n)] for i in range(n)]))
+    for field, M in cases:
+        assert block_normalize_with_basis(field, M) == \
+            reference_reduction(field, M)
+
+
+def test_certificate_rejects_a_stray_pairing_at_n24():
+    # over F_2^16 at n = 24: add c * b_0 to b_4, the first row of the
+    # third block, and fix up the emitted coefficient, so every value
+    # q(b_i) still matches and only the pairing b(b_1, b_4) = c, of two
+    # rows that are not neighbours, is wrong
+    field = ConcreteField2(16)
+    rng = random.Random(71)
+    n = 24
+    M = [[rng.randrange(field.order) if j >= i else 0 for j in range(n)]
+         for i in range(n)]
+    q, basis = block_normalize_with_basis(field, M)
+    assert len(q.blocks) >= 3
+    _check_certificate(M, q, basis)
+    c = 0x1234
+    bad_basis = [list(b) for b in basis]
+    bad_basis[4] = [x ^ field.mul(c, y) for x, y in zip(basis[4], basis[0])]
+    bl = q.blocks[2]
+    a4 = bl.a ^ field.mul(field.mul(c, c), q.blocks[0].a)
+    bad_q = QForm(field, q.blocks[:2] + (BinaryBlock(a4, bl.b),)
+                  + q.blocks[3:], q.diag)
+    assert _matrix_eval(field, M, bad_basis[4]) == a4
+    with pytest.raises(AssertionError, match="certificate"):
+        _check_certificate(M, bad_q, bad_basis)
 
 
 # ---------------------------------------------------------------------------
