@@ -4,8 +4,9 @@ classification, symbol invariants and the resulting bound tables."""
 
 from .abelian import (FgAbGroup, GroupElement, Presentation, Subgroup,
                       smith_normal_form, subgroup_span)
-from .spinlat import (Parity, SpinCharData, WeylElt, build_char_data,
-                      center_restriction, free_transitive_check,
+from .spinlat import (OrbitStructure, Parity, SpinCharData, WeylElt,
+                      build_char_data, center_restriction,
+                      free_transitive_check, orbit_structure,
                       orbits_on_faithful, weyl_act)
 from .repdim import (CharMultiset, divisibility_report,
                      enumerate_invariant_multisets, is_invariant,

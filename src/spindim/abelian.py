@@ -227,9 +227,9 @@ class FgAbGroup:
         return self._from_reduced([full[j] for j in self._kept])
 
     def generator(self, i: int) -> GroupElement:
-        word = [0] * self.presentation.num_generators
-        word[i] = 1
-        return self.element(word)
+        """The image of e_i: `element` of the unit word, which is row i
+        of V."""
+        return self._from_reduced([self._V[i][j] for j in self._kept])
 
     def lift(self, elem: GroupElement) -> list[int]:
         """A word in the generators mapping to `elem` (a section of

@@ -220,32 +220,33 @@ def _cmd_ed_table(args) -> int:
 
 
 def _cmd_verify_lattice(args) -> int:
-    if not 1 <= args.r_max <= spinlat.MAX_RANK:
-        raise _UsageError(f"--r-max must be between 1 and {spinlat.MAX_RANK}")
+    # the largest rank an ed-table gcd step uses
+    r_cap = edcalc.MAX_N // 2
+    if not 1 <= args.r_max <= r_cap:
+        raise _UsageError(f"--r-max must be between 1 and {r_cap}")
     rows = []
     all_ok = True
     for r in range(1, args.r_max + 1):
         for parity in (spinlat.Parity.ODD, spinlat.Parity.EVEN):
-            data = spinlat.build_char_data(r, parity)
-            rep = spinlat.free_transitive_check(data)
+            shape = spinlat.orbit_structure(r, parity)
             want_sizes = ((1 << r,) if parity is spinlat.Parity.ODD
                           else (1 << (r - 1),) * 2)
-            ok = (data.xL.invariant_factors == (2,) * (r - 1) + (4,)
-                  and data.xT.free_rank == r
-                  and data.xT.invariant_factors == ()
-                  and len(data.xK_codes) == 1 << r
-                  and len(data.faithful_codes) == 1 << r
-                  and rep.is_free
-                  and rep.orbit_sizes == want_sizes)
+            ok = (shape.xL.invariant_factors == (2,) * (r - 1) + (4,)
+                  and shape.xT.free_rank == r
+                  and shape.xT.invariant_factors == ()
+                  and shape.xK_order == 1 << r
+                  and shape.faithful_count == 1 << r
+                  and shape.is_free
+                  and shape.orbit_sizes == want_sizes)
             all_ok = all_ok and ok
             rows.append({
                 "r": r, "parity": parity.value,
-                "xL_invariant_factors": list(data.xL.invariant_factors),
-                "xT_free_rank": data.xT.free_rank,
-                "xK_order": len(data.xK_codes),
-                "faithful_count": len(data.faithful_codes),
-                "action_free": rep.is_free,
-                "orbit_sizes": list(rep.orbit_sizes),
+                "xL_invariant_factors": list(shape.xL.invariant_factors),
+                "xT_free_rank": shape.xT.free_rank,
+                "xK_order": shape.xK_order,
+                "faithful_count": shape.faithful_count,
+                "action_free": shape.is_free,
+                "orbit_sizes": list(shape.orbit_sizes),
                 "ok": ok,
             })
     print(json.dumps({"r_max": args.r_max, "ok": all_ok, "rows": rows},

@@ -19,9 +19,9 @@ where v2 is the 2-adic valuation.  Upper bounds come from generically
 free representations (spin, half-spin, or half-spin plus vector) or
 from the quotient by the center plus a gerbe-index term; lower bounds
 come from the dimension gcd of center-faithful representations of a
-finite Heisenberg-type 2-subgroup, which for small rank is recomputed
-live from the character-lattice orbit data rather than trusted as a
-formula.
+finite Heisenberg-type 2-subgroup, which is recomputed live from the
+character-lattice orbit structure at every rank rather than trusted as
+a formula.
 
 Below 15 the values are the known table: 0 through n = 6 (those spin
 groups are special), 4, 5, 5, 4 for n = 7..10, and open for 11..14.
@@ -32,12 +32,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .repdim import merkurjev_index_bound
-from .spinlat import Parity, build_char_data
+from .spinlat import Parity, orbit_structure
 
 MIN_N = 3
 MAX_N = 64
-LIVE_RANK_LIMIT = 12
 
 CHAR_NOTE = ("characteristic 2 agrees with characteristic != 2 "
              "for n <= 10 and for n >= 15")
@@ -80,11 +78,9 @@ class Rule:
 
 def _heisenberg_gcd(r: int, parity: Parity) -> int:
     """gcd of center-faithful representation dimensions of the rank-r
-    Heisenberg subgroup: recomputed from orbit data when feasible,
-    closed form beyond."""
-    if r <= LIVE_RANK_LIMIT:
-        return merkurjev_index_bound(build_char_data(r, parity))
-    return 1 << (r if parity is Parity.ODD else r - 1)
+    Heisenberg subgroup, i.e. the gcd of the sign-flip orbit sizes on
+    S, recomputed live: all orbits have the same size."""
+    return orbit_structure(r, parity).orbit_size
 
 
 RULES = {
@@ -150,13 +146,27 @@ def _step(rule_id: str, **inputs) -> DerivationStep:
                           tuple(sorted(inputs.items())), out)
 
 
+def _in_table_range(inputs: dict) -> bool:
+    """n and r, where given, are ints in the range a real trace uses;
+    they size the live Smith-form work and the 2-powers a step builds."""
+    bounds = {"n": (MIN_N, MAX_N), "r": (1, MAX_N // 2)}
+    return all(type(inputs[k]) is int and lo <= inputs[k] <= hi
+               for k, (lo, hi) in bounds.items() if k in inputs)
+
+
 def verify_trace(steps) -> bool:
-    """Re-run every step's arithmetic, live rules included."""
+    """Re-run every step's arithmetic, live rules included.  A step
+    with an unknown rule, a missing or ill-typed input, or an n or r
+    outside the table's range is rejected, never raised on."""
     for s in steps:
         rule = RULES.get(s.rule)
         if rule is None:
             return False
-        if rule.fn(dict(s.inputs)) != s.out:
+        try:
+            inputs = dict(s.inputs)
+            if not _in_table_range(inputs) or rule.fn(inputs) != s.out:
+                return False
+        except (KeyError, TypeError, ValueError):
             return False
     return True
 
@@ -199,7 +209,7 @@ def ed_upper_char2(n: int):
 
 def ed_lower_char2(n: int):
     """Lower bound for n >= 15 with its derivation trace.  The gcd
-    steps recompute from character-lattice orbits when r <= 12."""
+    steps recompute from the character-lattice orbit structure."""
     if not 15 <= n <= MAX_N:
         raise ValueError("the case analysis starts at n = 15")
     case = _case_of(n)
@@ -275,8 +285,8 @@ class ConsistencyReport:
 
 def consistency_check(n: int) -> ConsistencyReport:
     """Recompute the entry for n, re-verify both traces step by step,
-    and (for even/odd rank <= 12) compare the formula's 2-power against
-    the gcd computed live from the orbit data.  Never raises on a
+    and for n >= 15 compare the formula's 2-power against the gcd
+    computed live from the orbit structure.  Never raises on a
     mismatch; the report carries the failure."""
     problems = []
     entry = ed_value(n)
@@ -286,7 +296,7 @@ def consistency_check(n: int) -> ConsistencyReport:
         problems.append("value does not equal both bounds")
     live = []
     r, parity = n // 2, Parity.ODD if n % 2 else Parity.EVEN
-    if n >= 15 and r <= LIVE_RANK_LIMIT:
+    if n >= 15:
         if parity is Parity.ODD:
             power, expected = "2^r", 1 << r
         else:

@@ -18,6 +18,11 @@ with subset-sum translations, which is what this module does.  It runs
 on packed integer codes of X(L) (`FgAbGroup.pack`), where translation
 is one add and one mask; `GroupElement`s appear only at the public
 boundary and are decoded on demand.
+
+Everything is a function of the rank r.  `orbit_structure` reads the
+orbit shape at any rank from the Smith form and one elimination over
+F_2; `build_char_data` enumerates X(K) and S in full and serves as its
+oracle up to MAX_RANK.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .abelian import FgAbGroup, GroupElement, Presentation, Subgroup
 
@@ -117,9 +123,9 @@ def _require(ok: bool, message: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _lattice(r: int):
-    """The parity-free part of `build_char_data`, built once per rank:
-    (xT, xL, x, A, shift_codes, xK_codes, faithful_codes)."""
+def _smith_lattice(r: int):
+    """The Smith-form half of the lattice, built once per rank with no
+    2^r work: (xT, xL, x, A)."""
     # generators x_1..x_r, A;  relation rows: 2x_i = 0 (only in X(L)),
     # and x_1 + ... + x_r - 2A = 0 written as (-1,...,-1,2)
     half_spin_rel = tuple([-1] * r + [2])
@@ -133,7 +139,14 @@ def _lattice(r: int):
     _require(xL.order() == 1 << (r + 1), "X(L) must have order 2^(r+1)")
     _require(2 * A == sum(x[1:], x[0]), "2A = sum x_i must survive the quotient")
     _require(all((2 * xi).is_identity() for xi in x), "2x_i must vanish in X(L)")
+    return xT, xL, x, A
 
+
+@lru_cache(maxsize=None)
+def _lattice(r: int):
+    """The enumerated half of `build_char_data`, built once per rank:
+    (shift_codes, xK_codes, faithful_codes)."""
+    _, xL, x, A = _smith_lattice(r)
     keep = xL.keep_mask
     shift_codes = [0]
     for xi in map(xL.pack, x):
@@ -149,7 +162,7 @@ def _lattice(r: int):
              and faithful_codes.isdisjoint(xK_codes)
              and len(xK_codes) + len(faithful_codes) == xL.order(),
              "A + X(K) must be the complement of X(K) in X(L)")
-    return xT, xL, x, A, tuple(shift_codes), xK_codes, faithful_codes
+    return tuple(shift_codes), xK_codes, faithful_codes
 
 
 @lru_cache(maxsize=None)
@@ -162,15 +175,17 @@ def build_char_data(r: int, parity: Parity) -> SpinCharData:
     elements none of which lie in X(K), and 2^r + 2^r = |X(L)|.
     Only the acting sign flips depend on the parity; the lattice itself
     is built once per rank and shared by both parities.
-    Rank is capped at MAX_RANK: the codes of X(K) and S are held in
-    full, so memory grows as 2^r.  Results are cached; the returned
-    data is shared and must be treated as read-only.
+    MAX_RANK is the enumeration cap: the codes of X(K) and S are held
+    in full, so memory grows as 2^r; `orbit_structure` has no such
+    cap.  Results are cached; the returned data is shared and must be
+    treated as read-only.
     """
     if not 1 <= r <= MAX_RANK:
         raise ValueError(f"rank must be between 1 and {MAX_RANK}")
     if not isinstance(parity, Parity):
         raise ValueError("parity must be a Parity")
-    xT, xL, x, A, shift_codes, xK_codes, faithful_codes = _lattice(r)
+    xT, xL, x, A = _smith_lattice(r)
+    shift_codes, xK_codes, faithful_codes = _lattice(r)
     if parity is Parity.ODD:
         masks = tuple(range(1 << r))
     else:
@@ -284,3 +299,67 @@ def free_transitive_check(data: SpinCharData) -> FreeTransitiveReport:
     return FreeTransitiveReport(
         r=data.r, parity=data.parity, is_free=is_free,
         orbit_sizes=tuple(map(len, orbit_codes(data))), data=data)
+
+
+class OrbitStructure(NamedTuple):
+    """The shape of the sign-flip action on S, without its elements:
+    S splits into `orbit_count` orbits of `orbit_size` each.  A named
+    tuple, not a dataclass: it is built on every cold import."""
+
+    xT: FgAbGroup
+    xL: FgAbGroup
+    xK_order: int
+    is_free: bool
+    orbit_size: int
+    orbit_count: int
+
+    @property
+    def faithful_count(self) -> int:
+        return self.xL.order() - self.xK_order
+
+    @property
+    def orbit_sizes(self) -> tuple[int, ...]:
+        return (self.orbit_size,) * self.orbit_count
+
+
+def _f2_rank(vectors) -> int:
+    """Rank over F_2 of integers read as bit vectors."""
+    pivots = {}   # leading bit -> reduced vector
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def orbit_structure(r: int, parity: Parity) -> OrbitStructure:
+    """Orbit shape of the sign-flip action on S from one elimination
+    over F_2, at any rank r >= 1 (the cost is polynomial in r).
+
+    The x_i are 2-torsion (`_smith_lattice` checks it), and on codes of
+    2-torsion elements `(a + b) & keep_mask` is `a ^ b`, so the shift
+    map from masks is F_2-linear on the packed codes.  Hence |X(K)| is
+    2^(rank of x_1..x_r), and the translation group T is spanned by the
+    acting generators: every x_i for ODD, the adjacent sums
+    x_i + x_{i+1}, which span the even-weight masks, for EVEN.  The
+    action is free exactly when those generators are independent, and
+    S, a union of X(K)-cosets, splits into cosets of T, each an orbit.
+    """
+    if not isinstance(r, int) or r < 1:
+        raise ValueError("rank must be an integer >= 1")
+    if not isinstance(parity, Parity):
+        raise ValueError("parity must be a Parity")
+    xT, xL, x, _ = _smith_lattice(r)
+    x_codes = [xL.pack(xi) for xi in x]
+    if parity is Parity.ODD:
+        acting = x_codes
+    else:
+        acting = [a ^ b for a, b in zip(x_codes, x_codes[1:])]
+    xK_order = 1 << _f2_rank(x_codes)
+    t_rank = _f2_rank(acting)
+    return OrbitStructure(
+        xT=xT, xL=xL, xK_order=xK_order, is_free=t_rank == len(acting),
+        orbit_size=1 << t_rank, orbit_count=(xL.order() - xK_order) >> t_rank)

@@ -130,6 +130,11 @@ def test_group_structure_invariant_under_presentation_shuffles(data):
     other = FgAbGroup(Presentation(g, tuple(map(tuple, rows))))
     assert other.invariant_factors == base.invariant_factors
     assert other.free_rank == base.free_rank
+    # generator(i) reads row i of V; element() of the unit word agrees
+    for i in range(g):
+        unit = [0] * g
+        unit[i] = 1
+        assert base.generator(i) == base.element(unit)
 
 
 @pytest.fixture

@@ -123,7 +123,7 @@ def test_acceptance_5_consistency_15_to_64():
         live_seen += len(rep.live_checks)
         for chk in rep.live_checks:
             assert chk.ok
-    assert live_seen >= 10    # every rank <= 12 was recomputed live
+    assert live_seen == 50    # every gcd, r = 7..32, was recomputed live
     report(5, "entries 15..64 re-verified, gcds recomputed from orbits", t0, 10)
 
 

@@ -18,7 +18,7 @@ import pytest
 import spindim
 from spindim import cli
 from spindim.cli import run
-from spindim.edcalc import ed_table
+from spindim.edcalc import MAX_N, ed_table
 from spindim.spinlat import MAX_RANK, Parity, build_char_data
 
 
@@ -83,25 +83,28 @@ def test_verify_lattice():
 
 
 def test_verify_lattice_at_max_rank():
-    payload = ok_json(["verify-lattice", "--r-max", str(MAX_RANK)])
-    assert payload["ok"] is True
-    assert len(payload["rows"]) == 2 * MAX_RANK
-    assert all(row["ok"] for row in payload["rows"])
+    # the enumeration cap, and the table's own rank range above it
+    for r_max in (MAX_RANK, MAX_N // 2):
+        payload = ok_json(["verify-lattice", "--r-max", str(r_max)])
+        assert payload["ok"] is True
+        assert len(payload["rows"]) == 2 * r_max
+        assert all(row["ok"] for row in payload["rows"])
 
 
 def test_verify_lattice_usage():
     usage_error(["verify-lattice", "--r-max", "0"])
+    usage_error(["verify-lattice", "--r-max", str(MAX_N // 2 + 1)])
     usage_error(["verify-lattice", "--r-max", "99"])
     usage_error(["verify-lattice"])
 
 
 def test_verify_lattice_failure_exit_code(monkeypatch):
-    real = cli.spinlat.free_transitive_check
+    real = cli.spinlat.orbit_structure
 
-    def broken(data):
-        return dataclasses.replace(real(data), is_free=False)
+    def broken(r, parity):
+        return real(r, parity)._replace(is_free=False)
 
-    monkeypatch.setattr(cli.spinlat, "free_transitive_check", broken)
+    monkeypatch.setattr(cli.spinlat, "orbit_structure", broken)
     code, out, err = run(["verify-lattice", "--r-max", "2"])
     assert code == 1
     assert json.loads(out)["ok"] is False
@@ -406,15 +409,22 @@ except AssertionError as exc:
 
 def test_lattice_checks_survive_python_dash_o():
     # -O strips assert statements; the lattice checks raise explicitly,
-    # so verify-lattice prints the same report and a tampered
-    # translation set is still caught
-    argv = ["verify-lattice", "--r-max", "8"]
+    # so verify-lattice and the table, whose gcd rows rest on the same
+    # checks, print the same bytes, and a tampered translation set is
+    # still caught
     src = os.path.dirname(os.path.dirname(spindim.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-m", "spindim", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == run(argv)[:2]
-    assert json.loads(proc.stdout)["ok"] is True
+    for argv in (["verify-lattice", "--r-max", "8"],
+                 ["verify-lattice", "--r-max", str(MAX_N // 2)],
+                 ["ed-table", "--min", "3", "--max", str(MAX_N),
+                  "--format", "json"]):
+        proc = subprocess.run([sys.executable, "-O", "-m", "spindim", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == run(argv)[:2]
+        assert proc.returncode == 0
+        if argv[0] == "verify-lattice":
+            assert json.loads(proc.stdout)["ok"] is True
     proc = subprocess.run([sys.executable, "-O", "-c", TAMPERED_ORBITS],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.stdout == "translation set failed to be a subgroup\n"

@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from spindim.edcalc import (CHAR_NOTE, LIVE_RANK_LIMIT, LOW_TABLE, MAX_N,
-                            MIN_N, RULES, DerivationStep, EdEntry,
+from spindim.edcalc import (CHAR_NOTE, LOW_TABLE, MAX_N, MIN_N, RULES,
+                            DerivationStep, EdEntry,
                             consistency_check, ed_lower_char2, ed_table,
                             ed_upper_char2, ed_value, group_numerics,
                             verify_trace, _heisenberg_gcd)
@@ -125,6 +125,29 @@ def test_verify_trace_catches_tampering():
     assert verify_trace(())
 
 
+def test_verify_trace_rejects_malformed_steps():
+    # a missing input, rank 0, a string rank, a rank beyond the table,
+    # an ill-typed input, inputs that are not name-value pairs, and
+    # steps whose arithmetic holds but whose n or r no table row has
+    # (beyond the table, a float, a bool): the checker answers False
+    # instead of raising
+    top = MAX_N // 2 + 1
+    steps = [DerivationStep("dim-so", "", (), 0),
+             DerivationStep("heisenberg-gcd-odd", "", (("r", 0),), 1),
+             DerivationStep("heisenberg-gcd-odd", "", (("r", "7"),), 128),
+             DerivationStep("heisenberg-gcd-even", "", (("r", top),),
+                            1 << (top - 1)),
+             DerivationStep("generically-free-upper", "",
+                            (("dim_g", 1), ("dim_v", "9")), 8),
+             DerivationStep("dim-so", "", (("n", 15, 0),), 105),
+             DerivationStep("dim-so", "", (("n", MAX_N + 1),),
+                            (MAX_N + 1) * MAX_N // 2),
+             DerivationStep("dim-so", "", (("n", 15.0),), 105),
+             DerivationStep("heisenberg-gcd-odd", "", (("r", True),), 2)]
+    for step in steps:
+        assert verify_trace((step,)) is False, step
+
+
 def test_steps_carry_statements_and_inputs():
     for s in ed_value(20).upper_trace + ed_value(20).lower_trace:
         assert s.statement == RULES[s.rule].statement
@@ -138,12 +161,11 @@ def test_live_rules_are_marked():
     assert not RULES["dim-so"].live
 
 
-def test_heisenberg_gcd_live_and_closed_form_agree_at_the_boundary():
-    # r = 12 still recomputes from orbits; r = 13 falls back
-    assert _heisenberg_gcd(LIVE_RANK_LIMIT, Parity.EVEN) == 1 << 11
-    assert _heisenberg_gcd(LIVE_RANK_LIMIT, Parity.ODD) == 1 << 12
-    assert _heisenberg_gcd(LIVE_RANK_LIMIT + 1, Parity.ODD) == 1 << 13
-    assert _heisenberg_gcd(LIVE_RANK_LIMIT + 1, Parity.EVEN) == 1 << 12
+def test_heisenberg_gcd_live_at_every_rank():
+    # the gcd is recomputed from the lattice at every rank the table uses
+    for r in range(1, MAX_N // 2 + 1):
+        assert _heisenberg_gcd(r, Parity.ODD) == 1 << r
+        assert _heisenberg_gcd(r, Parity.EVEN) == 1 << (r - 1)
 
 
 def test_consistency_all_n():
@@ -155,14 +177,15 @@ def test_consistency_all_n():
             assert chk.ok
 
 
-def test_consistency_live_checks_cover_small_ranks():
-    assert consistency_check(25).live_checks    # r = 12, odd
-    assert consistency_check(24).live_checks    # r = 12, even
-    assert consistency_check(26).live_checks == ()   # r = 13
-    assert consistency_check(27).live_checks == ()
-    assert consistency_check(8).live_checks == ()
+def test_consistency_live_checks_cover_every_rank():
+    for n in range(MIN_N, 15):
+        assert consistency_check(n).live_checks == ()
+    for n in range(15, MAX_N + 1):
+        assert len(consistency_check(n).live_checks) == 1
     got = consistency_check(18).live_checks
     assert len(got) == 1 and got[0].expected == got[0].got == 256
+    got = consistency_check(MAX_N).live_checks
+    assert got[0].expected == got[0].got == 1 << 31
 
 
 def test_char_note_attached():

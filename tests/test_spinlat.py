@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spindim import spinlat
 from spindim.abelian import subgroup_span
 from spindim.spinlat import (MAX_RANK, Parity, SpinCharData, WeylElt,
-                             build_char_data, center_restriction,
-                             free_transitive_check, orbits_on_faithful,
-                             weyl_act, weyl_identity)
+                             _f2_rank, build_char_data, center_restriction,
+                             free_transitive_check, orbit_structure,
+                             orbits_on_faithful, weyl_act, weyl_identity)
 
 PARITIES = (Parity.ODD, Parity.EVEN)
 
@@ -279,6 +280,47 @@ def test_orbit_shapes(r):
     even = free_transitive_check(build_char_data(r, Parity.EVEN))
     assert even.is_free and not even.is_transitive
     assert even.orbit_sizes == (2 ** (r - 1),) * 2
+
+
+@pytest.mark.parametrize("parity", PARITIES)
+@pytest.mark.parametrize("r", range(1, MAX_RANK + 1))
+def test_orbit_structure_matches_the_enumeration(r, parity):
+    # the F_2 elimination against the enumerated X(K), S and orbits
+    shape = orbit_structure(r, parity)
+    data = build_char_data(r, parity)
+    rep = free_transitive_check(data)
+    assert shape.xL is data.xL and shape.xT is data.xT
+    assert shape.xK_order == len(data.xK_codes)
+    assert shape.faithful_count == len(data.faithful_codes)
+    assert shape.is_free == rep.is_free
+    assert (shape.orbit_size,) * shape.orbit_count == rep.orbit_sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), max_size=7))
+def test_f2_rank_counts_the_xor_span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    assert 1 << _f2_rank(vectors) == len(span)
+
+
+def test_orbit_structure_sees_dependent_generators(monkeypatch):
+    # a lattice where x_1 = x_2: X(K) halves, and neither parity acts
+    # freely any more
+    xT, xL, x, A = spinlat._smith_lattice(3)
+    monkeypatch.setattr(spinlat, "_smith_lattice",
+                        lambda r: (xT, xL, (x[0], x[0], x[2]), A))
+    odd, even = orbit_structure(3, Parity.ODD), orbit_structure(3, Parity.EVEN)
+    assert odd.xK_order == even.xK_order == 4
+    assert not odd.is_free and odd.orbit_sizes == (4,) * 3
+    assert not even.is_free and even.orbit_sizes == (2,) * 6
+
+
+def test_orbit_structure_guards():
+    for r, parity in ((0, Parity.ODD), ("7", Parity.ODD), (3, "odd")):
+        with pytest.raises(ValueError):
+            orbit_structure(r, parity)
 
 
 @pytest.mark.parametrize("parity", PARITIES)
