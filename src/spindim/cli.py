@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -38,13 +39,24 @@ from functools import lru_cache
 
 from . import edcalc, invariants, qform2, repdim, spinlat
 from .invariants import SpinId, TorsorData
-from .qform2 import ConcreteField2, QForm, format_qform, orth_sum
+from .qform2 import BinaryBlock, ConcreteField2, QForm, format_qform
 
 
 # Largest coefficient matrix `qform --op normalize` accepts.  The
 # reduction and its certificate cost O(n^3) field multiplies; a cold
 # normalize over f2^16 takes about 0.3 s at n = 32 and 1.1 s at n = 64.
 MAX_MATRIX_DIM = 64
+
+# Largest dimension of a parsed form.  Each Pfister slot doubles the
+# form, so the sum is checked summand by summand, before any
+# pf(...) that would pass it is built.
+MAX_FORM_DIM = 4096
+
+# Largest number of terms a symbol expression may expand into: for each
+# term, the product of its multiplicative slots' factor counts (as
+# written) times the number of its additive pieces, summed over the
+# terms.  `symbol_normalize` walks that many choices.
+MAX_SYMBOL_EXPANSION = 4096
 
 
 class _UsageError(Exception):
@@ -59,7 +71,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # expression parsing
 
-_PAIRS = {"[": "]", "(": ")", "<": ">", "{": "}"}
+_ELEMENT_RE = re.compile(r"[0-9a-fA-F]+")
+_BLOCK_RE = re.compile(r"\[[^][]*\]")
+_DIAG_RE = re.compile(r"<[^<>]*>")
+_FIELD_RE = re.compile(r"f2\^(\d+)")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 def _split_top(text: str, sep: str):
@@ -84,7 +100,7 @@ def _split_top(text: str, sep: str):
 
 def _parse_element(field, tok: str) -> int:
     tok = tok.strip()
-    if not re.fullmatch(r"[0-9a-fA-F]+", tok):
+    if not _ELEMENT_RE.fullmatch(tok):
         raise _UsageError(f"bad field element {tok!r} (expected hex digits)")
     x = int(tok, 16)
     try:
@@ -93,31 +109,41 @@ def _parse_element(field, tok: str) -> int:
         raise _UsageError(str(exc)) from None
 
 
+def _grow_form(dim: int, extra: int) -> int:
+    dim += extra
+    if dim > MAX_FORM_DIM:
+        raise _UsageError(f"form dimension is larger than {MAX_FORM_DIM}")
+    return dim
+
+
 def parse_form(field, text: str) -> QForm:
     text = text.replace(" ", "")
     if not text:
         raise _UsageError("empty form expression")
-    q = QForm(field)
+    blocks, diag, dim = [], [], 0
     for part in _split_top(text, "+"):
-        if re.fullmatch(r"\[[^][]*\]", part):
+        if _BLOCK_RE.fullmatch(part):
             toks = part[1:-1].split(",")
             if len(toks) != 2:
                 raise _UsageError(f"block needs two entries: {part!r}")
-            q = orth_sum(q, qform2.block(field, _parse_element(field, toks[0]),
-                                         _parse_element(field, toks[1])))
-        elif re.fullmatch(r"<[^<>]*>", part):
-            q = orth_sum(q, qform2.diag_form(field, _parse_element(field, part[1:-1])))
+            dim = _grow_form(dim, 2)
+            blocks.append(BinaryBlock(_parse_element(field, toks[0]),
+                                      _parse_element(field, toks[1])))
+        elif _DIAG_RE.fullmatch(part):
+            dim = _grow_form(dim, 1)
+            diag.append(_parse_element(field, part[1:-1]))
         elif part.startswith("pf(") and part.endswith(")"):
             inner = part[3:-1]
             if ";" not in inner:
                 raise _UsageError("pf(...) needs 'slots;unit', e.g. pf(2,3;1)")
             slots_text, b_text = inner.rsplit(";", 1)
             slots = [_parse_element(field, t) for t in slots_text.split(",") if t]
-            q = orth_sum(q, qform2.pfister_build(field, slots,
-                                                 _parse_element(field, b_text)))
+            b = _parse_element(field, b_text)
+            dim = _grow_form(dim, 2 << len(slots))
+            blocks += qform2.pfister_build(field, slots, b).blocks
         else:
             raise _UsageError(f"cannot parse form summand {part!r}")
-    return q
+    return QForm(field, tuple(blocks), tuple(diag))
 
 
 def parse_matrix(field, text: str):
@@ -135,16 +161,13 @@ def parse_matrix(field, text: str):
 
 
 def parse_field_name(text: str) -> ConcreteField2:
-    m = re.fullmatch(r"f2\^(\d+)", text)
+    m = _FIELD_RE.fullmatch(text)
     if not m:
         raise _UsageError(f"bad field {text!r} (expected f2^K)")
     try:
         return ConcreteField2(int(m.group(1)))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 def parse_symbol_expr(text: str):
@@ -163,7 +186,7 @@ def parse_symbol_expr(text: str):
             if piece not in names:
                 names.append(piece)
 
-    raw_terms = []
+    raw_terms, expansion = [], 0
     for part in _split_top(text, "+"):
         if part == "0":
             continue
@@ -177,6 +200,11 @@ def parse_symbol_expr(text: str):
         b_pieces = slots[-1].split("+")
         for b in b_pieces:
             note_names(b)
+        expansion += len(b_pieces) * math.prod(
+            s.count("*") + 1 for s in slots[:-1])
+        if expansion > MAX_SYMBOL_EXPANSION:
+            raise _UsageError(f"symbol expression expands to more than "
+                              f"{MAX_SYMBOL_EXPANSION} terms")
         raw_terms.append((slots[:-1], b_pieces))
 
     field = qform2.FormalField2(tuple(names))
@@ -361,10 +389,12 @@ def _cmd_invariant(args) -> int:
 def _build_parser() -> _Parser:
     """The parser, built once per process.  Reuse is safe: parse results
     live in the returned Namespace, and help and errors are written to
-    the sys.stdout / sys.stderr current at call time."""
+    the sys.stdout / sys.stderr current at call time.  `subcommands`
+    maps each subcommand name to its own parser (argparse's table)."""
     p = _Parser(prog="spindim", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
+    p.subcommands = sub.choices
 
     t = sub.add_parser("ed-table", help="essential dimension table",
                        description="Print essential dimension rows: "
@@ -423,13 +453,30 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse like `_build_parser().parse_args(argv)`.  When argv starts
+    with a subcommand name, the full parser would hand the rest to that
+    subcommand's parser and report what it leaves over; do just that.
+    Anything else (no arguments, help, an option first, an unknown
+    name) goes through the full parser."""
+    parser = _build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:],
+                                        argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
 def run(argv):
     """Run one invocation; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:
-                args = _build_parser().parse_args(argv)
+                args = _parse(argv)
                 code = args.fn(args)
             except _UsageError as exc:
                 print(str(exc), file=sys.stderr)

@@ -8,15 +8,19 @@ library functions the commands call.
 """
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spindim
-from spindim import cli
+from spindim import cli, qform2
 from spindim.cli import run
 from spindim.edcalc import MAX_N, ed_table
 from spindim.spinlat import MAX_RANK, Parity, build_char_data
@@ -261,6 +265,65 @@ def test_qform_usage_errors():
                  "--form", "[1,1]"])
 
 
+@st.composite
+def form_summands(draw):
+    """A field f2^k, k in 1..16, and a list of summand texts with the
+    QForm each one stands for on its own."""
+    field = qform2.ConcreteField2(draw(st.integers(1, 16)))
+    elem = st.integers(0, (1 << field.k) - 1)
+    unit = st.integers(1, (1 << field.k) - 1)
+    summands = []
+    for kind in draw(st.lists(st.sampled_from("bdp"), min_size=1, max_size=5)):
+        if kind == "b":
+            a, b = draw(elem), draw(elem)
+            summands.append((f"[{a:x},{b:x}]", qform2.block(field, a, b)))
+        elif kind == "d":
+            c = draw(elem)
+            summands.append((f"<{c:x}>", qform2.diag_form(field, c)))
+        else:
+            slots = draw(st.lists(unit, max_size=3))
+            b = draw(elem)
+            text = "pf(" + ",".join(f"{a:x}" for a in slots) + f";{b:x})"
+            summands.append((text, qform2.pfister_build(field, slots, b)))
+    return field, summands
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_summands())
+def test_parse_form_equals_orth_sum_fold(case):
+    field, summands = case
+    want = qform2.QForm(field)
+    for _, q in summands:
+        want = qform2.orth_sum(want, q)
+    assert cli.parse_form(field, "+".join(t for t, _ in summands)) == want
+
+
+def test_form_dimension_limit(monkeypatch):
+    limit = cli.MAX_FORM_DIM
+    f = qform2.ConcreteField2(1)
+    # pf with m slots has dimension 2^(m+1); the limit is a power of two
+    slots = limit.bit_length() - 2
+    at_limit = "pf(" + ",".join(["1"] * slots) + ";1)"
+    assert cli.parse_form(f, at_limit).dim == limit
+    # limit - 1 = 2^(m+1) - 1 = pf(m-1 slots) + ... + pf(0 slots) + <1>
+    below = "+".join("pf(" + ",".join(["1"] * m) + ";1)"
+                     for m in range(slots)) + "+<1>"
+    assert cli.parse_form(f, below).dim == limit - 1
+
+    def qform(form):
+        return ["qform", "--field", "f2^2", "--op", "arf", "--form", form]
+
+    assert f"larger than {limit}" in usage_error(qform(at_limit + "+<1>"))
+    assert f"larger than {limit}" in usage_error(qform(below + "+[1,1]"))
+    diagonal = "+".join(["<1>"] * (limit + 1))
+    assert f"larger than {limit}" in usage_error(qform(diagonal))
+    # a Pfister summand past the limit is refused before it is built
+    monkeypatch.setattr(cli.qform2, "pfister_build", None)
+    eighteen = "pf(" + ",".join(["1"] * 18) + ";1)"
+    assert f"larger than {limit}" in usage_error(qform(eighteen))
+    assert f"larger than {limit}" in usage_error(qform("<1>+" + at_limit))
+
+
 # ---------------------------------------------------------------------------
 # symbol
 
@@ -285,6 +348,21 @@ def test_symbol_usage_errors():
     usage_error(["symbol", "--normalize", "nonsense"])
     usage_error(["symbol", "--normalize", "{a,&,c]"])
     usage_error(["symbol", "--normalize", ""])
+
+
+def test_symbol_expansion_limit():
+    limit = cli.MAX_SYMBOL_EXPANSION
+    # three slots of 16 factors: 16^3 = limit choices for one additive piece
+    mono = "*".join(f"x{i}" for i in range(16))
+    at_limit = "{" + ",".join([mono] * 3) + ",b]"
+    assert 16 ** 3 == limit
+    code, out, err = run(["symbol", "--normalize", at_limit])
+    # every pick of three distinct factors comes in 3! orders: all cancel
+    assert (code, out, err) == (0, "0\n", "")
+    for past in (at_limit + "+{a,b]",
+                 "{" + ",".join([mono] * 3) + ",b+c]",
+                 "{" + ",".join([mono] * 5) + ",b]"):
+        assert f"more than {limit}" in usage_error(["symbol", "--normalize", past])
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +439,65 @@ def test_no_arguments_is_a_usage_error():
 
 def test_unknown_subcommand_is_a_usage_error():
     usage_error(["frobnicate"])
+
+
+DISPATCH_CORPUS = [
+    # every subcommand, well formed
+    ["ed-table", "--min", "3", "--max", "9", "--format", "json"],
+    ["verify-lattice", "--r-max", "3"],
+    ["verify-heisenberg", "--r", "2", "--parity", "even"],
+    ["qform", "--field", "f2^3", "--op", "equiv", "--form", "[1,3]",
+     "--form2", "[3,1]"],
+    ["symbol", "--normalize", "{a,b]"],
+    ["invariant", "--group", "spin8", "--labels", "a,b,c,d,e"],
+    # help, before and after the subcommand, and abbreviated
+    [], ["-h"], ["--help"], ["-h", "qform"], ["qform", "-h"],
+    ["symbol", "--help"], ["ed-table", "--min", "3", "-h"], ["qform", "--he"],
+    # '--' and option-like strings
+    ["--", "ed-table", "--min", "3", "--max", "4"],
+    ["ed-table", "--", "--min", "3", "--max", "4"],
+    ["ed-table", "--min", "3", "--max", "4", "--"],
+    ["ed-table", "--min=3", "--max=4"],
+    ["ed-table", "--min", "-3", "--max", "4"],
+    # abbreviations, ambiguous and not
+    ["ed-table", "--mi", "3", "--ma", "4"], ["ed-table", "--m", "3"],
+    ["verify-heisenberg", "--r", "3", "--par", "odd"],
+    ["qform", "--fi", "f2^2", "--o", "arf", "--fo", "[1,1]"],
+    # repeated options: the last one wins
+    ["ed-table", "--min", "3", "--min", "5", "--max", "6"],
+    ["qform", "--field", "f2^2", "--op", "arf", "--form", "[1,1]",
+     "--op", "witt"],
+    # extras
+    ["ed-table", "--min", "3", "--max", "4", "extra"],
+    ["ed-table", "--min", "3", "--max", "4", "--bogus", "x", "y"],
+    ["symbol", "--normalize", "{a,b]", "junk"],
+    # bad values and missing arguments
+    ["ed-table", "--min", "x", "--max", "4"],
+    ["ed-table", "--min", "3", "--max", "4", "--format", "xml"],
+    ["qform", "--field", "f2^2", "--op", "arf", "--form"],
+    ["qform", "--field", "f2^2"], ["symbol"],
+    # unknown subcommand, option before the subcommand
+    ["frobnicate"], ["frobnicate", "--x"], ["--min", "3", "ed-table"],
+]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return "parsed", parse(argv)
+        except cli._UsageError as exc:
+            return "usage error", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS)
+def test_dispatch_matches_full_parser(argv, monkeypatch):
+    # the full parser stays the oracle for the direct subcommand dispatch
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_outcome(cli._build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse, argv) == full
 
 
 @pytest.mark.parametrize("argv", [
