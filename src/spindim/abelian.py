@@ -14,9 +14,10 @@ no overflow is possible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+
+from ._record import Record, setfield
 
 Matrix = list[list[int]]
 
@@ -130,28 +131,31 @@ def _smith_with_inverse(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     return U, A, V, V_inv
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators e_1..e_g of Z^g subject to the rows of `relations`."""
 
-    num_generators: int
-    relations: tuple[tuple[int, ...], ...]
+    _fields = ("num_generators", "relations")
 
-    def __post_init__(self):
-        if self.num_generators < 1:
+    def __init__(self, num_generators: int,
+                 relations: tuple[tuple[int, ...], ...]):
+        if num_generators < 1:
             raise ValueError("need at least one generator")
-        for row in self.relations:
-            if len(row) != self.num_generators:
+        for row in relations:
+            if len(row) != num_generators:
                 raise ValueError("relation length does not match generator count")
+        setfield(self, "num_generators", num_generators)
+        setfield(self, "relations", relations)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """An element in reduced Smith coordinates.  Hashable; equality is
     equality of reduced coordinates within the same group instance."""
 
-    group: "FgAbGroup"
-    coords: tuple[int, ...]
+    _fields = ("group", "coords")
+
+    def __init__(self, group: "FgAbGroup", coords: tuple[int, ...]):
+        setfield(self, "group", group)
+        setfield(self, "coords", coords)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if self.group is not other.group:
@@ -296,12 +300,14 @@ class FgAbGroup:
                                         for shift, mask in self._fields))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A finite subgroup given by its full element set."""
 
-    group: FgAbGroup
-    members: frozenset
+    _fields = ("group", "members")
+
+    def __init__(self, group: FgAbGroup, members: frozenset):
+        setfield(self, "group", group)
+        setfield(self, "members", members)
 
     @property
     def order(self) -> int:

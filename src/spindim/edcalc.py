@@ -30,8 +30,8 @@ groups are special), 4, 5, 5, 4 for n = 7..10, and open for 11..14.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record, setfield
 from .spinlat import Parity, orbit_structure
 
 MIN_N = 3
@@ -43,13 +43,19 @@ CHAR_NOTE = ("characteristic 2 agrees with characteristic != 2 "
 LOW_TABLE = {7: 4, 8: 5, 9: 5, 10: 4}
 
 
-@dataclass(frozen=True)
-class GroupNumerics:
-    n: int
-    dim_so: int                  # n(n-1)/2 = dim Spin(n)
-    spin_dim: int | None         # odd n only
-    half_spin_dim: int | None    # even n only
-    pow2_part: int               # 2-adic part of n
+class GroupNumerics(Record):
+    _fields = ("n", "dim_so", "spin_dim", "half_spin_dim", "pow2_part")
+
+    def __init__(self, n: int,
+                 dim_so: int,                  # n(n-1)/2 = dim Spin(n)
+                 spin_dim: int | None,         # odd n only
+                 half_spin_dim: int | None,    # even n only
+                 pow2_part: int):              # 2-adic part of n
+        setfield(self, "n", n)
+        setfield(self, "dim_so", dim_so)
+        setfield(self, "spin_dim", spin_dim)
+        setfield(self, "half_spin_dim", half_spin_dim)
+        setfield(self, "pow2_part", pow2_part)
 
 
 def group_numerics(n: int) -> GroupNumerics:
@@ -61,19 +67,27 @@ def group_numerics(n: int) -> GroupNumerics:
     return GroupNumerics(n, dim_so, None, 1 << ((n - 2) // 2), n & -n)
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    rule: str
-    statement: str
-    inputs: tuple      # ((name, value), ...)
-    out: int
+class DerivationStep(Record):
+    _fields = ("rule", "statement", "inputs", "out")
+
+    def __init__(self, rule: str, statement: str,
+                 inputs: tuple,      # ((name, value), ...)
+                 out: int):
+        setfield(self, "rule", rule)
+        setfield(self, "statement", statement)
+        setfield(self, "inputs", inputs)
+        setfield(self, "out", out)
 
 
-@dataclass(frozen=True)
-class Rule:
-    statement: str
-    fn: object          # dict -> int, exact
-    live: bool = False
+class Rule(Record):
+    _fields = ("statement", "fn", "live")
+
+    def __init__(self, statement: str,
+                 fn: object,          # dict -> int, exact
+                 live: bool = False):
+        setfield(self, "statement", statement)
+        setfield(self, "fn", fn)
+        setfield(self, "live", live)
 
 
 def _heisenberg_gcd(r: int, parity: Parity) -> int:
@@ -230,16 +244,23 @@ def ed_lower_char2(n: int):
     return low.out, (dim, gcd, ind_a, low)
 
 
-@dataclass(frozen=True)
-class EdEntry:
-    n: int
-    value: int | None           # None = open
-    upper: int | None
-    lower: int | None
-    case: str
-    upper_trace: tuple
-    lower_trace: tuple
-    char_note: str = CHAR_NOTE
+class EdEntry(Record):
+    _fields = ("n", "value", "upper", "lower", "case", "upper_trace",
+               "lower_trace", "char_note")
+
+    def __init__(self, n: int,
+                 value: int | None,           # None = open
+                 upper: int | None, lower: int | None, case: str,
+                 upper_trace: tuple, lower_trace: tuple,
+                 char_note: str = CHAR_NOTE):
+        setfield(self, "n", n)
+        setfield(self, "value", value)
+        setfield(self, "upper", upper)
+        setfield(self, "lower", lower)
+        setfield(self, "case", case)
+        setfield(self, "upper_trace", upper_trace)
+        setfield(self, "lower_trace", lower_trace)
+        setfield(self, "char_note", char_note)
 
 
 def ed_value(n: int) -> EdEntry:
@@ -263,24 +284,29 @@ def ed_value(n: int) -> EdEntry:
     return EdEntry(n, upper, upper, lower, case, ut, lt)
 
 
-@dataclass(frozen=True)
-class LiveCheck:
-    description: str
-    expected: int
-    got: int
+class LiveCheck(Record):
+    _fields = ("description", "expected", "got")
+
+    def __init__(self, description: str, expected: int, got: int):
+        setfield(self, "description", description)
+        setfield(self, "expected", expected)
+        setfield(self, "got", got)
 
     @property
     def ok(self) -> bool:
         return self.expected == self.got
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    n: int
-    ok: bool
-    entry: EdEntry
-    live_checks: tuple
-    problems: tuple
+class ConsistencyReport(Record):
+    _fields = ("n", "ok", "entry", "live_checks", "problems")
+
+    def __init__(self, n: int, ok: bool, entry: EdEntry, live_checks: tuple,
+                 problems: tuple):
+        setfield(self, "n", n)
+        setfield(self, "ok", ok)
+        setfield(self, "entry", entry)
+        setfield(self, "live_checks", live_checks)
+        setfield(self, "problems", problems)
 
 
 def consistency_check(n: int) -> ConsistencyReport:

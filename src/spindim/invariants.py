@@ -28,9 +28,9 @@ Pfister form, and the symbol of that bigger form is returned.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record, setfield
 from .qform2 import FormalField2, PfisterBase, pfister_expand
 
 Label = frozenset
@@ -50,24 +50,36 @@ def label(field: FormalField2, *names: str) -> Label:
 # symbols
 
 
-@dataclass(frozen=True)
-class SymbolTerm:
+class SymbolTerm(Record):
     """One symbol {a_slots..., b_slot].  The multiplicative slots are
     monomials; the additive slot is a formal sum of monomials."""
 
-    a_slots: tuple
-    b_slot: tuple
+    _fields = ("a_slots", "b_slot")
+
+    def __init__(self, a_slots: tuple, b_slot: tuple):
+        setfield(self, "a_slots", a_slots)
+        setfield(self, "b_slot", b_slot)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a_slots, self.b_slot) == (other.a_slots, other.b_slot)
+
+    def __hash__(self):
+        return hash((self.a_slots, self.b_slot))
 
     def degree(self) -> int:
         return len(self.a_slots) + 1
 
 
-@dataclass(frozen=True)
-class SymbolSum:
+class SymbolSum(Record):
     """Formal mod-2 sum of symbol terms (repeats allowed until
     normalization)."""
 
-    terms: tuple
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        setfield(self, "terms", terms)
 
     def __add__(self, other: "SymbolSum") -> "SymbolSum":
         return SymbolSum(self.terms + other.terms)
@@ -137,11 +149,14 @@ class Nonvanishing(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
-    verdict: Nonvanishing
-    witness: SymbolTerm | None = None
-    note: str = ""
+class NonvanishingReport(Record):
+    _fields = ("verdict", "witness", "note")
+
+    def __init__(self, verdict: Nonvanishing,
+                 witness: SymbolTerm | None = None, note: str = ""):
+        setfield(self, "verdict", verdict)
+        setfield(self, "witness", witness)
+        setfield(self, "note", note)
 
 
 def symbol_generic_nonzero(s: SymbolSum, indeterminates) -> NonvanishingReport:
@@ -188,8 +203,7 @@ PARAM_COUNT = {SpinId.SPIN7: 4, SpinId.SPIN8: 5,
                SpinId.SPIN9: 5, SpinId.SPIN10: 4}
 
 
-@dataclass(frozen=True)
-class TorsorData:
+class TorsorData(Record):
     """A generic torsor described by its parameter labels.
 
     The first three labels are the slots of the common 3-fold Pfister
@@ -198,17 +212,18 @@ class TorsorData:
     the identities below still hold and the symbol degenerates.
     """
 
-    group: SpinId
-    labels: tuple
+    _fields = ("group", "labels")
 
-    def __post_init__(self):
-        want = PARAM_COUNT[self.group]
-        if len(self.labels) != want:
+    def __init__(self, group: SpinId, labels: tuple):
+        want = PARAM_COUNT[group]
+        if len(labels) != want:
             raise ValueError(
-                f"{self.group.value} needs {want} parameters, got {len(self.labels)}")
-        for name in self.labels:
+                f"{group.value} needs {want} parameters, got {len(labels)}")
+        for name in labels:
             if not isinstance(name, str) or not name:
                 raise ValueError(f"bad parameter label: {name!r}")
+        setfield(self, "group", group)
+        setfield(self, "labels", labels)
 
     def formal_field(self) -> FormalField2:
         names = []
@@ -218,19 +233,31 @@ class TorsorData:
         return FormalField2(names)
 
 
-@dataclass(frozen=True)
-class ScaledPfister:
-    scalar: Label
-    base: PfisterBase
+class ScaledPfister(Record):
+    _fields = ("scalar", "base")
+
+    def __init__(self, scalar: Label, base: PfisterBase):
+        setfield(self, "scalar", scalar)
+        setfield(self, "base", base)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scalar, self.base) == (other.scalar, other.base)
+
+    def __hash__(self):
+        return hash((self.scalar, self.base))
 
 
-@dataclass(frozen=True)
-class TaggedForm:
+class TaggedForm(Record):
     """A sum of scaled copies of one Pfister form, plus hyperbolic
     planes.  This is the exact shape of the torsor forms below."""
 
-    h_copies: int
-    parts: tuple
+    _fields = ("h_copies", "parts")
+
+    def __init__(self, h_copies: int, parts: tuple):
+        setfield(self, "h_copies", h_copies)
+        setfield(self, "parts", parts)
 
 
 def torsor_forms(t: TorsorData) -> tuple:
@@ -278,16 +305,21 @@ def pfister_recover(form: TaggedForm) -> PfisterBase:
     return form.parts[0].base
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    group: SpinId
-    labels: tuple
-    forms: tuple
-    # the verified identity: multiset of (scalar, base) on each side
-    summands: tuple
-    expansion: tuple
-    symbol: SymbolSum
-    nonvanishing: NonvanishingReport
+class InvariantReport(Record):
+    _fields = ("group", "labels", "forms", "summands", "expansion", "symbol",
+               "nonvanishing")
+
+    def __init__(self, group: SpinId, labels: tuple, forms: tuple,
+                 # the verified identity: multiset of (scalar, base) on each side
+                 summands: tuple, expansion: tuple,
+                 symbol: SymbolSum, nonvanishing: NonvanishingReport):
+        setfield(self, "group", group)
+        setfield(self, "labels", labels)
+        setfield(self, "forms", forms)
+        setfield(self, "summands", summands)
+        setfield(self, "expansion", expansion)
+        setfield(self, "symbol", symbol)
+        setfield(self, "nonvanishing", nonvanishing)
 
 
 def invariant_f(t: TorsorData) -> InvariantReport:

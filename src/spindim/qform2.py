@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._record import Record, setfield
 
 MAX_FIELD_BITS = 16
 
@@ -268,40 +269,60 @@ def format_element(field, x) -> str:
 # forms
 
 
-@dataclass(frozen=True)
-class BinaryBlock:
+class BinaryBlock(Record):
     """The binary quadratic form a x^2 + x y + b y^2."""
 
-    a: object
-    b: object
+    _fields = ("a", "b")
+
+    def __init__(self, a, b):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
 
-@dataclass(frozen=True)
-class QForm:
+class QForm(Record):
     """Orthogonal sum of binary blocks and diagonal summands, with an
     optional multiplicative scale tag (used only over formal fields,
     where a scalar cannot be folded away without losing its identity).
     """
 
-    field: object
-    blocks: tuple = ()
-    diag: tuple = ()
-    tag: object = None
+    _fields = ("field", "blocks", "diag", "tag")
 
-    def __post_init__(self):
-        for bl in self.blocks:
+    def __init__(self, field, blocks: tuple = (), diag: tuple = (),
+                 tag: object = None):
+        for bl in blocks:
             if not isinstance(bl, BinaryBlock):
                 raise ValueError("blocks must be BinaryBlock instances")
-            self.field.check(bl.a)
-            self.field.check(bl.b)
-        for c in self.diag:
-            self.field.check(c)
-        if self.tag is None:
-            object.__setattr__(self, "tag", self.field.one)
+            field.check(bl.a)
+            field.check(bl.b)
+        for c in diag:
+            field.check(c)
+        if tag is None:
+            tag = field.one
         else:
-            self.field.check(self.tag)
-            if self.field.kind == "concrete" and self.tag != self.field.one:
+            field.check(tag)
+            if field.kind == "concrete" and tag != field.one:
                 raise ValueError("scale tags only make sense over formal fields")
+        setfield(self, "field", field)
+        setfield(self, "blocks", blocks)
+        setfield(self, "diag", diag)
+        setfield(self, "tag", tag)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.blocks, self.diag, self.tag)
+                == (other.field, other.blocks, other.diag, other.tag))
+
+    def __hash__(self):
+        return hash((self.field, self.blocks, self.diag, self.tag))
 
     @property
     def dim(self) -> int:
@@ -404,12 +425,22 @@ def pfister_build(field, a_slots, b) -> QForm:
     return q
 
 
-@dataclass(frozen=True)
-class PfisterBase:
+class PfisterBase(Record):
     """A symbolic Pfister form <<a_slots..., b]], used as an expansion key."""
 
-    a_slots: tuple
-    b: object
+    _fields = ("a_slots", "b")
+
+    def __init__(self, a_slots: tuple, b):
+        setfield(self, "a_slots", a_slots)
+        setfield(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a_slots, self.b) == (other.a_slots, other.b)
+
+    def __hash__(self):
+        return hash((self.a_slots, self.b))
 
 
 def pfister_expand(field, a_slots, b, peel: int) -> Counter:
@@ -451,12 +482,15 @@ NONSINGULAR_RADICAL_1 = "nonsingular_radical_dim_1"
 SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
-class FormClass:
-    kind: str
-    radical_dim: int
-    # a nonzero radical vector on which q vanishes, when one exists
-    vanishing_radical_vector: tuple | None = None
+class FormClass(Record):
+    _fields = ("kind", "radical_dim", "vanishing_radical_vector")
+
+    def __init__(self, kind: str, radical_dim: int,
+                 # a nonzero radical vector on which q vanishes, when one exists
+                 vanishing_radical_vector: tuple | None = None):
+        setfield(self, "kind", kind)
+        setfield(self, "radical_dim", radical_dim)
+        setfield(self, "vanishing_radical_vector", vanishing_radical_vector)
 
 
 def classify_form(q: QForm) -> FormClass:
@@ -537,10 +571,13 @@ def is_isotropic(q: QForm) -> bool:
     return len(q.blocks) >= 2 or bool(q.diag)
 
 
-@dataclass(frozen=True)
-class WittDecomposition:
-    index: int
-    kernel: QForm       # anisotropic, canonical representative
+class WittDecomposition(Record):
+    _fields = ("index", "kernel")
+
+    def __init__(self, index: int,
+                 kernel: QForm):      # anisotropic, canonical representative
+        setfield(self, "index", index)
+        setfield(self, "kernel", kernel)
 
 
 def witt_decompose(q: QForm) -> WittDecomposition:

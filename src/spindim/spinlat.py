@@ -27,11 +27,10 @@ oracle up to MAX_RANK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
+from ._record import Record, setfield
 from .abelian import FgAbGroup, GroupElement, Presentation, Subgroup
 
 MAX_RANK = 16
@@ -42,8 +41,7 @@ class Parity(Enum):
     EVEN = "even"     # Spin(2r): only evenly many sign flips
 
 
-@dataclass(frozen=True)
-class WeylElt:
+class WeylElt(Record):
     """Signed permutation: x_i -> (+/-) x_{perm[i]}, indices 0-based.
 
     Bit i of `signs` set means x_i picks up a minus sign *after*
@@ -52,15 +50,16 @@ class WeylElt:
     the unique extension compatible with 2A = sum x_i.
     """
 
-    perm: tuple[int, ...]
-    signs: int
+    _fields = ("perm", "signs")
 
-    def __post_init__(self):
-        r = len(self.perm)
-        if sorted(self.perm) != list(range(r)):
+    def __init__(self, perm: tuple[int, ...], signs: int):
+        r = len(perm)
+        if sorted(perm) != list(range(r)):
             raise ValueError("perm is not a permutation of 0..r-1")
-        if not 0 <= self.signs < (1 << r):
+        if not 0 <= signs < (1 << r):
             raise ValueError("sign bitmask out of range")
+        setfield(self, "perm", perm)
+        setfield(self, "signs", signs)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         # (self * other) acts as other first, then self
@@ -79,8 +78,7 @@ def weyl_identity(r: int) -> WeylElt:
     return WeylElt(tuple(range(r)), 0)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinCharData:
+class SpinCharData(Record):
     """Everything the orbit computations downstream need, precomputed.
 
     Characters of L are held as packed codes of X(L) (`FgAbGroup.pack`),
@@ -88,16 +86,28 @@ class SpinCharData:
     `faithful` give the same sets as `GroupElement`s, decoded on first
     access.  Instances compare by identity so they can key caches."""
 
-    r: int
-    parity: Parity
-    xT: FgAbGroup
-    xL: FgAbGroup
-    x: tuple[GroupElement, ...]   # images of x_1..x_r in X(L)
-    A: GroupElement               # image of A in X(L)
-    acting_masks: tuple[int, ...]  # sign-flip subsets as bitmasks
-    shift_codes: tuple[int, ...]  # mask -> code of sum_{i in mask} x_i
-    xK_codes: frozenset           # codes of X(K)
-    faithful_codes: frozenset     # codes of S = X(L) minus X(K)
+    _fields = ("r", "parity", "xT", "xL", "x", "A", "acting_masks",
+               "shift_codes", "xK_codes", "faithful_codes")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, r: int, parity: Parity, xT: FgAbGroup, xL: FgAbGroup,
+                 x: tuple[GroupElement, ...],   # images of x_1..x_r in X(L)
+                 A: GroupElement,               # image of A in X(L)
+                 acting_masks: tuple[int, ...],  # sign-flip subsets as bitmasks
+                 shift_codes: tuple[int, ...],  # mask -> code of sum_{i in mask} x_i
+                 xK_codes: frozenset,           # codes of X(K)
+                 faithful_codes: frozenset):    # codes of S = X(L) minus X(K)
+        setfield(self, "r", r)
+        setfield(self, "parity", parity)
+        setfield(self, "xT", xT)
+        setfield(self, "xL", xL)
+        setfield(self, "x", x)
+        setfield(self, "A", A)
+        setfield(self, "acting_masks", acting_masks)
+        setfield(self, "shift_codes", shift_codes)
+        setfield(self, "xK_codes", xK_codes)
+        setfield(self, "faithful_codes", faithful_codes)
 
     @cached_property
     def shifts(self) -> dict:
@@ -229,16 +239,20 @@ def weyl_act(data: SpinCharData, w: WeylElt, c: GroupElement) -> GroupElement:
     return group.element(out)
 
 
-@dataclass(frozen=True)
-class FreeTransitiveReport:
+class FreeTransitiveReport(Record):
     """Freeness and orbit sizes of the sign-flip action on S.  `orbits`
     and `witness` are decoded to `GroupElement`s on first access."""
 
-    r: int
-    parity: Parity
-    is_free: bool
-    orbit_sizes: tuple[int, ...]
-    data: SpinCharData = field(repr=False)
+    _fields = ("r", "parity", "is_free", "orbit_sizes", "data")
+    _hidden = ("data",)
+
+    def __init__(self, r: int, parity: Parity, is_free: bool,
+                 orbit_sizes: tuple[int, ...], data: SpinCharData):
+        setfield(self, "r", r)
+        setfield(self, "parity", parity)
+        setfield(self, "is_free", is_free)
+        setfield(self, "orbit_sizes", orbit_sizes)
+        setfield(self, "data", data)
 
     @property
     def is_transitive(self) -> bool:
@@ -301,17 +315,20 @@ def free_transitive_check(data: SpinCharData) -> FreeTransitiveReport:
         orbit_sizes=tuple(map(len, orbit_codes(data))), data=data)
 
 
-class OrbitStructure(NamedTuple):
+class OrbitStructure(Record):
     """The shape of the sign-flip action on S, without its elements:
-    S splits into `orbit_count` orbits of `orbit_size` each.  A named
-    tuple, not a dataclass: it is built on every cold import."""
+    S splits into `orbit_count` orbits of `orbit_size` each."""
 
-    xT: FgAbGroup
-    xL: FgAbGroup
-    xK_order: int
-    is_free: bool
-    orbit_size: int
-    orbit_count: int
+    _fields = ("xT", "xL", "xK_order", "is_free", "orbit_size", "orbit_count")
+
+    def __init__(self, xT: FgAbGroup, xL: FgAbGroup, xK_order: int,
+                 is_free: bool, orbit_size: int, orbit_count: int):
+        setfield(self, "xT", xT)
+        setfield(self, "xL", xL)
+        setfield(self, "xK_order", xK_order)
+        setfield(self, "is_free", is_free)
+        setfield(self, "orbit_size", orbit_size)
+        setfield(self, "orbit_count", orbit_count)
 
     @property
     def faithful_count(self) -> int:

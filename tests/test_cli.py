@@ -7,7 +7,6 @@ verifications all pass on real data) are driven by monkeypatching the
 library functions the commands call.
 """
 
-import dataclasses
 import io
 import json
 import os
@@ -158,8 +157,7 @@ def test_verify_heisenberg_failure_exit_code(monkeypatch):
     real = cli.repdim.divisibility_report
 
     def broken(data, exhaustive=False):
-        return dataclasses.replace(real(data, exhaustive=exhaustive),
-                                   gcd_dim=3)
+        return real(data, exhaustive=exhaustive)._replace(gcd_dim=3)
 
     monkeypatch.setattr(cli.repdim, "divisibility_report", broken)
     code, out, err = run(["verify-heisenberg", "--r", "2", "--parity", "odd"])
@@ -534,11 +532,10 @@ def test_python_dash_m_matches_run(module):
 
 
 TAMPERED_ORBITS = """
-import dataclasses
 from spindim.spinlat import Parity, build_char_data, orbits_on_faithful
 data = build_char_data(2, Parity.EVEN)
 try:
-    orbits_on_faithful(dataclasses.replace(data, acting_masks=(0, 1, 3)))
+    orbits_on_faithful(data._replace(acting_masks=(0, 1, 3)))
 except AssertionError as exc:
     print(exc)
 """

@@ -1,0 +1,134 @@
+"""The frozen-record contract every value class in spindim relies on,
+and the import cost it exists to avoid: equality and hashing by field
+tuple within one class, frozen fields, the field repr, `_replace`
+re-running the checks in `__init__`, and no `dataclasses` on the cold
+import path."""
+
+import inspect
+import os
+import subprocess
+import sys
+
+import pytest
+
+import spindim
+from spindim._record import Record
+from spindim.edcalc import DerivationStep, LiveCheck, Rule
+from spindim.invariants import SymbolTerm
+from spindim.qform2 import BinaryBlock, ConcreteField2, PfisterBase, QForm
+from spindim.spinlat import (Parity, WeylElt, build_char_data,
+                             free_transitive_check)
+
+F4 = ConcreteField2(2)
+
+
+RECORDS = sorted(Record.__subclasses__(), key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_fields_match_the_init_parameters(cls):
+    # _replace, __eq__, __hash__ and __repr__ all read _fields
+    params = list(inspect.signature(cls.__init__).parameters)
+    assert params == ["self", *cls._fields]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SymbolTerm((frozenset("a"),), (frozenset("b"),)),
+    lambda: BinaryBlock(1, 2),
+    lambda: PfisterBase((frozenset("a"),), frozenset("b")),
+    lambda: QForm(F4, (BinaryBlock(1, 2),), (3,)),
+    lambda: DerivationStep("rule", "statement", (("n", 3),), 4),
+    lambda: LiveCheck("gcd", 8, 8),
+], ids=["SymbolTerm", "BinaryBlock", "PfisterBase", "QForm",
+        "DerivationStep", "LiveCheck"])
+def test_equal_fields_give_equal_objects_and_hashes(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    # what a frozen dataclass hashes, so set orders stay as they were
+    key = tuple(getattr(a, name) for name in a._fields)
+    assert hash(a) == hash(b) == hash(key)
+    assert len({a, b}) == 1
+    assert a._replace() == a
+
+
+def test_a_changed_field_breaks_equality():
+    assert BinaryBlock(1, 2) != BinaryBlock(1, 3)
+    assert LiveCheck("gcd", 8, 8) != LiveCheck("gcd", 8, 4)
+    assert QForm(F4, diag=(1,)) != QForm(F4, diag=(2,))
+
+
+def test_different_classes_with_equal_fields_are_unequal():
+    assert BinaryBlock(1, 2) != PfisterBase(1, 2)
+    assert PfisterBase(1, 2) != BinaryBlock(1, 2)
+    assert BinaryBlock(1, 2) != (1, 2)
+    assert LiveCheck("x", 1, 1) != Rule("x", 1, 1)
+    assert Rule("x", 1, 1) != LiveCheck("x", 1, 1)
+
+
+def test_fields_are_frozen():
+    bl = BinaryBlock(1, 2)
+    with pytest.raises(AttributeError):
+        bl.a = 3
+    with pytest.raises(AttributeError):
+        bl.extra = 3
+    with pytest.raises(AttributeError):
+        del bl.b
+    step = DerivationStep("rule", "statement", (), 4)
+    with pytest.raises(AttributeError):
+        step.out = 5
+    assert (bl.a, bl.b, step.out) == (1, 2, 4)
+
+
+def test_repr_lists_the_fields():
+    assert repr(BinaryBlock(1, 2)) == "BinaryBlock(a=1, b=2)"
+    assert repr(WeylElt((1, 0), 1)) == "WeylElt(perm=(1, 0), signs=1)"
+    report = free_transitive_check(build_char_data(2, Parity.ODD))
+    assert repr(report) == ("FreeTransitiveReport(r=2, parity=<Parity.ODD: "
+                            "'odd'>, is_free=True, orbit_sizes=(4,))")
+
+
+def test_spin_char_data_compares_by_identity():
+    data = build_char_data(2, Parity.EVEN)
+    twin = data._replace()
+    assert all(getattr(twin, n) is getattr(data, n) for n in data._fields)
+    assert twin != data and data == data
+    assert len({data, twin}) == 2
+
+
+def test_replace_runs_the_init_checks():
+    w = WeylElt((1, 0, 2), 0b101)
+    assert w._replace(signs=0) == WeylElt((1, 0, 2), 0)
+    with pytest.raises(ValueError, match="not a permutation"):
+        w._replace(perm=(0, 0, 2))
+    q = QForm(F4, (BinaryBlock(1, 2),), (3,))
+    assert q._replace(diag=()) == QForm(F4, (BinaryBlock(1, 2),))
+    with pytest.raises(ValueError, match="not an element"):
+        q._replace(diag=(4,))
+    with pytest.raises(ValueError, match="BinaryBlock"):
+        q._replace(blocks=((1, 2),))
+    with pytest.raises(TypeError):
+        q._replace(rank=2)
+
+
+def test_cached_properties_still_cache():
+    report = free_transitive_check(build_char_data(3, Parity.EVEN))
+    assert report.witness is report.witness
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # counts modules, times nothing: `import spindim.cli` must not pull
+    # in what a bare interpreter has not already loaded
+    src = os.path.dirname(os.path.dirname(spindim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys{}; print(' '.join(sorted(sys.modules)))"
+
+    def loaded(extra):
+        proc = subprocess.run([sys.executable, "-c", probe.format(extra)],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        return set(proc.stdout.split())
+
+    bare, cli = loaded(""), loaded(", spindim.cli")
+    assert "spindim.cli" in cli
+    assert not {"dataclasses", "inspect"} & (cli - bare)

@@ -6,7 +6,6 @@ recompute images at the word level so they do not trust the lift/reduce
 plumbing they are checking.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -264,7 +263,7 @@ def test_orbit_closure_check_rejects_a_tampered_translation_set():
     # {0, x_1, x_1 + x_2} is not a subgroup, so the orbit of the second
     # start point runs into the first orbit
     data = build_char_data(2, Parity.EVEN)
-    tampered = dataclasses.replace(data, acting_masks=(0, 1, 3))
+    tampered = data._replace(acting_masks=(0, 1, 3))
     with pytest.raises(AssertionError, match="failed to be a subgroup"):
         orbits_on_faithful(tampered)
     with pytest.raises(AssertionError, match="failed to be a subgroup"):
