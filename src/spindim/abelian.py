@@ -30,9 +30,12 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
     """Return (U, D, V) with U*mat*V = D diagonal and U, V unimodular.
 
     The diagonal entries of D are nonnegative and satisfy the
-    divisibility chain d_1 | d_2 | ... ; zeros come last.  Pivots are
-    chosen by minimal absolute value, which keeps intermediate entries
-    small in practice.  Rejects empty or ragged input.
+    divisibility chain d_1 | d_2 | ... ; zeros come last.  One pivot
+    loop does it all: the smallest nonzero entry of the remaining
+    block is moved to (t, t) and divided out of its row and column; a
+    remainder, or an entry the pivot does not divide (whose row is
+    added to row t), sends the loop back to pick a smaller pivot.
+    Rejects empty or ragged input.
     """
     return _smith_with_inverse(mat)[:3]
 
@@ -50,17 +53,6 @@ def _smith_with_inverse(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     V = _identity(g)
     V_inv = _identity(g)
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
-
     def add_row(src, dst, q):
         # row_dst += q * row_src
         A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
@@ -76,59 +68,41 @@ def _smith_with_inverse(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
 
     t = 0
     while True:
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, g):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
-        while True:
-            moved = False
-            # a nonzero remainder anywhere in the pivot row or column
-            # yields a strictly smaller pivot, so this loop terminates
-            for i in range(t + 1, n):
-                if A[i][t] % A[t][t]:
-                    add_row(t, i, -(A[i][t] // A[t][t]))
-                    swap_rows(t, i)
-                    moved = True
-                    break
-            if moved:
-                continue
-            for j in range(t + 1, g):
-                if A[t][j] % A[t][t]:
-                    add_col(t, j, -(A[t][j] // A[t][t]))
-                    swap_cols(t, j)
-                    moved = True
-                    break
-            if moved:
-                continue
-            for i in range(t + 1, n):
-                if A[i][t]:
-                    add_row(t, i, -(A[i][t] // A[t][t]))
-            for j in range(t + 1, g):
-                if A[t][j]:
-                    add_col(t, j, -(A[t][j] // A[t][t]))
-            bad = None
-            for i in range(t + 1, n):
-                if any(A[i][j] % A[t][t] for j in range(t + 1, g)):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            add_row(bad, t, 1)
-        if A[t][t] < 0:
+        # the smallest nonzero entry of the remaining block, first in
+        # row-major order on ties, is swapped to (t, t)
+        pick = min(((abs(A[i][j]), i, j) for i in range(t, n)
+                    for j in range(t, g) if A[i][j]), default=None)
+        if pick is None:
+            return U, A, V, V_inv
+        _, i, j = pick
+        A[t], A[i] = A[i], A[t]
+        U[t], U[i] = U[i], U[t]
+        for row in A + V:
+            row[t], row[j] = row[j], row[t]
+        V_inv[t], V_inv[j] = V_inv[j], V_inv[t]
+        p = A[t][t]
+        for i in range(t + 1, n):
+            q = A[i][t] // p
+            if q:
+                add_row(t, i, -q)
+        for j in range(t + 1, g):
+            q = A[t][j] // p
+            if q:
+                add_col(t, j, -q)
+        # a remainder left in row or column t is smaller than p, so
+        # picking again makes progress
+        if (any(A[i][t] for i in range(t + 1, n))
+                or any(A[t][j] for j in range(t + 1, g))):
+            continue
+        bad = next((i for i in range(t + 1, n)
+                    if any(A[i][j] % p for j in range(t + 1, g))), None)
+        if bad is not None:
+            add_row(bad, t, 1)      # row t now holds an entry p does not divide
+            continue
+        if p < 0:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return U, A, V, V_inv
 
 
 class Presentation(Record):
@@ -198,15 +172,10 @@ class FgAbGroup:
     def __init__(self, presentation: Presentation):
         g = presentation.num_generators
         self.presentation = presentation
-        if presentation.relations:
-            _, D, V, V_inv = _smith_with_inverse(
-                [list(r) for r in presentation.relations])
-            diag = [D[j][j] if j < len(D) else 0 for j in range(g)]
-        else:
-            V, V_inv = _identity(g), _identity(g)
-            diag = [0] * g
-        self._V = V
-        self._V_inv = V_inv
+        # no relations reduces like one zero row: V = I, zero diagonal
+        _, D, self._V, self._V_inv = _smith_with_inverse(
+            [list(r) for r in presentation.relations] or [[0] * g])
+        diag = [D[j][j] if j < len(D) else 0 for j in range(g)]
         # unit factors carry no information and are dropped
         self._kept = [j for j in range(g) if diag[j] != 1]
         self._moduli = tuple(diag[j] for j in self._kept)

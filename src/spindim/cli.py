@@ -85,9 +85,7 @@ def _split_top(text: str, sep: str):
     for ch in text:
         if ch in "[(<{":
             depth += 1
-        elif ch in ")>}":
-            depth -= 1
-        elif ch == "]":
+        elif ch in ")>}]":
             depth -= 1
         if ch == sep and depth == 0:
             parts.append("".join(cur))
@@ -137,7 +135,8 @@ def parse_form(field, text: str) -> QForm:
             if ";" not in inner:
                 raise _UsageError("pf(...) needs 'slots;unit', e.g. pf(2,3;1)")
             slots_text, b_text = inner.rsplit(";", 1)
-            slots = [_parse_element(field, t) for t in slots_text.split(",") if t]
+            slots = ([_parse_element(field, t) for t in slots_text.split(",")]
+                     if slots_text else [])
             b = _parse_element(field, b_text)
             dim = _grow_form(dim, 2 << len(slots))
             blocks += qform2.pfister_build(field, slots, b).blocks
@@ -354,7 +353,7 @@ def _cmd_invariant(args) -> int:
         group = SpinId(args.group)
     except ValueError:
         raise _UsageError(f"unknown group {args.group!r}") from None
-    labels = tuple(t for t in args.labels.split(",") if t)
+    labels = tuple(args.labels.split(","))
     try:
         torsor = TorsorData(group, labels)
     except ValueError as exc:

@@ -27,6 +27,7 @@ Pfister form, and the symbol of that bigger form is returned.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from enum import Enum
 
@@ -107,21 +108,16 @@ def symbol_normalize(s: SymbolSum) -> SymbolSum:
     one pass."""
     parity: Counter = Counter()
     for term in s.terms:
-        for b in term.b_slot:                     # split the additive slot
-            slot_choices = []
-            for slot in term.a_slots:             # expand multilinearly
-                slot_choices.append([frozenset([v]) for v in sorted(slot)])
-            # a slot equal to 1 expands to no choices at all: the term dies
-            def walk(idx, picked):
-                if idx == len(slot_choices):
-                    if len(set(picked)) == len(picked):   # equal slots vanish
-                        key = SymbolTerm(tuple(sorted(picked, key=_sort_key)),
-                                         (b,))
-                        parity[key] ^= 1
-                    return
-                for choice in slot_choices[idx]:
-                    walk(idx + 1, picked + [choice])
-            walk(0, [])
+        # expand multilinearly; a slot equal to 1 has no choices at
+        # all, so the term dies
+        choices = [[frozenset([v]) for v in sorted(slot)]
+                   for slot in term.a_slots]
+        for picked in itertools.product(*choices):
+            if len(set(picked)) < len(picked):    # equal slots vanish
+                continue
+            a_slots = tuple(sorted(picked, key=_sort_key))
+            for b in term.b_slot:                 # split the additive slot
+                parity[SymbolTerm(a_slots, (b,))] ^= 1
     kept = sorted((t for t, p in parity.items() if p),
                   key=lambda t: (tuple(map(_sort_key, t.a_slots)),
                                  tuple(map(_sort_key, t.b_slot))))
@@ -339,23 +335,11 @@ def invariant_f(t: TorsorData) -> InvariantReport:
     scales = lab[3:]
 
     collected: Counter = Counter()
-    if t.group is SpinId.SPIN7:
-        for form in forms:
-            for p in form.parts:
-                collected[(p.scalar, p.base)] += 1
-    elif t.group is SpinId.SPIN8:
-        base = pfister_recover(forms[0])
-        collected[(f.one, base)] += 1          # q0, the base copy
-        for form in forms:
-            for p in form.parts:
-                collected[(p.scalar, p.base)] += 1
-    else:   # spin9, spin10: r carries H + dP; adjoin q0 = recovered base
-        r = forms[0]
-        base = pfister_recover(r)
-        collected[(f.one, base)] += 1
-        for form in (strip_hyperbolic(r),) + forms[1:]:
-            for p in form.parts:
-                collected[(p.scalar, p.base)] += 1
+    if t.group is not SpinId.SPIN7:
+        # q0, the base copy recovered from the first form (hyperbolic
+        # summands are never parts, so nothing else is stripped)
+        collected[(f.one, pfister_recover(forms[0]))] += 1
+    collected.update((p.scalar, p.base) for form in forms for p in form.parts)
 
     expansion = pfister_expand(f, tuple(scales) + (a, b), c, peel=len(scales))
     if collected != expansion:

@@ -77,6 +77,47 @@ def test_snf_hand_checked_rank3_kernel_lattice():
     assert abs(det(M)) == 16
 
 
+def test_snf_divisibility_fix_up():
+    # diag(2, 3) is diagonal but 2 does not divide 3; the loop must
+    # fold row 2 into row 1 and come out with the chain (1, 6)
+    D = assert_snf_contract([[2, 0], [0, 3]])
+    assert [D[0][0], D[1][1]] == [1, 6]
+
+
+def test_snf_of_a_zero_row():
+    U, D, V = smith_normal_form([[0, 0, 0]])
+    assert U == [[1]] and D == [[0, 0, 0]]
+    assert V == [[int(i == j) for j in range(3)] for i in range(3)]
+
+
+def assert_inverse_tracked(M):
+    _, _, V, V_inv = _smith_with_inverse(M)
+    identity = [[int(i == j) for j in range(len(V))] for i in range(len(V))]
+    assert matmul(V, V_inv) == identity
+
+
+@pytest.mark.parametrize("r", range(1, 33))
+def test_snf_contract_on_lattice_relations(r):
+    # the relation matrices of X(T) and X(L), as spinlat builds them
+    half_spin = [-1] * r + [2]
+    two_torsion = [[2 if j == i else 0 for j in range(r + 1)]
+                   for i in range(r)]
+    for M in ([half_spin], two_torsion + [half_spin]):
+        assert_snf_contract(M)
+        assert_inverse_tracked(M)
+
+
+def test_snf_seeded_wide_entries():
+    # entries up to +-100 leave remainders round after round, which the
+    # small-entry property test rarely reaches
+    rng = random.Random(29)
+    for _ in range(150):
+        n, g = rng.randint(1, 8), rng.randint(1, 8)
+        M = [[rng.randint(-100, 100) for _ in range(g)] for _ in range(n)]
+        assert_snf_contract(M)
+        assert_inverse_tracked(M)
+
+
 def test_snf_rejects_bad_input():
     with pytest.raises(ValueError):
         smith_normal_form([])

@@ -263,6 +263,16 @@ def test_qform_usage_errors():
                  "--form", "[1,1]"])
 
 
+def test_pfister_slots_must_not_be_empty():
+    for form in ("pf(1,,2;1)", "pf(1,;1)", "pf(,1;1)", "pf(,;1)"):
+        assert "bad field element ''" in usage_error(
+            ["qform", "--field", "f2^2", "--op", "witt", "--form", form])
+    # no slots at all is still the 0-fold form [1, b]
+    assert ok_json(["qform", "--field", "f2^2", "--op", "witt",
+                    "--form", "pf(;1)"]) == ok_json(
+        ["qform", "--field", "f2^2", "--op", "witt", "--form", "[1,1]"])
+
+
 @st.composite
 def form_summands(draw):
     """A field f2^k, k in 1..16, and a list of summand texts with the
@@ -402,6 +412,19 @@ def test_invariant_usage_errors():
         ["invariant", "--group", "spin8", "--labels", "a,b,c,d"])
     usage_error(["invariant", "--group", "spin11", "--labels", "a,b,c,d"])
     usage_error(["invariant", "--group", "spin7"])
+
+
+@pytest.mark.parametrize("group,labels,message", [
+    ("spin8", "a,,b,c,d", "bad parameter label: ''"),
+    ("spin8", "a,b,c,d,", "bad parameter label: ''"),
+    ("spin8", ",a,b,c,d", "bad parameter label: ''"),
+    ("spin7", "a,b,c,d,", "needs 4 parameters, got 5"),
+    ("spin7", "a,,b,c,d", "needs 4 parameters, got 5"),
+])
+def test_invariant_rejects_empty_labels(group, labels, message):
+    # an empty piece is a label of its own, not a separator to skip
+    assert message in usage_error(
+        ["invariant", "--group", group, "--labels", labels])
 
 
 def test_invariant_failure_exit_code(monkeypatch):
