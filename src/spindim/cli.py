@@ -282,23 +282,36 @@ def _cmd_verify_lattice(args) -> int:
 
 
 def _cmd_verify_heisenberg(args) -> int:
-    if not 1 <= args.r <= spinlat.MAX_RANK:
-        raise _UsageError(f"--r must be between 1 and {spinlat.MAX_RANK}")
+    # the largest rank an ed-table gcd step uses
+    r_cap = edcalc.MAX_N // 2
+    if not 1 <= args.r <= r_cap:
+        raise _UsageError(f"--r must be between 1 and {r_cap}")
     parity = spinlat.Parity(args.parity)
-    data = spinlat.build_char_data(args.r, parity)
-    rep = repdim.divisibility_report(data, exhaustive=args.r <= 6)
+    # The orbits all have one size, so it is both the least dimension
+    # (one orbit with multiplicity one) and the gcd of the dimensions.
+    shape = spinlat.orbit_structure(args.r, parity)
+    size = shape.orbit_size
     expect_min = 1 << (args.r if parity is spinlat.Parity.ODD else args.r - 1)
-    ok = (rep.min_dim == expect_min and rep.gcd_dim == expect_min
-          and rep.exhaustive_ok is not False)
+    ok = size == expect_min
+    checked_to = exhaustive_ok = None
+    if args.r <= 6:
+        # the 2^r brute force, an oracle independent of the shape
+        rep = repdim.divisibility_report(
+            spinlat.build_char_data(args.r, parity), exhaustive=True)
+        checked_to, exhaustive_ok = rep.exhaustive_checked_to, rep.exhaustive_ok
+        ok = (ok and exhaustive_ok is True
+              and rep.orbit_sizes == shape.orbit_sizes
+              and rep.min_dim == rep.gcd_dim == size
+              and rep.min_achieving.total_dim == size)
     payload = {
         "r": args.r, "parity": parity.value,
-        "orbit_sizes": list(rep.orbit_sizes),
-        "min_faithful_dim": rep.min_dim,
-        "gcd_dim": rep.gcd_dim,
+        "orbit_sizes": list(shape.orbit_sizes),
+        "min_faithful_dim": size,
+        "gcd_dim": size,
         "expected": expect_min,
-        "achieving_multiset_size": rep.min_achieving.total_dim,
-        "exhaustive_checked_to": rep.exhaustive_checked_to,
-        "exhaustive_ok": rep.exhaustive_ok,
+        "achieving_multiset_size": size,
+        "exhaustive_checked_to": checked_to,
+        "exhaustive_ok": exhaustive_ok,
         "ok": ok,
     }
     print(json.dumps(payload, indent=2))
@@ -306,6 +319,8 @@ def _cmd_verify_heisenberg(args) -> int:
 
 
 def _cmd_qform(args) -> int:
+    if args.form2 is not None and args.op != "equiv":
+        raise _UsageError("--form2 is only valid with --op equiv")
     field = parse_field_name(args.field)
     out = {"op": args.op, "field": args.field}
     try:

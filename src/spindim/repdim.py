@@ -62,16 +62,20 @@ def is_invariant(data: SpinCharData, ms: CharMultiset) -> bool:
     """True when every sign-flip translation preserves the multiset.
 
     Characters outside X(L) are rejected outright; support outside S is
-    allowed here (invariance is a property of the action alone).
+    allowed here (invariance is a property of the action alone).  Each
+    character is packed once and translated as a code.
     """
+    xL = data.xL
     for c, _ in ms.counts:
-        if c.group is not data.xL:
+        if c.group is not xL:
             raise ValueError("multiset contains characters outside X(L)")
-    table = dict(ms.counts)
+    packed = [(xL.pack(c), m) for c, m in ms.counts]
+    table = dict(packed)
+    keep = xL.keep_mask
     for mask in data.acting_masks:
-        t = data.shifts[mask]
-        for c, m in ms.counts:
-            if table.get(c + t, 0) != m:
+        t = data.shift_codes[mask]
+        for code, m in packed:
+            if table.get((code + t) & keep, 0) != m:
                 return False
     return True
 
@@ -106,8 +110,11 @@ def _constraint_components(data: SpinCharData):
     """Connected components of the constraint graph on S whose edges
     are s -- s + t for each acting translation t.  Any invariant
     multiset is constant on each component, by chaining single
-    constraints; no orbit theory is consulted."""
-    remaining = set(data.faithful)
+    constraints; no orbit theory is consulted.  The walk runs on packed
+    codes, edge by edge; each component is decoded once, at the end."""
+    keep = data.xL.keep_mask
+    shifts = [data.shift_codes[mask] for mask in data.acting_masks]
+    remaining = set(data.faithful_codes)
     comps = []
     while remaining:
         start = min(remaining)
@@ -116,16 +123,18 @@ def _constraint_components(data: SpinCharData):
         while frontier:
             nxt = []
             for u in frontier:
-                for mask in data.acting_masks:
-                    v = u + data.shifts[mask]
+                for t in shifts:
+                    v = (u + t) & keep
                     if v not in comp:
                         comp.add(v)
                         nxt.append(v)
             frontier = nxt
-        comps.append(tuple(sorted(comp)))
+        comps.append(sorted(comp))
         remaining -= comp
+    # code order is element order (`FgAbGroup.pack`)
     comps.sort(key=lambda c: c[0])
-    return comps
+    unpack = data.xL.unpack
+    return [tuple(map(unpack, c)) for c in comps]
 
 
 def enumerate_invariant_multisets(data: SpinCharData, max_total: int):

@@ -22,6 +22,7 @@ import spindim
 from spindim import cli, qform2
 from spindim.cli import run
 from spindim.edcalc import MAX_N, ed_table
+from spindim.repdim import divisibility_report
 from spindim.spinlat import MAX_RANK, Parity, build_char_data
 
 
@@ -141,16 +142,45 @@ def test_verify_heisenberg_skips_brute_force_at_large_rank():
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_verify_heisenberg_at_max_rank(parity):
-    payload = ok_json(["verify-heisenberg", "--r", str(MAX_RANK),
-                       "--parity", parity])
-    assert payload["ok"] is True
-    assert payload["achieving_multiset_size"] == payload["expected"]
+    for r in (MAX_RANK, MAX_N // 2):
+        payload = ok_json(["verify-heisenberg", "--r", str(r),
+                           "--parity", parity])
+        assert payload["ok"] is True
+        assert payload["achieving_multiset_size"] == payload["expected"]
 
 
 def test_verify_heisenberg_usage():
-    usage_error(["verify-heisenberg", "--r", "0", "--parity", "odd"])
+    for r in ("0", str(MAX_N // 2 + 1)):
+        assert "between 1 and 32" in usage_error(
+            ["verify-heisenberg", "--r", r, "--parity", "odd"])
     usage_error(["verify-heisenberg", "--r", "3", "--parity", "both"])
     usage_error(["verify-heisenberg", "--parity", "odd"])
+
+
+def test_verify_heisenberg_enumerates_nothing_above_rank_6(monkeypatch):
+    def forbidden(r, parity):
+        raise AssertionError("verify-heisenberg enumerated the characters")
+
+    monkeypatch.setattr(cli.spinlat, "build_char_data", forbidden)
+    for r in range(7, MAX_N // 2 + 1):
+        for parity in ("odd", "even"):
+            payload = ok_json(["verify-heisenberg", "--r", str(r),
+                               "--parity", parity])
+            assert payload["ok"] is True
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+@pytest.mark.parametrize("r", range(1, MAX_RANK + 1))
+def test_verify_heisenberg_matches_enumerated_report(r, parity):
+    payload = ok_json(["verify-heisenberg", "--r", str(r),
+                       "--parity", parity.value])
+    rep = divisibility_report(build_char_data(r, parity), exhaustive=r <= 6)
+    assert payload["orbit_sizes"] == list(rep.orbit_sizes)
+    assert payload["min_faithful_dim"] == rep.min_dim
+    assert payload["gcd_dim"] == rep.gcd_dim
+    assert payload["achieving_multiset_size"] == rep.min_achieving.total_dim
+    assert payload["exhaustive_checked_to"] == rep.exhaustive_checked_to
+    assert payload["exhaustive_ok"] == rep.exhaustive_ok
 
 
 def test_verify_heisenberg_failure_exit_code(monkeypatch):
@@ -249,6 +279,10 @@ def test_qform_equiv():
 def test_qform_usage_errors():
     assert "needs --form2" in usage_error(
         ["qform", "--field", "f2^2", "--op", "equiv", "--form", "[1,1]"])
+    for op in ("arf", "witt", "classify", "normalize"):
+        assert "--form2 is only valid with --op equiv" in usage_error(
+            ["qform", "--field", "f2^2", "--op", op, "--form", "[1,1]",
+             "--form2", "garbage"])
     assert "Arf invariant" in usage_error(
         ["qform", "--field", "f2^2", "--op", "arf", "--form", "<1>"])
     usage_error(["qform", "--field", "f2^2", "--op", "witt", "--form", "<0>"])

@@ -30,6 +30,30 @@ def naive_invariant(data, counts):
                for m in data.acting_masks for s in data.faithful)
 
 
+def element_components(data):
+    """The constraint-graph walk on `GroupElement`s, edge by edge: the
+    reference for the packed-code walk in `_constraint_components`."""
+    remaining = set(data.faithful)
+    comps = []
+    while remaining:
+        start = min(remaining)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for mask in data.acting_masks:
+                    v = u + data.shifts[mask]
+                    if v not in comp:
+                        comp.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        comps.append(tuple(sorted(comp)))
+        remaining -= comp
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
 def naive_multisets(data, max_total):
     support = sorted(data.faithful)
     found = set()
@@ -85,6 +109,19 @@ def test_kernel_multiset_is_invariant_but_not_faithful():
 
 
 @pytest.mark.parametrize("parity", PARITIES)
+@pytest.mark.parametrize("r", (2, 3, 4))
+def test_bumped_multiplicity_is_not_invariant(r, parity):
+    # orbits have at least two members here, so raising one
+    # multiplicity breaks the constancy along its orbit
+    data = build_char_data(r, parity)
+    for orbit in orbits_on_faithful(data):
+        counts = {c: 1 for c in orbit}
+        assert is_invariant(data, CharMultiset.from_dict(counts))
+        counts[orbit[-1]] = 2
+        assert not is_invariant(data, CharMultiset.from_dict(counts))
+
+
+@pytest.mark.parametrize("parity", PARITIES)
 @pytest.mark.parametrize("r", (1, 2, 3, 4))
 def test_orbit_multisets_are_invariant_and_faithful(r, parity):
     data = build_char_data(r, parity)
@@ -106,11 +143,12 @@ def test_min_dim_and_gcd_closed_forms(r):
 
 
 @pytest.mark.parametrize("parity", PARITIES)
-@pytest.mark.parametrize("r", (1, 2, 3, 4))
+@pytest.mark.parametrize("r", (1, 2, 3, 4, 5))
 def test_components_agree_with_orbits(r, parity):
     data = build_char_data(r, parity)
-    comps = tuple(_constraint_components(data))
-    assert comps == orbits_on_faithful(data)
+    comps = _constraint_components(data)
+    assert comps == element_components(data)
+    assert tuple(comps) == orbits_on_faithful(data)
 
 
 @pytest.mark.parametrize("parity", PARITIES)
