@@ -16,11 +16,13 @@ once with `setfield(self, name, value)`, which goes past the frozen
 This is the contract of a frozen dataclass, field hashes included, so
 set and dict orders are the same as they were under `dataclasses`.
 Records keep a `__dict__`, so `functools.cached_property` works on them.
-A record built in a hot loop writes out `__eq__` and `__hash__` on the
-field attributes; the generic ones read the fields by name.
+The field tuple is read by one `operator.attrgetter`, built once per
+class; a one-field record still hashes its 1-tuple.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 # Sets a field in __init__ without the frozen __setattr__; unlike
 # assigning to `self.__dict__`, it keeps CPython's compact instance
@@ -32,16 +34,20 @@ class Record:
     _fields: tuple[str, ...] = ()
     _hidden: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls):
+        # the field tuple, read in C; one name alone gives a bare value
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1
+                                else lambda rec: (get(rec),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}"

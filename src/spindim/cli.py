@@ -219,21 +219,6 @@ def parse_symbol_expr(text: str):
     return acc, field
 
 
-def _format_tagged(form: invariants.TaggedForm) -> str:
-    def fmt_mono(m):
-        return "*".join(sorted(m)) if m else "1"
-
-    def fmt_part(p):
-        base = "<<" + ",".join(fmt_mono(s) for s in p.base.a_slots) \
-               + ";" + fmt_mono(p.base.b) + "]]"
-        if p.scalar:
-            return f"({fmt_mono(p.scalar)})*{base}"
-        return base
-
-    pieces = ["H"] * form.h_copies + [fmt_part(p) for p in form.parts]
-    return " + ".join(pieces)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -247,10 +232,8 @@ def _cmd_ed_table(args) -> int:
 
 
 def _cmd_verify_lattice(args) -> int:
-    # the largest rank an ed-table gcd step uses
-    r_cap = edcalc.MAX_N // 2
-    if not 1 <= args.r_max <= r_cap:
-        raise _UsageError(f"--r-max must be between 1 and {r_cap}")
+    if not 1 <= args.r_max <= edcalc.MAX_R:
+        raise _UsageError(f"--r-max must be between 1 and {edcalc.MAX_R}")
     rows = []
     all_ok = True
     for r in range(1, args.r_max + 1):
@@ -282,10 +265,8 @@ def _cmd_verify_lattice(args) -> int:
 
 
 def _cmd_verify_heisenberg(args) -> int:
-    # the largest rank an ed-table gcd step uses
-    r_cap = edcalc.MAX_N // 2
-    if not 1 <= args.r <= r_cap:
-        raise _UsageError(f"--r must be between 1 and {r_cap}")
+    if not 1 <= args.r <= edcalc.MAX_R:
+        raise _UsageError(f"--r must be between 1 and {edcalc.MAX_R}")
     parity = spinlat.Parity(args.parity)
     # The orbits all have one size, so it is both the least dimension
     # (one orbit with multiplicity one) and the gcd of the dimensions.
@@ -373,6 +354,10 @@ def _cmd_invariant(args) -> int:
         torsor = TorsorData(group, labels)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    for name in labels:
+        # the printed symbol has room only for names and "1"
+        if name != "1" and not _NAME_RE.fullmatch(name):
+            raise _UsageError(f"bad parameter label: {name!r}")
     try:
         rep = invariants.invariant_f(torsor)
     except AssertionError as exc:
@@ -383,7 +368,7 @@ def _cmd_invariant(args) -> int:
     payload = {
         "group": group.value,
         "labels": list(labels),
-        "torsor_forms": [_format_tagged(f) for f in rep.forms],
+        "torsor_forms": [invariants.format_tagged(f) for f in rep.forms],
         "expansion_identity_ok": rep.summands == rep.expansion,
         "symbol": invariants.format_symbol(rep.symbol),
         "nonvanishing": nv.verdict.value,

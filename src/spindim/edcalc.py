@@ -36,6 +36,7 @@ from .spinlat import Parity, orbit_structure
 
 MIN_N = 3
 MAX_N = 64
+MAX_R = MAX_N // 2      # the largest rank an ed-table gcd step uses
 
 CHAR_NOTE = ("characteristic 2 agrees with characteristic != 2 "
              "for n <= 10 and for n >= 15")
@@ -163,7 +164,7 @@ def _step(rule_id: str, **inputs) -> DerivationStep:
 def _in_table_range(inputs: dict) -> bool:
     """n and r, where given, are ints in the range a real trace uses;
     they size the live Smith-form work and the 2-powers a step builds."""
-    bounds = {"n": (MIN_N, MAX_N), "r": (1, MAX_N // 2)}
+    bounds = {"n": (MIN_N, MAX_N), "r": (1, MAX_R)}
     return all(type(inputs[k]) is int and lo <= inputs[k] <= hi
                for k, (lo, hi) in bounds.items() if k in inputs)
 

@@ -61,14 +61,6 @@ class SymbolTerm(Record):
         setfield(self, "a_slots", a_slots)
         setfield(self, "b_slot", b_slot)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a_slots, self.b_slot) == (other.a_slots, other.b_slot)
-
-    def __hash__(self):
-        return hash((self.a_slots, self.b_slot))
-
     def degree(self) -> int:
         return len(self.a_slots) + 1
 
@@ -117,26 +109,37 @@ def symbol_normalize(s: SymbolSum) -> SymbolSum:
                 continue
             a_slots = tuple(sorted(picked, key=_sort_key))
             for b in term.b_slot:                 # split the additive slot
-                parity[SymbolTerm(a_slots, (b,))] ^= 1
+                parity[a_slots, b] ^= 1
     kept = sorted((t for t, p in parity.items() if p),
-                  key=lambda t: (tuple(map(_sort_key, t.a_slots)),
-                                 tuple(map(_sort_key, t.b_slot))))
-    return SymbolSum(tuple(kept))
+                  key=lambda t: (tuple(map(_sort_key, t[0])), _sort_key(t[1])))
+    return SymbolSum(tuple(SymbolTerm(a_slots, (b,)) for a_slots, b in kept))
+
+
+def format_mono(m: Label) -> str:
+    return "*".join(sorted(m)) if m else "1"
 
 
 def format_symbol(s: SymbolSum) -> str:
     if not s.terms:
         return "0"
-
-    def fmt_mono(m):
-        return "*".join(sorted(m)) if m else "1"
-
     parts = []
     for t in s.terms:
-        slots = [fmt_mono(m) for m in t.a_slots]
-        slots.append("+".join(fmt_mono(m) for m in t.b_slot))
+        slots = [format_mono(m) for m in t.a_slots]
+        slots.append("+".join(format_mono(m) for m in t.b_slot))
         parts.append("{" + ",".join(slots) + "]")
     return " + ".join(parts)
+
+
+def format_tagged(form: "TaggedForm") -> str:
+    def fmt_part(p):
+        base = "<<" + ",".join(format_mono(s) for s in p.base.a_slots) \
+               + ";" + format_mono(p.base.b) + "]]"
+        if p.scalar:
+            return f"({format_mono(p.scalar)})*{base}"
+        return base
+
+    pieces = ["H"] * form.h_copies + [fmt_part(p) for p in form.parts]
+    return " + ".join(pieces)
 
 
 class Nonvanishing(Enum):
@@ -235,14 +238,6 @@ class ScaledPfister(Record):
     def __init__(self, scalar: Label, base: PfisterBase):
         setfield(self, "scalar", scalar)
         setfield(self, "base", base)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.scalar, self.base) == (other.scalar, other.base)
-
-    def __hash__(self):
-        return hash((self.scalar, self.base))
 
 
 class TaggedForm(Record):

@@ -278,14 +278,6 @@ class BinaryBlock(Record):
         setfield(self, "a", a)
         setfield(self, "b", b)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
 
 class QForm(Record):
     """Orthogonal sum of binary blocks and diagonal summands, with an
@@ -314,15 +306,6 @@ class QForm(Record):
         setfield(self, "blocks", blocks)
         setfield(self, "diag", diag)
         setfield(self, "tag", tag)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.field, self.blocks, self.diag, self.tag)
-                == (other.field, other.blocks, other.diag, other.tag))
-
-    def __hash__(self):
-        return hash((self.field, self.blocks, self.diag, self.tag))
 
     @property
     def dim(self) -> int:
@@ -433,14 +416,6 @@ class PfisterBase(Record):
     def __init__(self, a_slots: tuple, b):
         setfield(self, "a_slots", a_slots)
         setfield(self, "b", b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a_slots, self.b) == (other.a_slots, other.b)
-
-    def __hash__(self):
-        return hash((self.a_slots, self.b))
 
 
 def pfister_expand(field, a_slots, b, peel: int) -> Counter:

@@ -454,9 +454,14 @@ def test_invariant_usage_errors():
     ("spin8", ",a,b,c,d", "bad parameter label: ''"),
     ("spin7", "a,b,c,d,", "needs 4 parameters, got 5"),
     ("spin7", "a,,b,c,d", "needs 4 parameters, got 5"),
+    ("spin7", "a,b,c,a*b", "bad parameter label: 'a*b'"),
+    ("spin7", "a,b,{x],d", "bad parameter label: '{x]'"),
+    ("spin7", "a,b, c,d", "bad parameter label: ' c'"),
+    ("spin7", "a,b,c,a+b", "bad parameter label: 'a+b'"),
 ])
 def test_invariant_rejects_empty_labels(group, labels, message):
-    # an empty piece is a label of its own, not a separator to skip
+    # an empty piece is a label of its own, not a separator to skip; a
+    # label must be a name or "1", which the printed symbol can show
     assert message in usage_error(
         ["invariant", "--group", group, "--labels", labels])
 

@@ -14,9 +14,11 @@ import pytest
 import spindim
 from spindim._record import Record
 from spindim.edcalc import DerivationStep, LiveCheck, Rule
-from spindim.invariants import SymbolTerm
+from spindim.abelian import GroupElement
+from spindim.invariants import ScaledPfister, SymbolSum, SymbolTerm
 from spindim.qform2 import BinaryBlock, ConcreteField2, PfisterBase, QForm
-from spindim.spinlat import (Parity, WeylElt, build_char_data,
+from spindim.repdim import CharMultiset
+from spindim.spinlat import (Parity, SpinCharData, WeylElt, build_char_data,
                              free_transitive_check)
 
 F4 = ConcreteField2(2)
@@ -39,8 +41,13 @@ def test_fields_match_the_init_parameters(cls):
     lambda: QForm(F4, (BinaryBlock(1, 2),), (3,)),
     lambda: DerivationStep("rule", "statement", (("n", 3),), 4),
     lambda: LiveCheck("gcd", 8, 8),
+    lambda: SymbolSum((SymbolTerm((frozenset("a"),), (frozenset("b"),)),)),
+    lambda: CharMultiset(((3, 1), (5, 2))),
+    lambda: ScaledPfister(frozenset("d"),
+                          PfisterBase((frozenset("a"),), frozenset("b"))),
 ], ids=["SymbolTerm", "BinaryBlock", "PfisterBase", "QForm",
-        "DerivationStep", "LiveCheck"])
+        "DerivationStep", "LiveCheck", "SymbolSum", "CharMultiset",
+        "ScaledPfister"])
 def test_equal_fields_give_equal_objects_and_hashes(make):
     a, b = make(), make()
     assert a is not b
@@ -50,6 +57,14 @@ def test_equal_fields_give_equal_objects_and_hashes(make):
     assert hash(a) == hash(b) == hash(key)
     assert len({a, b}) == 1
     assert a._replace() == a
+
+
+def test_equality_and_hash_have_one_implementation():
+    # only these two depart from the field tuple, on purpose: SpinCharData
+    # compares by identity and GroupElement by its group's identity
+    own = {cls for cls in RECORDS
+           if {"__eq__", "__hash__"} & cls.__dict__.keys()}
+    assert own == {GroupElement, SpinCharData}
 
 
 def test_a_changed_field_breaks_equality():
