@@ -37,12 +37,6 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
     added to row t), sends the loop back to pick a smaller pivot.
     Rejects empty or ragged input.
     """
-    return _smith_with_inverse(mat)[:3]
-
-
-def _smith_with_inverse(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """`smith_normal_form` plus V^-1, kept in step with V: each column
-    operation V <- V*E is matched by V^-1 <- E^-1 * V^-1."""
     if not mat or not mat[0]:
         raise ValueError("matrix must be non-empty")
     n, g = len(mat), len(mat[0])
@@ -51,7 +45,6 @@ def _smith_with_inverse(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     A = [[int(x) for x in row] for row in mat]
     U = _identity(n)
     V = _identity(g)
-    V_inv = _identity(g)
 
     def add_row(src, dst, q):
         # row_dst += q * row_src
@@ -59,12 +52,8 @@ def _smith_with_inverse(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     def add_col(src, dst, q):
-        for row in A:
+        for row in A + V:
             row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-        # the inverse column operation, applied to the rows of V^-1
-        V_inv[src] = [a - q * b for a, b in zip(V_inv[src], V_inv[dst])]
 
     t = 0
     while True:
@@ -73,13 +62,12 @@ def _smith_with_inverse(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         pick = min(((abs(A[i][j]), i, j) for i in range(t, n)
                     for j in range(t, g) if A[i][j]), default=None)
         if pick is None:
-            return U, A, V, V_inv
+            return U, A, V
         _, i, j = pick
         A[t], A[i] = A[i], A[t]
         U[t], U[i] = U[i], U[t]
         for row in A + V:
             row[t], row[j] = row[j], row[t]
-        V_inv[t], V_inv[j] = V_inv[j], V_inv[t]
         p = A[t][t]
         for i in range(t + 1, n):
             q = A[i][t] // p
@@ -173,7 +161,7 @@ class FgAbGroup:
         g = presentation.num_generators
         self.presentation = presentation
         # no relations reduces like one zero row: V = I, zero diagonal
-        _, D, self._V, self._V_inv = _smith_with_inverse(
+        _, D, self._V = smith_normal_form(
             [list(r) for r in presentation.relations] or [[0] * g])
         diag = [D[j][j] if j < len(D) else 0 for j in range(g)]
         # unit factors carry no information and are dropped
@@ -214,6 +202,14 @@ class FgAbGroup:
         for pos, c in zip(self._kept, elem.coords):
             full[pos] = c
         return [sum(full[j] * self._V_inv[j][i] for j in range(g)) for i in range(g)]
+
+    @cached_property
+    def _V_inv(self) -> Matrix:
+        """V^-1, built on the first `lift`: V is unimodular, so its own
+        Smith form is U'*V*W = I, and V^-1 = W*U'."""
+        U, _, W = smith_normal_form(self._V)
+        return [[sum(w * U[k][j] for k, w in enumerate(row))
+                 for j in range(len(U))] for row in W]
 
     # -- global structure ---------------------------------------------
 

@@ -38,7 +38,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 from . import edcalc, invariants, qform2, repdim, spinlat
-from .invariants import SpinId, TorsorData
+from .invariants import _NAME_RE, SpinId, TorsorData
 from .qform2 import BinaryBlock, ConcreteField2, QForm, format_qform
 
 
@@ -75,7 +75,6 @@ _ELEMENT_RE = re.compile(r"[0-9a-fA-F]+")
 _BLOCK_RE = re.compile(r"\[[^][]*\]")
 _DIAG_RE = re.compile(r"<[^<>]*>")
 _FIELD_RE = re.compile(r"f2\^(\d+)")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 def _split_top(text: str, sep: str):
@@ -354,10 +353,6 @@ def _cmd_invariant(args) -> int:
         torsor = TorsorData(group, labels)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    for name in labels:
-        # the printed symbol has room only for names and "1"
-        if name != "1" and not _NAME_RE.fullmatch(name):
-            raise _UsageError(f"bad parameter label: {name!r}")
     try:
         rep = invariants.invariant_f(torsor)
     except AssertionError as exc:

@@ -59,15 +59,6 @@ class GroupNumerics(Record):
         setfield(self, "pow2_part", pow2_part)
 
 
-def group_numerics(n: int) -> GroupNumerics:
-    if not MIN_N <= n <= MAX_N:
-        raise ValueError(f"n must be between {MIN_N} and {MAX_N}")
-    dim_so = n * (n - 1) // 2
-    if n % 2:
-        return GroupNumerics(n, dim_so, 1 << ((n - 1) // 2), None, 1)
-    return GroupNumerics(n, dim_so, None, 1 << ((n - 2) // 2), n & -n)
-
-
 class DerivationStep(Record):
     _fields = ("rule", "statement", "inputs", "out")
 
@@ -152,6 +143,16 @@ RULES = {
         "locally trivial), so its essential dimension is 0",
         lambda v: 0),
 }
+
+
+def group_numerics(n: int) -> GroupNumerics:
+    if not MIN_N <= n <= MAX_N:
+        raise ValueError(f"n must be between {MIN_N} and {MAX_N}")
+    v = {"n": n}
+    dim_so, pow2 = RULES["dim-so"].fn(v), RULES["pow2-part"].fn(v)
+    if n % 2:
+        return GroupNumerics(n, dim_so, RULES["spin-dim-odd"].fn(v), None, pow2)
+    return GroupNumerics(n, dim_so, None, RULES["half-spin-dim"].fn(v), pow2)
 
 
 def _step(rule_id: str, **inputs) -> DerivationStep:
@@ -265,7 +266,18 @@ class EdEntry(Record):
 
 
 def ed_value(n: int) -> EdEntry:
-    """Essential dimension entry for one n, traces included."""
+    """Essential dimension entry for one n, traces included.  Raises
+    AssertionError if the two bounds disagree."""
+    entry = _ed_entry(n)
+    if entry.upper != entry.lower:
+        raise AssertionError(f"upper and lower bounds disagree at n={n}: "
+                             f"{entry.upper} vs {entry.lower}")
+    return entry
+
+
+def _ed_entry(n: int) -> EdEntry:
+    """`ed_value` without its check that the bounds agree, so that
+    `consistency_check` can report a mismatch instead."""
     if not MIN_N <= n <= MAX_N:
         raise ValueError(f"n must be between {MIN_N} and {MAX_N}")
     case = _case_of(n)
@@ -279,9 +291,6 @@ def ed_value(n: int) -> EdEntry:
         return EdEntry(n, None, None, None, case, (), ())
     upper, ut = ed_upper_char2(n)
     lower, lt = ed_lower_char2(n)
-    if upper != lower:
-        raise AssertionError(
-            f"upper and lower bounds disagree at n={n}: {upper} vs {lower}")
     return EdEntry(n, upper, upper, lower, case, ut, lt)
 
 
@@ -316,7 +325,7 @@ def consistency_check(n: int) -> ConsistencyReport:
     computed live from the orbit structure.  Never raises on a
     mismatch; the report carries the failure."""
     problems = []
-    entry = ed_value(n)
+    entry = _ed_entry(n)
     if not verify_trace(entry.upper_trace) or not verify_trace(entry.lower_trace):
         problems.append("trace arithmetic failed to re-verify")
     if entry.value is not None and not (entry.upper == entry.lower == entry.value):

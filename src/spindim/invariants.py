@@ -28,6 +28,7 @@ Pfister form, and the symbol of that bigger form is returned.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from enum import Enum
 
@@ -202,13 +203,17 @@ PARAM_COUNT = {SpinId.SPIN7: 4, SpinId.SPIN8: 5,
                SpinId.SPIN9: 5, SpinId.SPIN10: 4}
 
 
+# an indeterminate name, in labels and in the symbol syntax
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
 class TorsorData(Record):
     """A generic torsor described by its parameter labels.
 
     The first three labels are the slots of the common 3-fold Pfister
     form P = <<a, b, c]]; the remaining one or two scale its copies.
-    A label may be the literal "1", meaning that parameter is trivial;
-    the identities below still hold and the symbol degenerates.
+    Each label is a name, or the literal "1", meaning that parameter is
+    trivial; the identities below still hold and the symbol degenerates.
     """
 
     _fields = ("group", "labels")
@@ -219,7 +224,9 @@ class TorsorData(Record):
             raise ValueError(
                 f"{group.value} needs {want} parameters, got {len(labels)}")
         for name in labels:
-            if not isinstance(name, str) or not name:
+            # the printed symbol has room only for names and "1"
+            if not (isinstance(name, str)
+                    and (name == "1" or _NAME_RE.fullmatch(name))):
                 raise ValueError(f"bad parameter label: {name!r}")
         setfield(self, "group", group)
         setfield(self, "labels", labels)

@@ -82,14 +82,12 @@ class SpinCharData(Record):
     """Everything the orbit computations downstream need, precomputed.
 
     Characters of L are held as packed codes of X(L) (`FgAbGroup.pack`),
-    so translation is `(code + t) & xL.keep_mask`.  `shifts`, `xK` and
-    `faithful` give the same sets as `GroupElement`s, decoded on first
-    access.  Instances compare by identity so they can key caches."""
+    so translation is `(code + t) & xL.keep_mask`.  `xK` and `faithful`
+    give the same sets as `GroupElement`s, decoded on first access, and
+    `shift(mask)` decodes one translation."""
 
     _fields = ("r", "parity", "xT", "xL", "x", "A", "acting_masks",
                "shift_codes", "xK_codes", "faithful_codes")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, r: int, parity: Parity, xT: FgAbGroup, xL: FgAbGroup,
                  x: tuple[GroupElement, ...],   # images of x_1..x_r in X(L)
@@ -110,11 +108,6 @@ class SpinCharData(Record):
         setfield(self, "faithful_codes", faithful_codes)
 
     @cached_property
-    def shifts(self) -> dict:
-        """mask -> sum_{i in mask} x_i."""
-        return {m: self.xL.unpack(c) for m, c in enumerate(self.shift_codes)}
-
-    @cached_property
     def xK(self) -> Subgroup:
         return Subgroup(self.xL, frozenset(map(self.xL.unpack, self.xK_codes)))
 
@@ -123,6 +116,7 @@ class SpinCharData(Record):
         return frozenset(map(self.xL.unpack, self.faithful_codes))
 
     def shift(self, mask: int) -> GroupElement:
+        """sum_{i in mask} x_i."""
         return self.xL.unpack(self.shift_codes[mask])
 
 
@@ -271,7 +265,6 @@ class FreeTransitiveReport(Record):
                 for m in data.acting_masks}
 
 
-@lru_cache(maxsize=None)
 def orbit_codes(data: SpinCharData) -> tuple[tuple[int, ...], ...]:
     """Orbits of the sign-flip subsets on S as packed codes, each
     sorted, ordered by smallest member (code order is element order).
@@ -294,7 +287,6 @@ def orbit_codes(data: SpinCharData) -> tuple[tuple[int, ...], ...]:
     return tuple(orbits)
 
 
-@lru_cache(maxsize=None)
 def orbits_on_faithful(data: SpinCharData):
     """`orbit_codes` decoded: the orbits of the sign-flip subsets on S,
     each sorted, deterministically ordered by smallest member."""

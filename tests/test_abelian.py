@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindim.abelian import (FgAbGroup, Presentation, _smith_with_inverse,
-                             smith_normal_form, subgroup_span)
+from spindim import abelian
+from spindim.abelian import (FgAbGroup, Presentation, smith_normal_form,
+                             subgroup_span)
 from spindim.spinlat import Parity, build_char_data
 
 
@@ -91,9 +92,12 @@ def test_snf_of_a_zero_row():
 
 
 def assert_inverse_tracked(M):
-    _, _, V, V_inv = _smith_with_inverse(M)
+    group = FgAbGroup(Presentation(len(M[0]), tuple(map(tuple, M))))
+    V, V_inv = group._V, group._V_inv
+    assert V == smith_normal_form(M)[2]
     identity = [[int(i == j) for j in range(len(V))] for i in range(len(V))]
     assert matmul(V, V_inv) == identity
+    assert matmul(V_inv, V) == identity
 
 
 @pytest.mark.parametrize("r", range(1, 33))
@@ -139,11 +143,25 @@ def test_snf_tracks_the_inverse_of_v():
     for _ in range(200):
         n, g = rng.randint(1, 6), rng.randint(1, 6)
         M = [[rng.randint(-6, 6) for _ in range(g)] for _ in range(n)]
-        U, D, V, V_inv = _smith_with_inverse(M)
-        assert (U, D, V) == smith_normal_form(M)
-        identity = [[int(i == j) for j in range(g)] for i in range(g)]
-        assert matmul(V, V_inv) == identity
-        assert matmul(V_inv, V) == identity
+        assert_inverse_tracked(M)
+
+
+def test_group_reduces_through_smith_normal_form(monkeypatch):
+    # one reduction when X(L) at r = 3 is built, one more for V^-1 on
+    # the first lift, none after
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return smith_normal_form(mat)
+    monkeypatch.setattr(abelian, "smith_normal_form", counted)
+    xL = FgAbGroup(Presentation(4, ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0),
+                                    (-1, -1, -1, 2))))
+    assert xL.invariant_factors == (2, 2, 4) and len(calls) == 1
+    A = xL.generator(3)
+    assert xL.element(xL.lift(A)) == A and len(calls) == 2
+    xL.lift(A)
+    assert len(calls) == 2
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,9 +6,11 @@ consistency tests recompute the 2-power inputs from orbit data.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from spindim import edcalc
 from spindim.edcalc import (CHAR_NOTE, LOW_TABLE, MAX_N, MIN_N, RULES,
                             DerivationStep, EdEntry,
                             consistency_check, ed_lower_char2, ed_table,
@@ -175,6 +177,20 @@ def test_consistency_all_n():
         assert rep.problems == ()
         for chk in rep.live_checks:
             assert chk.ok
+
+
+def test_consistency_reports_a_bound_mismatch(monkeypatch):
+    # a wrong orbit size breaks the lower bound's gcd step; the report
+    # says so, with the live check filled in, where ed_value raises
+    monkeypatch.setattr(edcalc, "orbit_structure",
+                        lambda r, parity: SimpleNamespace(orbit_size=3))
+    rep = consistency_check(18)
+    assert not rep.ok
+    assert (rep.entry.upper, rep.entry.lower) == (103, -150)
+    assert "value does not equal both bounds" in rep.problems
+    assert [(c.expected, c.got) for c in rep.live_checks] == [(256, 3)]
+    with pytest.raises(AssertionError, match="disagree at n=18: 103 vs -150"):
+        ed_value(18)
 
 
 def test_consistency_live_checks_cover_every_rank():

@@ -224,6 +224,14 @@ def test_torsor_data_validation():
         TorsorData(SpinId.SPIN10, ("a", "b", "c", ""))
     with pytest.raises(ValueError):
         TorsorData(SpinId.SPIN8, ("a", "b", "c", "d", 5))
+    # `format_symbol` would print a label that is not a name as part of
+    # another symbol
+    for bad in ("a*b", "{x]", " c", "a+b"):
+        with pytest.raises(ValueError) as err:
+            TorsorData(SpinId.SPIN7, ("a", "b", "c", bad))
+        assert str(err.value) == f"bad parameter label: {bad!r}"
+    labels = ("1", "x_1", "b'", "_")
+    assert TorsorData(SpinId.SPIN7, labels).labels == labels
     t = TorsorData(SpinId.SPIN8, ("a", "b", "c", "d", "d"))
     assert t.formal_field().names == ("a", "b", "c", "d")
 

@@ -18,7 +18,7 @@ from spindim.abelian import GroupElement
 from spindim.invariants import ScaledPfister, SymbolSum, SymbolTerm
 from spindim.qform2 import BinaryBlock, ConcreteField2, PfisterBase, QForm
 from spindim.repdim import CharMultiset
-from spindim.spinlat import (Parity, SpinCharData, WeylElt, build_char_data,
+from spindim.spinlat import (Parity, WeylElt, build_char_data,
                              free_transitive_check)
 
 F4 = ConcreteField2(2)
@@ -45,9 +45,11 @@ def test_fields_match_the_init_parameters(cls):
     lambda: CharMultiset(((3, 1), (5, 2))),
     lambda: ScaledPfister(frozenset("d"),
                           PfisterBase((frozenset("a"),), frozenset("b"))),
+    # a copy of the cached data, sharing every field object
+    lambda: build_char_data(2, Parity.EVEN)._replace(),
 ], ids=["SymbolTerm", "BinaryBlock", "PfisterBase", "QForm",
         "DerivationStep", "LiveCheck", "SymbolSum", "CharMultiset",
-        "ScaledPfister"])
+        "ScaledPfister", "SpinCharData"])
 def test_equal_fields_give_equal_objects_and_hashes(make):
     a, b = make(), make()
     assert a is not b
@@ -60,11 +62,11 @@ def test_equal_fields_give_equal_objects_and_hashes(make):
 
 
 def test_equality_and_hash_have_one_implementation():
-    # only these two depart from the field tuple, on purpose: SpinCharData
-    # compares by identity and GroupElement by its group's identity
+    # only GroupElement departs from the field tuple, on purpose: it
+    # hashes its group by identity
     own = {cls for cls in RECORDS
            if {"__eq__", "__hash__"} & cls.__dict__.keys()}
-    assert own == {GroupElement, SpinCharData}
+    assert own == {GroupElement}
 
 
 def test_a_changed_field_breaks_equality():
@@ -101,14 +103,6 @@ def test_repr_lists_the_fields():
     report = free_transitive_check(build_char_data(2, Parity.ODD))
     assert repr(report) == ("FreeTransitiveReport(r=2, parity=<Parity.ODD: "
                             "'odd'>, is_free=True, orbit_sizes=(4,))")
-
-
-def test_spin_char_data_compares_by_identity():
-    data = build_char_data(2, Parity.EVEN)
-    twin = data._replace()
-    assert all(getattr(twin, n) is getattr(data, n) for n in data._fields)
-    assert twin != data and data == data
-    assert len({data, twin}) == 2
 
 
 def test_replace_runs_the_init_checks():

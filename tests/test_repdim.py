@@ -43,7 +43,7 @@ def element_components(data):
             nxt = []
             for u in frontier:
                 for mask in data.acting_masks:
-                    v = u + data.shifts[mask]
+                    v = u + data.shift(mask)
                     if v not in comp:
                         comp.add(v)
                         nxt.append(v)
