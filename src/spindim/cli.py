@@ -238,8 +238,8 @@ def _cmd_verify_lattice(args) -> int:
     for r in range(1, args.r_max + 1):
         for parity in (spinlat.Parity.ODD, spinlat.Parity.EVEN):
             shape = spinlat.orbit_structure(r, parity)
-            want_sizes = ((1 << r,) if parity is spinlat.Parity.ODD
-                          else (1 << (r - 1),) * 2)
+            size = spinlat.expected_orbit_size(r, parity)
+            want_sizes = (size,) * ((1 << r) // size)   # |S| = 2^r
             ok = (shape.xL.invariant_factors == (2,) * (r - 1) + (4,)
                   and shape.xT.free_rank == r
                   and shape.xT.invariant_factors == ()
@@ -271,8 +271,8 @@ def _cmd_verify_heisenberg(args) -> int:
     # (one orbit with multiplicity one) and the gcd of the dimensions.
     shape = spinlat.orbit_structure(args.r, parity)
     size = shape.orbit_size
-    expect_min = 1 << (args.r if parity is spinlat.Parity.ODD else args.r - 1)
-    ok = size == expect_min
+    expected = spinlat.expected_orbit_size(args.r, parity)
+    ok = size == expected
     checked_to = exhaustive_ok = None
     if args.r <= 6:
         # the 2^r brute force, an oracle independent of the shape
@@ -288,7 +288,7 @@ def _cmd_verify_heisenberg(args) -> int:
         "orbit_sizes": list(shape.orbit_sizes),
         "min_faithful_dim": size,
         "gcd_dim": size,
-        "expected": expect_min,
+        "expected": expected,
         "achieving_multiset_size": size,
         "exhaustive_checked_to": checked_to,
         "exhaustive_ok": exhaustive_ok,

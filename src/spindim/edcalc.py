@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 
 from ._record import Record, setfield
-from .spinlat import Parity, orbit_structure
+from .spinlat import Parity, expected_orbit_size, orbit_structure
 
 MIN_N = 3
 MAX_N = 64
@@ -248,13 +248,13 @@ def ed_lower_char2(n: int):
 
 class EdEntry(Record):
     _fields = ("n", "value", "upper", "lower", "case", "upper_trace",
-               "lower_trace", "char_note")
+               "lower_trace")
+    char_note = CHAR_NOTE
 
     def __init__(self, n: int,
                  value: int | None,           # None = open
                  upper: int | None, lower: int | None, case: str,
-                 upper_trace: tuple, lower_trace: tuple,
-                 char_note: str = CHAR_NOTE):
+                 upper_trace: tuple, lower_trace: tuple):
         setfield(self, "n", n)
         setfield(self, "value", value)
         setfield(self, "upper", upper)
@@ -262,7 +262,6 @@ class EdEntry(Record):
         setfield(self, "case", case)
         setfield(self, "upper_trace", upper_trace)
         setfield(self, "lower_trace", lower_trace)
-        setfield(self, "char_note", char_note)
 
 
 def ed_value(n: int) -> EdEntry:
@@ -333,13 +332,10 @@ def consistency_check(n: int) -> ConsistencyReport:
     live = []
     r, parity = n // 2, Parity.ODD if n % 2 else Parity.EVEN
     if n >= 15:
-        if parity is Parity.ODD:
-            power, expected = "2^r", 1 << r
-        else:
-            power, expected = "2^(r-1)", 1 << (r - 1)
+        power = "2^r" if parity is Parity.ODD else "2^(r-1)"
         live.append(LiveCheck(
             f"{parity.value}-rank Heisenberg gcd at r={r} equals {power}",
-            expected, _heisenberg_gcd(r, parity)))
+            expected_orbit_size(r, parity), _heisenberg_gcd(r, parity)))
     if any(not c.ok for c in live):
         problems.append("live orbit recomputation disagrees with the formula")
     return ConsistencyReport(n, not problems, entry, tuple(live),

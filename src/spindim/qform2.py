@@ -27,6 +27,12 @@ suite, for F_{2^k}:
     anisotropic kernel has dimension <= 2 and is determined by the
     dimension parity and the Arf invariant;
   * every element is a square (Frobenius is bijective), so <c> ~ <1>.
+
+So `witt_decompose` is the one classification: isotropy is a positive
+Witt index (or a singular form), and equivalence of nonsingular forms
+is equality of Witt decompositions (Witt cancellation).  The modulus
+of F_{2^k} is the smallest irreducible polynomial of degree k, found
+by trial division.
 """
 
 from __future__ import annotations
@@ -63,43 +69,14 @@ def _poly_mod(x: int, mod: int) -> int:
     return x
 
 
-def _poly_gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, _poly_mod(x, y)
-    return x
-
-
-def _is_irreducible(p: int, k: int) -> bool:
-    # x^(2^k) == x mod p, and x^(2^(k/q)) != x for every prime q | k
-    def frob_iter(times):
-        t = 0b10
-        for _ in range(times):
-            t = _poly_mul_mod(t, t, p, k)
-        return t
-    if frob_iter(k) != 0b10:
-        return False
-    q = 2
-    kk = k
-    primes = set()
-    while kk > 1:
-        while kk % q == 0:
-            primes.add(q)
-            kk //= q
-        q += 1
-    for pr in primes:
-        if _poly_gcd(frob_iter(k // pr) ^ 0b10, p) != 1:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def min_poly_for(k: int) -> int:
     """The canonical modulus for F_{2^k}: the irreducible degree-k
-    polynomial with the smallest integer encoding (constant term 1)."""
-    if k == 1:
-        return 0b11
+    polynomial with the smallest integer encoding (constant term 1).
+    A candidate is irreducible when no polynomial of degree 1..k/2
+    divides it; at k <= MAX_FIELD_BITS that is at most 510 divisors."""
     for cand in range((1 << k) + 1, 1 << (k + 1), 2):
-        if _is_irreducible(cand, k):
+        if all(_poly_mod(cand, d) for d in range(2, 1 << (k // 2 + 1))):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -221,6 +198,7 @@ class FormalField2:
             if not n or not isinstance(n, str):
                 raise ValueError(f"bad indeterminate name: {n!r}")
         self.names = names
+        self._name_set = frozenset(names)
         self.one = frozenset()
 
     def __eq__(self, other):
@@ -238,7 +216,7 @@ class FormalField2:
         return frozenset([name])
 
     def check(self, x) -> frozenset:
-        if not isinstance(x, frozenset) or not x <= set(self.names):
+        if not isinstance(x, frozenset) or not x <= self._name_set:
             raise ValueError(f"not a monomial in {self.names}: {x!r}")
         return x
 
@@ -246,7 +224,9 @@ class FormalField2:
         raise TypeError("formal monomial fields have no addition")
 
     def mul(self, x, y) -> frozenset:
-        return self.check(x) ^ self.check(y)
+        """x * y.  Unchecked: both operands must already be monomials
+        (see `check`); callers check values where they enter."""
+        return x ^ y
 
     def inv(self, x) -> frozenset:
         return self.check(x)   # x * x = 1
@@ -518,32 +498,9 @@ def arf(q: QForm) -> int:
 
 
 def is_isotropic(q: QForm) -> bool:
-    """Whether q has a nonzero zero.  Decided by the closed rules below
-    (each is validated against exhaustive search in the tests):
-
-      dim 0: no.  <c>: iff c = 0.  [a,b]: iff a, b or trace(ab) is 0.
-      two diagonal entries: yes (vanishing radical vector).
-      nonsingular of dimension >= 3: yes.
-    """
-    f = q.field
-    if f.kind != "concrete":
-        raise TypeError("isotropy needs a concrete field")
-    if q.dim == 0:
-        return False
-    if any(f.is_zero(c) for c in q.diag):
-        return True
-    if len(q.diag) >= 2:
-        return True
-    if not q.blocks:
-        return False            # a single nonzero <c>
-    for bl in q.blocks:
-        if f.is_zero(bl.a) or f.is_zero(bl.b):
-            return True
-        if f.trace(f.mul(bl.a, bl.b)) == 0:
-            return True
-    # all blocks anisotropic: more than one block, or a block plus a
-    # diagonal entry, is a nonsingular form of dimension >= 3
-    return len(q.blocks) >= 2 or bool(q.diag)
+    """Whether q has a nonzero zero: a singular form vanishes on a
+    radical vector, a nonsingular one has a hyperbolic plane."""
+    return classify_form(q).kind == SINGULAR or witt_decompose(q).index > 0
 
 
 class WittDecomposition(Record):
@@ -580,9 +537,9 @@ def witt_decompose(q: QForm) -> WittDecomposition:
 
 
 def equivalent_ff(q1: QForm, q2: QForm) -> bool:
-    """Equivalence of nonsingular forms over the same finite field,
-    decided by the complete invariant (dim, radical dim, Witt index,
-    Arf bit of the even part).  Singular inputs are not supported."""
+    """Equivalence of nonsingular forms over the same finite field: by
+    Witt cancellation, equal Witt index and equal anisotropic kernel.
+    Singular inputs are not supported."""
     if q1.field != q2.field:
         raise ValueError("forms live over different fields")
     if q1.field.kind != "concrete":
@@ -590,11 +547,7 @@ def equivalent_ff(q1: QForm, q2: QForm) -> bool:
     for q in (q1, q2):
         if classify_form(q).kind == SINGULAR:
             raise ValueError("equivalence of singular forms is not supported")
-    if q1.dim != q2.dim or len(q1.diag) != len(q2.diag):
-        return False
-    if q1.diag:
-        return True             # same odd dimension: both ~ (s)H + <1>
-    return arf(q1) == arf(q2)
+    return witt_decompose(q1) == witt_decompose(q2)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,10 @@ class CharMultiset(Record):
 
     @staticmethod
     def from_dict(d) -> "CharMultiset":
-        items = [(c, int(m)) for c, m in d.items() if m]
+        for m in d.values():
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise ValueError(f"multiplicity must be an integer: {m!r}")
+        items = [(c, m) for c, m in d.items() if m]
         if not items:
             raise ValueError("multiset must be nonempty")
         if any(m < 0 for _, m in items):

@@ -331,6 +331,12 @@ class OrbitStructure(Record):
         return (self.orbit_size,) * self.orbit_count
 
 
+def expected_orbit_size(r: int, parity: Parity) -> int:
+    """The size the paper gives every sign-flip orbit on S: 2^r for
+    ODD, 2^(r-1) for EVEN (only even-weight masks act)."""
+    return 1 << (r if parity is Parity.ODD else r - 1)
+
+
 def _f2_rank(vectors) -> int:
     """Rank over F_2 of integers read as bit vectors."""
     pivots = {}   # leading bit -> reduced vector

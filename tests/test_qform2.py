@@ -231,10 +231,12 @@ def random_nonsingular_form(field, rng, max_dim=4):
 
 
 FROZEN_MIN_POLYS = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101,
-                    6: 0b1000011, 7: 0b10000011, 8: 0b100011011}
+                    6: 0b1000011, 7: 0b10000011, 8: 0b100011011,
+                    9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009,
+                    13: 0x201B, 14: 0x4021, 15: 0x8003, 16: 0x1002B}
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(1, MAX_FIELD_BITS + 1))
 def test_min_poly_is_smallest_irreducible(k):
     p = min_poly_for(k)
     assert p == FROZEN_MIN_POLYS[k]
@@ -356,6 +358,29 @@ def test_elements_are_checked_where_they_enter():
                lambda: F4.sqrt(4),
                lambda: F4.trace(4),
                lambda: F4.trace(-1)]
+    for entry in entries:
+        with pytest.raises(ValueError):
+            entry()
+
+
+def test_formal_monomials_are_checked_where_they_enter():
+    # FormalField2.mul is unchecked like ConcreteField2.mul; a monomial
+    # outside the field must still be refused at every entry point
+    f = FormalField2(("a", "b"))
+    a, bad = f.var("a"), frozenset(["z"])
+    q = QForm(f, blocks=(BinaryBlock(f.one, a),))
+    entries = [lambda: QForm(f, diag=(bad,)),
+               lambda: QForm(f, blocks=(BinaryBlock(a, {"a"}),)),
+               lambda: QForm(f, diag=(a,), tag=bad),
+               lambda: scale(bad, q),
+               lambda: tensor_bilinear([f.one, bad], q),
+               lambda: pfister_build(f, [a, bad], f.one),
+               lambda: pfister_build(f, [a], bad),
+               lambda: pfister_expand(f, [a, bad], f.one, 1),
+               lambda: pfister_expand(f, [a], bad, 1),
+               lambda: f.inv(bad),
+               lambda: format_element(f, bad),
+               lambda: format_element(f, "a")]
     for entry in entries:
         with pytest.raises(ValueError):
             entry()

@@ -73,6 +73,9 @@ def test_multiset_validation():
         CharMultiset.from_dict({})
     with pytest.raises(ValueError):
         CharMultiset.from_dict({data.A: -1})
+    for bad in (0.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError):
+            CharMultiset.from_dict({data.A: bad})
     ms = CharMultiset.from_dict({data.A: 2, data.x[0]: 0})
     assert ms.total_dim == 2
     assert ms.support() == {data.A}

@@ -17,8 +17,9 @@ from spindim import spinlat
 from spindim.abelian import subgroup_span
 from spindim.spinlat import (MAX_RANK, Parity, SpinCharData, WeylElt,
                              _f2_rank, build_char_data, center_restriction,
-                             free_transitive_check, orbit_structure,
-                             orbits_on_faithful, weyl_act, weyl_identity)
+                             expected_orbit_size, free_transitive_check,
+                             orbit_structure, orbits_on_faithful, weyl_act,
+                             weyl_identity)
 
 PARITIES = (Parity.ODD, Parity.EVEN)
 
@@ -314,6 +315,16 @@ def test_orbit_structure_sees_dependent_generators(monkeypatch):
     assert odd.xK_order == even.xK_order == 4
     assert not odd.is_free and odd.orbit_sizes == (4,) * 3
     assert not even.is_free and even.orbit_sizes == (2,) * 6
+
+
+def test_expected_orbit_size_is_the_computed_one():
+    assert expected_orbit_size(5, Parity.ODD) == 32
+    assert expected_orbit_size(5, Parity.EVEN) == 16
+    for r in range(1, 33):
+        for parity in PARITIES:
+            shape = orbit_structure(r, parity)
+            assert shape.orbit_size == expected_orbit_size(r, parity)
+            assert shape.faithful_count == 1 << r
 
 
 def test_orbit_structure_guards():
