@@ -1,10 +1,14 @@
 """Frozen value records, built without `dataclasses`.
 
-A record class names its fields in `_fields`, in `__init__` order, and
-writes its own `__init__`: it checks its arguments and sets each field
-once with `setfield(self, name, value)`, which goes past the frozen
-`__setattr__`.  `Record` then supplies, once for every record:
+A record class names its fields in `_fields`, in argument order, and
+the trailing fields that may be left out in `_defaults`, a dict from
+field name to default value.  `Record` then supplies, once for every
+record:
 
+  * `__init__(*values, **named)`: values in `_fields` order, then the
+    named ones, then `_defaults`; too many values, a missing field or
+    an unknown name raise TypeError.  Each field is set once with
+    `setfield`, which goes past the frozen `__setattr__`;
   * `__eq__`: same class and equal field tuples, else NotImplemented;
   * `__hash__`: the hash of the field tuple;
   * `__repr__`: `Name(field=value, ...)`, leaving out the names in
@@ -12,6 +16,9 @@ once with `setfield(self, name, value)`, which goes past the frozen
   * assignment and deletion raising AttributeError;
   * `_replace(**changes)`, a copy built by `__init__`, so it is checked
     the same way.
+
+A record that checks its input writes its own `__init__` with one
+parameter per field and ends it with `super().__init__(...)`.
 
 This is the contract of a frozen dataclass, field hashes included, so
 set and dict orders are the same as they were under `dataclasses`.
@@ -32,6 +39,7 @@ setfield = object.__setattr__
 
 class Record:
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
     _hidden: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
@@ -39,6 +47,32 @@ class Record:
         get = attrgetter(*cls._fields)
         cls._key = staticmethod(get if len(cls._fields) > 1
                                 else lambda rec: (get(rec),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            setfield(self, name, value)
+
+    def _bind(self, args, kwargs) -> list:
+        # the field values in _fields order, for the slow path
+        fields, name = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} values, "
+                            f"got {len(args)}")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected field {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got two values for field {key!r}")
+        values.update(kwargs)
+        defaults = self._defaults
+        missing = [f for f in fields if f not in values and f not in defaults]
+        if missing:
+            raise TypeError(f"{name}() missing field(s): {', '.join(missing)}")
+        return [values[f] if f in values else defaults[f] for f in fields]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -17,7 +17,7 @@ import itertools
 from functools import cached_property
 from math import prod
 
-from ._record import Record, setfield
+from ._record import Record
 
 Matrix = list[list[int]]
 
@@ -35,14 +35,18 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
     block is moved to (t, t) and divided out of its row and column; a
     remainder, or an entry the pivot does not divide (whose row is
     added to row t), sends the loop back to pick a smaller pivot.
-    Rejects empty or ragged input.
+    Rejects empty or ragged input and entries that are not ints.
     """
     if not mat or not mat[0]:
         raise ValueError("matrix must be non-empty")
     n, g = len(mat), len(mat[0])
     if any(len(row) != g for row in mat):
         raise ValueError("matrix rows must all have the same length")
-    A = [[int(x) for x in row] for row in mat]
+    for row in mat:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"matrix entries must be integers: {x!r}")
+    A = [list(row) for row in mat]
     U = _identity(n)
     V = _identity(g)
 
@@ -105,8 +109,7 @@ class Presentation(Record):
         for row in relations:
             if len(row) != num_generators:
                 raise ValueError("relation length does not match generator count")
-        setfield(self, "num_generators", num_generators)
-        setfield(self, "relations", relations)
+        super().__init__(num_generators, relations)
 
 
 class GroupElement(Record):
@@ -114,10 +117,6 @@ class GroupElement(Record):
     equality of reduced coordinates within the same group instance."""
 
     _fields = ("group", "coords")
-
-    def __init__(self, group: "FgAbGroup", coords: tuple[int, ...]):
-        setfield(self, "group", group)
-        setfield(self, "coords", coords)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if self.group is not other.group:
@@ -161,8 +160,7 @@ class FgAbGroup:
         g = presentation.num_generators
         self.presentation = presentation
         # no relations reduces like one zero row: V = I, zero diagonal
-        _, D, self._V = smith_normal_form(
-            [list(r) for r in presentation.relations] or [[0] * g])
+        _, D, self._V = smith_normal_form(presentation.relations or [[0] * g])
         diag = [D[j][j] if j < len(D) else 0 for j in range(g)]
         # unit factors carry no information and are dropped
         self._kept = [j for j in range(g) if diag[j] != 1]
@@ -269,10 +267,6 @@ class Subgroup(Record):
     """A finite subgroup given by its full element set."""
 
     _fields = ("group", "members")
-
-    def __init__(self, group: FgAbGroup, members: frozenset):
-        setfield(self, "group", group)
-        setfield(self, "members", members)
 
     @property
     def order(self) -> int:

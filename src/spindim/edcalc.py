@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 
-from ._record import Record, setfield
+from ._record import Record
 from .spinlat import Parity, expected_orbit_size, orbit_structure
 
 MIN_N = 3
@@ -45,41 +45,24 @@ LOW_TABLE = {7: 4, 8: 5, 9: 5, 10: 4}
 
 
 class GroupNumerics(Record):
-    _fields = ("n", "dim_so", "spin_dim", "half_spin_dim", "pow2_part")
-
-    def __init__(self, n: int,
-                 dim_so: int,                  # n(n-1)/2 = dim Spin(n)
-                 spin_dim: int | None,         # odd n only
-                 half_spin_dim: int | None,    # even n only
-                 pow2_part: int):              # 2-adic part of n
-        setfield(self, "n", n)
-        setfield(self, "dim_so", dim_so)
-        setfield(self, "spin_dim", spin_dim)
-        setfield(self, "half_spin_dim", half_spin_dim)
-        setfield(self, "pow2_part", pow2_part)
+    _fields = ("n",
+               "dim_so",          # n(n-1)/2 = dim Spin(n)
+               "spin_dim",        # odd n only
+               "half_spin_dim",   # even n only
+               "pow2_part")       # 2-adic part of n
 
 
 class DerivationStep(Record):
-    _fields = ("rule", "statement", "inputs", "out")
-
-    def __init__(self, rule: str, statement: str,
-                 inputs: tuple,      # ((name, value), ...)
-                 out: int):
-        setfield(self, "rule", rule)
-        setfield(self, "statement", statement)
-        setfield(self, "inputs", inputs)
-        setfield(self, "out", out)
+    _fields = ("rule", "statement",
+               "inputs",          # ((name, value), ...)
+               "out")
 
 
 class Rule(Record):
-    _fields = ("statement", "fn", "live")
-
-    def __init__(self, statement: str,
-                 fn: object,          # dict -> int, exact
-                 live: bool = False):
-        setfield(self, "statement", statement)
-        setfield(self, "fn", fn)
-        setfield(self, "live", live)
+    _fields = ("statement",
+               "fn",              # dict -> int, exact
+               "live")
+    _defaults = {"live": False}
 
 
 def _heisenberg_gcd(r: int, parity: Parity) -> int:
@@ -247,21 +230,10 @@ def ed_lower_char2(n: int):
 
 
 class EdEntry(Record):
-    _fields = ("n", "value", "upper", "lower", "case", "upper_trace",
-               "lower_trace")
+    _fields = ("n",
+               "value",           # None = open
+               "upper", "lower", "case", "upper_trace", "lower_trace")
     char_note = CHAR_NOTE
-
-    def __init__(self, n: int,
-                 value: int | None,           # None = open
-                 upper: int | None, lower: int | None, case: str,
-                 upper_trace: tuple, lower_trace: tuple):
-        setfield(self, "n", n)
-        setfield(self, "value", value)
-        setfield(self, "upper", upper)
-        setfield(self, "lower", lower)
-        setfield(self, "case", case)
-        setfield(self, "upper_trace", upper_trace)
-        setfield(self, "lower_trace", lower_trace)
 
 
 def ed_value(n: int) -> EdEntry:
@@ -296,11 +268,6 @@ def _ed_entry(n: int) -> EdEntry:
 class LiveCheck(Record):
     _fields = ("description", "expected", "got")
 
-    def __init__(self, description: str, expected: int, got: int):
-        setfield(self, "description", description)
-        setfield(self, "expected", expected)
-        setfield(self, "got", got)
-
     @property
     def ok(self) -> bool:
         return self.expected == self.got
@@ -308,14 +275,6 @@ class LiveCheck(Record):
 
 class ConsistencyReport(Record):
     _fields = ("n", "ok", "entry", "live_checks", "problems")
-
-    def __init__(self, n: int, ok: bool, entry: EdEntry, live_checks: tuple,
-                 problems: tuple):
-        setfield(self, "n", n)
-        setfield(self, "ok", ok)
-        setfield(self, "entry", entry)
-        setfield(self, "live_checks", live_checks)
-        setfield(self, "problems", problems)
 
 
 def consistency_check(n: int) -> ConsistencyReport:

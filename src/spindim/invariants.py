@@ -32,7 +32,7 @@ import re
 from collections import Counter
 from enum import Enum
 
-from ._record import Record, setfield
+from ._record import Record
 from .qform2 import FormalField2, PfisterBase, pfister_expand
 
 Label = frozenset
@@ -58,10 +58,6 @@ class SymbolTerm(Record):
 
     _fields = ("a_slots", "b_slot")
 
-    def __init__(self, a_slots: tuple, b_slot: tuple):
-        setfield(self, "a_slots", a_slots)
-        setfield(self, "b_slot", b_slot)
-
     def degree(self) -> int:
         return len(self.a_slots) + 1
 
@@ -71,9 +67,6 @@ class SymbolSum(Record):
     normalization)."""
 
     _fields = ("terms",)
-
-    def __init__(self, terms: tuple):
-        setfield(self, "terms", terms)
 
     def __add__(self, other: "SymbolSum") -> "SymbolSum":
         return SymbolSum(self.terms + other.terms)
@@ -151,12 +144,7 @@ class Nonvanishing(Enum):
 
 class NonvanishingReport(Record):
     _fields = ("verdict", "witness", "note")
-
-    def __init__(self, verdict: Nonvanishing,
-                 witness: SymbolTerm | None = None, note: str = ""):
-        setfield(self, "verdict", verdict)
-        setfield(self, "witness", witness)
-        setfield(self, "note", note)
+    _defaults = {"witness": None, "note": ""}
 
 
 def symbol_generic_nonzero(s: SymbolSum, indeterminates) -> NonvanishingReport:
@@ -228,8 +216,7 @@ class TorsorData(Record):
             if not (isinstance(name, str)
                     and (name == "1" or _NAME_RE.fullmatch(name))):
                 raise ValueError(f"bad parameter label: {name!r}")
-        setfield(self, "group", group)
-        setfield(self, "labels", labels)
+        super().__init__(group, labels)
 
     def formal_field(self) -> FormalField2:
         names = []
@@ -242,20 +229,12 @@ class TorsorData(Record):
 class ScaledPfister(Record):
     _fields = ("scalar", "base")
 
-    def __init__(self, scalar: Label, base: PfisterBase):
-        setfield(self, "scalar", scalar)
-        setfield(self, "base", base)
-
 
 class TaggedForm(Record):
     """A sum of scaled copies of one Pfister form, plus hyperbolic
     planes.  This is the exact shape of the torsor forms below."""
 
     _fields = ("h_copies", "parts")
-
-    def __init__(self, h_copies: int, parts: tuple):
-        setfield(self, "h_copies", h_copies)
-        setfield(self, "parts", parts)
 
 
 def torsor_forms(t: TorsorData) -> tuple:
@@ -304,20 +283,10 @@ def pfister_recover(form: TaggedForm) -> PfisterBase:
 
 
 class InvariantReport(Record):
-    _fields = ("group", "labels", "forms", "summands", "expansion", "symbol",
-               "nonvanishing")
-
-    def __init__(self, group: SpinId, labels: tuple, forms: tuple,
-                 # the verified identity: multiset of (scalar, base) on each side
-                 summands: tuple, expansion: tuple,
-                 symbol: SymbolSum, nonvanishing: NonvanishingReport):
-        setfield(self, "group", group)
-        setfield(self, "labels", labels)
-        setfield(self, "forms", forms)
-        setfield(self, "summands", summands)
-        setfield(self, "expansion", expansion)
-        setfield(self, "symbol", symbol)
-        setfield(self, "nonvanishing", nonvanishing)
+    _fields = ("group", "labels", "forms",
+               # the verified identity: multiset of (scalar, base) on each side
+               "summands", "expansion",
+               "symbol", "nonvanishing")
 
 
 def invariant_f(t: TorsorData) -> InvariantReport:

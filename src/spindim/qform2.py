@@ -41,7 +41,7 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 
-from ._record import Record, setfield
+from ._record import Record
 
 MAX_FIELD_BITS = 16
 
@@ -254,10 +254,6 @@ class BinaryBlock(Record):
 
     _fields = ("a", "b")
 
-    def __init__(self, a, b):
-        setfield(self, "a", a)
-        setfield(self, "b", b)
-
 
 class QForm(Record):
     """Orthogonal sum of binary blocks and diagonal summands, with an
@@ -282,10 +278,7 @@ class QForm(Record):
             field.check(tag)
             if field.kind == "concrete" and tag != field.one:
                 raise ValueError("scale tags only make sense over formal fields")
-        setfield(self, "field", field)
-        setfield(self, "blocks", blocks)
-        setfield(self, "diag", diag)
-        setfield(self, "tag", tag)
+        super().__init__(field, blocks, diag, tag)
 
     @property
     def dim(self) -> int:
@@ -393,10 +386,6 @@ class PfisterBase(Record):
 
     _fields = ("a_slots", "b")
 
-    def __init__(self, a_slots: tuple, b):
-        setfield(self, "a_slots", a_slots)
-        setfield(self, "b", b)
-
 
 def pfister_expand(field, a_slots, b, peel: int) -> Counter:
     """Expand the first `peel` slots of <<a_slots, b]] multilinearly:
@@ -438,14 +427,10 @@ SINGULAR = "singular"
 
 
 class FormClass(Record):
-    _fields = ("kind", "radical_dim", "vanishing_radical_vector")
-
-    def __init__(self, kind: str, radical_dim: int,
-                 # a nonzero radical vector on which q vanishes, when one exists
-                 vanishing_radical_vector: tuple | None = None):
-        setfield(self, "kind", kind)
-        setfield(self, "radical_dim", radical_dim)
-        setfield(self, "vanishing_radical_vector", vanishing_radical_vector)
+    _fields = ("kind", "radical_dim",
+               # a nonzero radical vector on which q vanishes, when one exists
+               "vanishing_radical_vector")
+    _defaults = {"vanishing_radical_vector": None}
 
 
 def classify_form(q: QForm) -> FormClass:
@@ -504,12 +489,8 @@ def is_isotropic(q: QForm) -> bool:
 
 
 class WittDecomposition(Record):
-    _fields = ("index", "kernel")
-
-    def __init__(self, index: int,
-                 kernel: QForm):      # anisotropic, canonical representative
-        setfield(self, "index", index)
-        setfield(self, "kernel", kernel)
+    _fields = ("index",
+               "kernel")          # anisotropic, canonical representative
 
 
 def witt_decompose(q: QForm) -> WittDecomposition:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record, setfield
+from ._record import Record
 from .abelian import GroupElement
 from .spinlat import Parity, SpinCharData, orbit_codes
 
@@ -31,9 +31,6 @@ class CharMultiset(Record):
     sorted tuple of (character, multiplicity) pairs."""
 
     _fields = ("counts",)
-
-    def __init__(self, counts: tuple):
-        setfield(self, "counts", counts)
 
     @staticmethod
     def from_dict(d) -> "CharMultiset":
@@ -169,19 +166,7 @@ def enumerate_invariant_multisets(data: SpinCharData, max_total: int):
 class DivisibilityReport(Record):
     _fields = ("r", "parity", "orbit_sizes", "min_dim", "gcd_dim",
                "min_achieving", "exhaustive_checked_to", "exhaustive_ok")
-
-    def __init__(self, r: int, parity: Parity, orbit_sizes: tuple[int, ...],
-                 min_dim: int, gcd_dim: int, min_achieving: CharMultiset,
-                 exhaustive_checked_to: int | None = None,
-                 exhaustive_ok: bool | None = None):
-        setfield(self, "r", r)
-        setfield(self, "parity", parity)
-        setfield(self, "orbit_sizes", orbit_sizes)
-        setfield(self, "min_dim", min_dim)
-        setfield(self, "gcd_dim", gcd_dim)
-        setfield(self, "min_achieving", min_achieving)
-        setfield(self, "exhaustive_checked_to", exhaustive_checked_to)
-        setfield(self, "exhaustive_ok", exhaustive_ok)
+    _defaults = {"exhaustive_checked_to": None, "exhaustive_ok": None}
 
 
 def divisibility_report(data: SpinCharData, exhaustive: bool = False

@@ -30,7 +30,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property, lru_cache
 
-from ._record import Record, setfield
+from ._record import Record
 from .abelian import FgAbGroup, GroupElement, Presentation, Subgroup
 
 MAX_RANK = 16
@@ -58,8 +58,7 @@ class WeylElt(Record):
             raise ValueError("perm is not a permutation of 0..r-1")
         if not 0 <= signs < (1 << r):
             raise ValueError("sign bitmask out of range")
-        setfield(self, "perm", perm)
-        setfield(self, "signs", signs)
+        super().__init__(perm, signs)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         # (self * other) acts as other first, then self
@@ -86,26 +85,13 @@ class SpinCharData(Record):
     give the same sets as `GroupElement`s, decoded on first access, and
     `shift(mask)` decodes one translation."""
 
-    _fields = ("r", "parity", "xT", "xL", "x", "A", "acting_masks",
-               "shift_codes", "xK_codes", "faithful_codes")
-
-    def __init__(self, r: int, parity: Parity, xT: FgAbGroup, xL: FgAbGroup,
-                 x: tuple[GroupElement, ...],   # images of x_1..x_r in X(L)
-                 A: GroupElement,               # image of A in X(L)
-                 acting_masks: tuple[int, ...],  # sign-flip subsets as bitmasks
-                 shift_codes: tuple[int, ...],  # mask -> code of sum_{i in mask} x_i
-                 xK_codes: frozenset,           # codes of X(K)
-                 faithful_codes: frozenset):    # codes of S = X(L) minus X(K)
-        setfield(self, "r", r)
-        setfield(self, "parity", parity)
-        setfield(self, "xT", xT)
-        setfield(self, "xL", xL)
-        setfield(self, "x", x)
-        setfield(self, "A", A)
-        setfield(self, "acting_masks", acting_masks)
-        setfield(self, "shift_codes", shift_codes)
-        setfield(self, "xK_codes", xK_codes)
-        setfield(self, "faithful_codes", faithful_codes)
+    _fields = ("r", "parity", "xT", "xL",
+               "x",               # images of x_1..x_r in X(L)
+               "A",               # image of A in X(L)
+               "acting_masks",    # sign-flip subsets as bitmasks
+               "shift_codes",     # mask -> code of sum_{i in mask} x_i
+               "xK_codes",        # codes of X(K)
+               "faithful_codes")  # codes of S = X(L) minus X(K)
 
     @cached_property
     def xK(self) -> Subgroup:
@@ -169,7 +155,7 @@ def _lattice(r: int):
     return tuple(shift_codes), xK_codes, faithful_codes
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # typed: True is not rank 1
 def build_char_data(r: int, parity: Parity) -> SpinCharData:
     """Construct X(T), X(L), X(K) and the sign-flip translation data.
 
@@ -184,7 +170,7 @@ def build_char_data(r: int, parity: Parity) -> SpinCharData:
     cap.  Results are cached; the returned data is shared and must be
     treated as read-only.
     """
-    if not 1 <= r <= MAX_RANK:
+    if type(r) is not int or not 1 <= r <= MAX_RANK:
         raise ValueError(f"rank must be between 1 and {MAX_RANK}")
     if not isinstance(parity, Parity):
         raise ValueError("parity must be a Parity")
@@ -239,14 +225,6 @@ class FreeTransitiveReport(Record):
 
     _fields = ("r", "parity", "is_free", "orbit_sizes", "data")
     _hidden = ("data",)
-
-    def __init__(self, r: int, parity: Parity, is_free: bool,
-                 orbit_sizes: tuple[int, ...], data: SpinCharData):
-        setfield(self, "r", r)
-        setfield(self, "parity", parity)
-        setfield(self, "is_free", is_free)
-        setfield(self, "orbit_sizes", orbit_sizes)
-        setfield(self, "data", data)
 
     @property
     def is_transitive(self) -> bool:
@@ -313,15 +291,6 @@ class OrbitStructure(Record):
 
     _fields = ("xT", "xL", "xK_order", "is_free", "orbit_size", "orbit_count")
 
-    def __init__(self, xT: FgAbGroup, xL: FgAbGroup, xK_order: int,
-                 is_free: bool, orbit_size: int, orbit_count: int):
-        setfield(self, "xT", xT)
-        setfield(self, "xL", xL)
-        setfield(self, "xK_order", xK_order)
-        setfield(self, "is_free", is_free)
-        setfield(self, "orbit_size", orbit_size)
-        setfield(self, "orbit_count", orbit_count)
-
     @property
     def faithful_count(self) -> int:
         return self.xL.order() - self.xK_order
@@ -363,7 +332,7 @@ def orbit_structure(r: int, parity: Parity) -> OrbitStructure:
     action is free exactly when those generators are independent, and
     S, a union of X(K)-cosets, splits into cosets of T, each an orbit.
     """
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError("rank must be an integer >= 1")
     if not isinstance(parity, Parity):
         raise ValueError("parity must be a Parity")

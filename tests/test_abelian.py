@@ -127,6 +127,12 @@ def test_snf_rejects_bad_input():
         smith_normal_form([])
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2], [3]])
+    # entries are never truncated or parsed: 2.7 is not 2, "3" is not 3
+    for bad in (1.5, True, "3"):
+        with pytest.raises(ValueError, match="must be integers"):
+            smith_normal_form([[2, bad], [0, 4]])
+    with pytest.raises(ValueError):
+        FgAbGroup(Presentation(2, ((2.7, 0), (0, 4))))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,8 +1,9 @@
 """The frozen-record contract every value class in spindim relies on,
-and the import cost it exists to avoid: equality and hashing by field
-tuple within one class, frozen fields, the field repr, `_replace`
-re-running the checks in `__init__`, and no `dataclasses` on the cold
-import path."""
+and the import cost it exists to avoid: one `__init__` that takes the
+fields by position, by name or from `_defaults`, equality and hashing
+by field tuple within one class, frozen fields, the field repr,
+`_replace` re-running the checks in `__init__`, and no `dataclasses` on
+the cold import path."""
 
 import inspect
 import os
@@ -15,9 +16,11 @@ import spindim
 from spindim._record import Record
 from spindim.edcalc import DerivationStep, LiveCheck, Rule
 from spindim.abelian import GroupElement
-from spindim.invariants import ScaledPfister, SymbolSum, SymbolTerm
-from spindim.qform2 import BinaryBlock, ConcreteField2, PfisterBase, QForm
-from spindim.repdim import CharMultiset
+from spindim.invariants import (Nonvanishing, NonvanishingReport,
+                                ScaledPfister, SymbolSum, SymbolTerm)
+from spindim.qform2 import (BinaryBlock, ConcreteField2, FormClass,
+                            PfisterBase, QForm)
+from spindim.repdim import CharMultiset, DivisibilityReport
 from spindim.spinlat import (Parity, WeylElt, build_char_data,
                              free_transitive_check)
 
@@ -27,11 +30,64 @@ F4 = ConcreteField2(2)
 RECORDS = sorted(Record.__subclasses__(), key=lambda c: c.__name__)
 
 
+CHECKED = {"Presentation", "QForm", "TorsorData", "WeylElt"}
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_fields_match_the_init_parameters(cls):
-    # _replace, __eq__, __hash__ and __repr__ all read _fields
+    # _replace, __eq__, __hash__ and __repr__ all read _fields; a record
+    # either takes them through Record.__init__ or names them all itself
+    if cls.__name__ not in CHECKED:
+        assert cls.__init__ is Record.__init__
+        return
     params = list(inspect.signature(cls.__init__).parameters)
     assert params == ["self", *cls._fields]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_defaults_are_trailing_fields(cls):
+    tail = cls._fields[len(cls._fields) - len(cls._defaults):]
+    assert list(cls._defaults) == list(tail)
+
+
+def test_the_defaults_fill_missing_trailing_fields():
+    assert Rule("statement", len).live is False
+    report = NonvanishingReport(Nonvanishing.ZERO)
+    assert (report.witness, report.note) == (None, "")
+    assert FormClass("singular", 1).vanishing_radical_vector is None
+    div = DivisibilityReport(1, Parity.ODD, (2,), 2, 2, CharMultiset(()))
+    assert (div.exhaustive_checked_to, div.exhaustive_ok) == (None, None)
+    assert NonvanishingReport(Nonvanishing.ZERO, note="x") == \
+        NonvanishingReport(Nonvanishing.ZERO, None, "x")
+
+
+@pytest.mark.parametrize("cls", [c for c in RECORDS
+                                 if c.__name__ not in CHECKED],
+                         ids=lambda c: c.__name__)
+def test_positional_and_keyword_construction_agree(cls):
+    values = [object() for _ in cls._fields]
+    by_position = cls(*values)
+    by_name = cls(**dict(zip(cls._fields, values)))
+    for name, value in zip(cls._fields, values):
+        assert getattr(by_position, name) is value
+        assert getattr(by_name, name) is value
+    assert by_position == by_name == by_position._replace()
+    assert hash(by_position) == hash(by_name)
+
+
+def test_bad_construction_raises_type_error():
+    with pytest.raises(TypeError, match="missing field"):
+        BinaryBlock(1)
+    with pytest.raises(TypeError, match="missing field"):
+        Rule(fn=len)
+    with pytest.raises(TypeError, match="unexpected field 'c'"):
+        BinaryBlock(1, 2, c=3)
+    with pytest.raises(TypeError, match="takes 2 values, got 3"):
+        BinaryBlock(1, 2, 3)
+    with pytest.raises(TypeError, match="two values for field 'a'"):
+        BinaryBlock(1, a=2)
+    with pytest.raises(TypeError, match="unexpected field"):
+        BinaryBlock(1, 2)._replace(c=3)
 
 
 @pytest.mark.parametrize("make", [

@@ -126,6 +126,18 @@ def test_both_parities_share_one_lattice(r):
     assert len(odd.acting_masks) == 2 * len(even.acting_masks)
 
 
+def test_a_bool_rank_is_rejected_and_leaves_the_cache_alone():
+    # True == 1 and hash(True) == hash(1): an untyped cache would hand
+    # the data built for one to the other
+    build_char_data(1, Parity.ODD)
+    for build in (build_char_data, orbit_structure):
+        with pytest.raises(ValueError, match="rank must be"):
+            build(True, Parity.ODD)
+    data = build_char_data(1, Parity.ODD)
+    assert type(data.r) is int
+    assert "r=1," in repr(free_transitive_check(data))
+
+
 def test_weyl_elt_validation():
     with pytest.raises(ValueError):
         WeylElt((0, 0), 0)

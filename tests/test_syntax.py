@@ -1,6 +1,7 @@
 """Every source and test file parses as Python 3.10, the oldest version
-`pyproject.toml` allows, whatever interpreter runs the suite, and the
-library imports nothing outside the standard library."""
+`pyproject.toml` allows, whatever interpreter runs the suite; the
+library imports nothing outside the standard library, sets record
+fields only in `_record.py`, and runs no generated code."""
 
 import ast
 import sys
@@ -35,3 +36,24 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (
                     f"{path.name} imports {name}")
+
+
+def test_only_the_record_base_sets_fields_and_no_code_is_generated():
+    files = sorted((ROOT / "src" / "spindim").glob("*.py"))
+    assert ROOT / "src" / "spindim" / "_record.py" in files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("exec", "eval"), (
+                    f"{path.name}:{node.lineno} calls {node.func.id}")
+            if path.name == "_record.py":
+                continue
+            assert not (isinstance(node, ast.Name)
+                        and node.id == "setfield"), (
+                f"{path.name}:{node.lineno} uses setfield")
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr == "__setattr__"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "object"), (
+                f"{path.name}:{node.lineno} uses object.__setattr__")
