@@ -104,6 +104,10 @@ class Presentation(Record):
 
     def __init__(self, num_generators: int,
                  relations: tuple[tuple[int, ...], ...]):
+        if (not isinstance(num_generators, int)
+                or isinstance(num_generators, bool)):
+            raise ValueError(
+                f"generator count must be an integer: {num_generators!r}")
         if num_generators < 1:
             raise ValueError("need at least one generator")
         for row in relations:

@@ -37,14 +37,16 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
+# The layers are lazy modules (see `spindim/__init__`): each compiles
+# on the first attribute a subcommand reads, so refer to them only
+# through the module, inside the `_cmd_*` functions and the parsers
+# they call.
 from . import edcalc, invariants, qform2, repdim, spinlat
-from .invariants import _NAME_RE, SpinId, TorsorData
-from .qform2 import BinaryBlock, ConcreteField2, QForm, format_qform
 
 
 # Largest coefficient matrix `qform --op normalize` accepts.  The
 # reduction and its certificate cost O(n^3) field multiplies; a cold
-# normalize over f2^16 takes about 0.3 s at n = 32 and 1.1 s at n = 64.
+# normalize over f2^16 takes about 0.22 s at n = 32 and 1.05 s at n = 64.
 MAX_MATRIX_DIM = 64
 
 # Largest dimension of a parsed form.  Each Pfister slot doubles the
@@ -113,7 +115,7 @@ def _grow_form(dim: int, extra: int) -> int:
     return dim
 
 
-def parse_form(field, text: str) -> QForm:
+def parse_form(field, text: str) -> qform2.QForm:
     text = text.replace(" ", "")
     if not text:
         raise _UsageError("empty form expression")
@@ -124,8 +126,8 @@ def parse_form(field, text: str) -> QForm:
             if len(toks) != 2:
                 raise _UsageError(f"block needs two entries: {part!r}")
             dim = _grow_form(dim, 2)
-            blocks.append(BinaryBlock(_parse_element(field, toks[0]),
-                                      _parse_element(field, toks[1])))
+            blocks.append(qform2.BinaryBlock(_parse_element(field, toks[0]),
+                                             _parse_element(field, toks[1])))
         elif _DIAG_RE.fullmatch(part):
             dim = _grow_form(dim, 1)
             diag.append(_parse_element(field, part[1:-1]))
@@ -141,7 +143,7 @@ def parse_form(field, text: str) -> QForm:
             blocks += qform2.pfister_build(field, slots, b).blocks
         else:
             raise _UsageError(f"cannot parse form summand {part!r}")
-    return QForm(field, tuple(blocks), tuple(diag))
+    return qform2.QForm(field, tuple(blocks), tuple(diag))
 
 
 def parse_matrix(field, text: str):
@@ -158,12 +160,12 @@ def parse_matrix(field, text: str):
     return rows
 
 
-def parse_field_name(text: str) -> ConcreteField2:
+def parse_field_name(text: str) -> qform2.ConcreteField2:
     m = _FIELD_RE.fullmatch(text)
     if not m:
         raise _UsageError(f"bad field {text!r} (expected f2^K)")
     try:
-        return ConcreteField2(int(m.group(1)))
+        return qform2.ConcreteField2(int(m.group(1)))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -179,7 +181,7 @@ def parse_symbol_expr(text: str):
         for piece in mono_text.split("*"):
             if piece == "1":
                 continue
-            if not _NAME_RE.fullmatch(piece):
+            if not invariants._NAME_RE.fullmatch(piece):
                 raise _UsageError(f"bad monomial factor {piece!r}")
             if piece not in names:
                 names.append(piece)
@@ -307,17 +309,17 @@ def _cmd_qform(args) -> int:
         if args.op == "normalize":
             mat = parse_matrix(field, args.form)
             q = qform2.block_normalize(field, mat)
-            out["form"] = format_qform(q)
+            out["form"] = qform2.format_qform(q)
         else:
             q = parse_form(field, args.form)
-            out["form"] = format_qform(q)
+            out["form"] = qform2.format_qform(q)
             out["dim"] = q.dim
             if args.op == "arf":
                 out["arf"] = qform2.arf(q)
             elif args.op == "witt":
                 dec = qform2.witt_decompose(q)
                 out["witt_index"] = dec.index
-                out["kernel"] = format_qform(dec.kernel)
+                out["kernel"] = qform2.format_qform(dec.kernel)
             elif args.op == "classify":
                 cls = qform2.classify_form(q)
                 out["class"] = cls.kind
@@ -329,7 +331,7 @@ def _cmd_qform(args) -> int:
                 if args.form2 is None:
                     raise _UsageError("--op equiv needs --form2")
                 q2 = parse_form(field, args.form2)
-                out["form2"] = format_qform(q2)
+                out["form2"] = qform2.format_qform(q2)
                 out["equivalent"] = qform2.equivalent_ff(q, q2)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc)) from None
@@ -345,12 +347,12 @@ def _cmd_symbol(args) -> int:
 
 def _cmd_invariant(args) -> int:
     try:
-        group = SpinId(args.group)
+        group = invariants.SpinId(args.group)
     except ValueError:
         raise _UsageError(f"unknown group {args.group!r}") from None
     labels = tuple(args.labels.split(","))
     try:
-        torsor = TorsorData(group, labels)
+        torsor = invariants.TorsorData(group, labels)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     try:
@@ -439,8 +441,10 @@ def _build_parser() -> _Parser:
                                    "forms, verify the Pfister expansion "
                                    "identity behind the invariant, and print "
                                    "the invariant's symbol.")
+    # the values of invariants.SpinId, spelled out so that building the
+    # parser does not load the form layer
     i.add_argument("--group", required=True,
-                   choices=tuple(g.value for g in SpinId))
+                   choices=("spin7", "spin8", "spin9", "spin10"))
     i.add_argument("--labels", required=True,
                    help="comma-separated parameter names ('1' = trivial)")
     i.set_defaults(fn=_cmd_invariant)

@@ -54,6 +54,10 @@ class WeylElt(Record):
 
     def __init__(self, perm: tuple[int, ...], signs: int):
         r = len(perm)
+        # True == 1 and 1.0 == 1, so the checks below need ints
+        for x in (*perm, signs):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"perm and signs must be integers: {x!r}")
         if sorted(perm) != list(range(r)):
             raise ValueError("perm is not a permutation of 0..r-1")
         if not 0 <= signs < (1 << r):

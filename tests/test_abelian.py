@@ -135,6 +135,17 @@ def test_snf_rejects_bad_input():
         FgAbGroup(Presentation(2, ((2.7, 0), (0, 4))))
 
 
+def test_presentation_rejects_a_generator_count_that_is_not_an_int():
+    # True would be kept and printed as num_generators=True, and 2.0
+    # would pass the length check only to fail later with a TypeError
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(ValueError, match="generator count must be"):
+            Presentation(bad, ())
+    with pytest.raises(ValueError, match="generator count must be"):
+        FgAbGroup(Presentation(True, ((2,),)))
+    assert FgAbGroup(Presentation(1, ((2,),))).invariant_factors == (2,)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
 def test_snf_random_matrices(n, g, data):

@@ -1,0 +1,161 @@
+"""The package's public names and its lazy layers.
+
+`import spindim` registers the six layer modules in `sys.modules`
+without running them; each runs on the first read of one of its
+attributes.  A module that has run is a plain `types.ModuleType`, a
+registered one that has not is a subclass, so the probes below test
+`type(m) is types.ModuleType` and never `hasattr` or `__file__`, which
+would load the module they look at.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import spindim
+from spindim import cli
+from spindim.invariants import SpinId
+
+LAYERS = ("abelian", "spinlat", "repdim", "qform2", "invariants", "edcalc")
+LATTICE = {"abelian", "spinlat", "repdim", "edcalc"}
+FORMS = {"qform2", "invariants"}
+
+# spindim.__all__ before the layers became lazy: the 57 names the
+# package re-exports and the six layer modules
+API = [
+    "BinaryBlock", "CharMultiset", "ConcreteField2", "ConsistencyReport",
+    "EdEntry", "FgAbGroup", "FormalField2", "GroupElement", "OrbitStructure",
+    "Parity", "Presentation", "QForm", "SpinCharData", "SpinId", "Subgroup",
+    "SymbolSum", "SymbolTerm", "TorsorData", "WeylElt", "abelian", "arf",
+    "block_normalize", "build_char_data", "center_restriction",
+    "classify_form", "consistency_check", "divisibility_report",
+    "ed_lower_char2", "ed_table", "ed_upper_char2", "ed_value", "edcalc",
+    "enumerate_invariant_multisets", "equivalent_ff", "evaluate",
+    "free_transitive_check", "group_numerics", "invariant_f", "invariants",
+    "is_invariant", "is_isotropic", "merkurjev_index_bound",
+    "min_faithful_dim", "orbit_structure", "orbits_on_faithful", "orth_sum",
+    "pfister_build", "pfister_expand", "pfister_recover", "qform2", "repdim",
+    "scale", "smith_normal_form", "spinlat", "subgroup_span", "symbol",
+    "symbol_generic_nonzero", "symbol_normalize", "tensor_bilinear",
+    "torsor_forms", "verify_trace", "weyl_act", "witt_decompose",
+]
+
+# prints the exit code, then the layers that have run and those that
+# are only registered
+PROBE = """
+import sys, types
+import spindim.cli
+code = spindim.cli.run(sys.argv[1:])[0]
+mods = {n[8:]: m for n, m in sys.modules.items() if n.startswith("spindim.")}
+print(code)
+print(*sorted(n for n, m in mods.items() if type(m) is types.ModuleType))
+print(*sorted(n for n, m in mods.items() if type(m) is not types.ModuleType))
+"""
+
+
+def cold(code, *argv):
+    src = os.path.dirname(os.path.dirname(spindim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    return proc.stdout.splitlines()
+
+
+def layers_run(*argv):
+    """(exit code, the layers that ran) for one cold `cli.run(argv)`;
+    the others must still be registered."""
+    code, ran, lazy = cold(PROBE, *argv)
+    ran, lazy = set(ran.split()), set(lazy.split())
+    assert ran | lazy >= set(LAYERS)
+    return int(code), ran & set(LAYERS)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["symbol", "--normalize", "{a*b,c]+{b,c]"], FORMS),
+    (["qform", "--field", "f2^4", "--op", "classify", "--form", "[1,2]+<3>"],
+     {"qform2"}),
+    (["qform", "--field", "f2^2", "--op", "normalize",
+      "--form", "mat(1,1;0,1)"], {"qform2"}),
+    (["qform", "--field", "f2^1", "--op", "equiv", "--form", "[1,1]",
+      "--form2", "[0,0]"], {"qform2"}),
+    (["invariant", "--group", "spin9", "--labels", "a,b,c,d,e"], FORMS),
+])
+def test_form_requests_never_run_the_lattice_layer(argv, want):
+    code, ran = layers_run(*argv)
+    assert code == 0
+    assert ran == want
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["verify-heisenberg", "--r", "10", "--parity", "odd"],
+     {"abelian", "spinlat", "edcalc"}),
+    (["verify-heisenberg", "--r", "4", "--parity", "even"], LATTICE),
+    (["ed-table", "--min", "3", "--max", "64", "--format", "json"],
+     {"abelian", "spinlat", "edcalc"}),
+    (["verify-lattice", "--r-max", "6"], {"abelian", "spinlat", "edcalc"}),
+])
+def test_lattice_requests_never_run_the_form_layer(argv, want):
+    code, ran = layers_run(*argv)
+    assert code == 0
+    assert ran == want
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["symbol", "--help"], [],
+                                  ["invariant", "--group", "spin6",
+                                   "--labels", "a"]])
+def test_help_and_parse_errors_run_no_layer(argv):
+    code, ran = layers_run(*argv)
+    assert code == (0 if "--help" in argv else 2)
+    assert ran == set()
+
+
+def test_importing_the_cli_registers_every_layer_and_runs_none():
+    # a tool that looks the layers up in sys.modules right after this
+    # import (bench/tracer.py does) must find all six
+    probe = ("import sys, types, spindim.cli\n"
+             "for name in " + repr(LAYERS) + ":\n"
+             "    print(name, type(sys.modules['spindim.' + name])"
+             " is types.ModuleType)")
+    assert cold(probe) == [f"{name} False" for name in LAYERS]
+
+
+def test_all_is_unchanged():
+    assert spindim.__all__ == API
+
+
+def test_each_public_name_is_its_home_modules_object():
+    for name in API:
+        obj = getattr(spindim, name)
+        if name in LAYERS:
+            assert obj is sys.modules[f"spindim.{name}"]
+        else:
+            home = sys.modules[obj.__module__]
+            assert obj is getattr(home, name), name
+            assert home.__name__.split(".")[1] in LAYERS
+
+
+def test_star_import_binds_every_public_name():
+    probe = ("from spindim import *\n"
+             "print(*sorted(n for n in globals() if not n.startswith('_')))")
+    assert cold(probe) == [" ".join(API)]
+
+
+def test_unknown_and_unexported_names_raise_attribute_error():
+    for name in ("no_such_name", "format_qform", "MAX_R", "_HOME_"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(spindim, name)
+    with pytest.raises(ImportError):
+        from spindim import no_such_name  # noqa: F401
+
+
+def test_dir_lists_every_public_name():
+    assert set(API) <= set(dir(spindim))
+
+
+def test_cli_group_choices_are_the_spin_ids():
+    parser = cli._build_parser().subcommands["invariant"]
+    group = next(a for a in parser._actions if a.dest == "group")
+    assert group.choices == tuple(g.value for g in SpinId)

@@ -147,6 +147,16 @@ def test_weyl_elt_validation():
         WeylElt((0, 1), 0) * WeylElt((0, 1, 2), 0)
 
 
+def test_weyl_elt_rejects_bools_and_floats():
+    # each of these compares equal to a valid int, so the range checks
+    # alone let it through
+    for perm, signs in (((0, 1), True), ((0, 1), 1.0), ((True, False), 0),
+                        ((1.0, 0), 0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            WeylElt(perm, signs)
+    assert WeylElt((1, 0), 1).signs == 1
+
+
 @pytest.mark.parametrize("parity", PARITIES)
 def test_action_preserves_relation_lattice(parity):
     # image of every relation word must die in the quotient, which is
