@@ -26,15 +26,14 @@ _EXPORTS = {
     "repdim": ("CharMultiset", "divisibility_report",
                "enumerate_invariant_multisets", "is_invariant",
                "merkurjev_index_bound", "min_faithful_dim"),
-    "qform2": ("BinaryBlock", "ConcreteField2", "FormalField2", "QForm",
-               "arf", "block_normalize", "classify_form", "equivalent_ff",
+    "qform2": ("BinaryBlock", "ConcreteField2", "QForm", "arf",
+               "block_normalize", "classify_form", "equivalent_ff",
                "evaluate", "is_isotropic", "orth_sum", "pfister_build",
-               "pfister_expand", "scale", "tensor_bilinear",
-               "witt_decompose"),
-    "invariants": ("SpinId", "SymbolSum", "SymbolTerm", "TorsorData",
-                   "invariant_f", "pfister_recover", "symbol",
-                   "symbol_generic_nonzero", "symbol_normalize",
-                   "torsor_forms"),
+               "scale", "tensor_bilinear", "witt_decompose"),
+    "invariants": ("FormalField2", "SpinId", "SymbolSum", "SymbolTerm",
+                   "TorsorData", "invariant_f", "pfister_expand",
+                   "pfister_recover", "symbol", "symbol_generic_nonzero",
+                   "symbol_normalize", "torsor_forms"),
     "edcalc": ("ConsistencyReport", "EdEntry", "consistency_check",
                "ed_lower_char2", "ed_table", "ed_upper_char2", "ed_value",
                "group_numerics", "verify_trace"),

@@ -207,7 +207,7 @@ def parse_symbol_expr(text: str):
                               f"{MAX_SYMBOL_EXPANSION} terms")
         raw_terms.append((slots[:-1], b_pieces))
 
-    field = qform2.FormalField2(tuple(names))
+    field = invariants.FormalField2(tuple(names))
 
     def mono(text_):
         return invariants.label(field, *text_.split("*"))
@@ -233,8 +233,8 @@ def _cmd_ed_table(args) -> int:
 
 
 def _cmd_verify_lattice(args) -> int:
-    if not 1 <= args.r_max <= edcalc.MAX_R:
-        raise _UsageError(f"--r-max must be between 1 and {edcalc.MAX_R}")
+    if not 1 <= args.r_max <= spinlat.MAX_R:
+        raise _UsageError(f"--r-max must be between 1 and {spinlat.MAX_R}")
     rows = []
     all_ok = True
     for r in range(1, args.r_max + 1):
@@ -266,8 +266,8 @@ def _cmd_verify_lattice(args) -> int:
 
 
 def _cmd_verify_heisenberg(args) -> int:
-    if not 1 <= args.r <= edcalc.MAX_R:
-        raise _UsageError(f"--r must be between 1 and {edcalc.MAX_R}")
+    if not 1 <= args.r <= spinlat.MAX_R:
+        raise _UsageError(f"--r must be between 1 and {spinlat.MAX_R}")
     parity = spinlat.Parity(args.parity)
     # The orbits all have one size, so it is both the least dimension
     # (one orbit with multiplicity one) and the gcd of the dimensions.

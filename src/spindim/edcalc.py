@@ -32,11 +32,10 @@ from __future__ import annotations
 import json
 
 from ._record import Record
-from .spinlat import Parity, expected_orbit_size, orbit_structure
+from .spinlat import MAX_R, Parity, expected_orbit_size, orbit_structure
 
 MIN_N = 3
-MAX_N = 64
-MAX_R = MAX_N // 2      # the largest rank an ed-table gcd step uses
+MAX_N = 2 * MAX_R       # every n in the table has a gcd step of rank <= MAX_R
 
 CHAR_NOTE = ("characteristic 2 agrees with characteristic != 2 "
              "for n <= 10 and for n >= 15")

@@ -2,9 +2,10 @@
 spin groups, tracked through explicit quadratic form data.
 
 Symbols {a_1, ..., a_n-1, b] have multiplicative slots a_i (square-free
-monomials in named indeterminates) and one additive slot b.  They are
-the degree-n analogue in characteristic 2 of Milnor symbols mod 2: the
-calculus implemented here is purely formal, using only
+monomials in named indeterminates, the elements of a `FormalField2`)
+and one additive slot b.  They are the degree-n analogue in
+characteristic 2 of Milnor symbols mod 2: the calculus implemented here
+is purely formal, using only
 
   * additivity in each slot (products expand multilinearly),
   * {.., 1, ..]  = 0,
@@ -22,7 +23,11 @@ The invariant of a generic torsor is assembled exactly as the
 underlying quadratic forms dictate: the torsor data pins down scaled
 Pfister forms, their sum is checked (as an exact multiset of scaled
 Pfister summands) against the multilinear expansion of one bigger
-Pfister form, and the symbol of that bigger form is returned.
+Pfister form, and the symbol of that bigger form is returned.  Those
+forms are kept symbolically, as `PfisterBase` keys with monomial
+scalars; this module owns the monomial field and the expansion
+(`pfister_expand`), and needs nothing from `qform2`, whose forms live
+over F_{2^k}.
 """
 
 from __future__ import annotations
@@ -33,9 +38,56 @@ from collections import Counter
 from enum import Enum
 
 from ._record import Record
-from .qform2 import FormalField2, PfisterBase, pfister_expand
 
 Label = frozenset
+
+
+class FormalField2:
+    """Square-free monomials in named indeterminates, multiplicative only.
+
+    Elements are frozensets of names; the empty set is 1.  Multiplying
+    is symmetric difference (each generator squares to 1), so every
+    element is its own inverse.  There is no addition and no zero.
+    """
+
+    def __init__(self, names):
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate indeterminate names")
+        for n in names:
+            if not n or not isinstance(n, str):
+                raise ValueError(f"bad indeterminate name: {n!r}")
+        self.names = names
+        self._name_set = frozenset(names)
+        self.one = frozenset()
+
+    def __eq__(self, other):
+        return isinstance(other, FormalField2) and other.names == self.names
+
+    def __hash__(self):
+        return hash(("formal", self.names))
+
+    def __repr__(self):
+        return f"FormalField2({self.names!r})"
+
+    def var(self, name: str) -> frozenset:
+        if name not in self.names:
+            raise ValueError(f"unknown indeterminate {name!r}")
+        return frozenset([name])
+
+    def check(self, x) -> frozenset:
+        if not isinstance(x, frozenset) or not x <= self._name_set:
+            raise ValueError(f"not a monomial in {self.names}: {x!r}")
+        return x
+
+    def mul(self, x, y) -> frozenset:
+        """x * y.  Unchecked: both operands must already be monomials
+        (see `check`); callers check values where they enter."""
+        return x ^ y
+
+    def is_zero(self, x) -> bool:
+        self.check(x)
+        return False
 
 
 def label(field: FormalField2, *names: str) -> Label:
@@ -45,6 +97,49 @@ def label(field: FormalField2, *names: str) -> Label:
     for n in names:
         if n != "1":
             out = field.mul(out, field.var(n))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Pfister forms, symbolically
+
+
+class PfisterBase(Record):
+    """A symbolic Pfister form <<a_slots..., b]], used as an expansion key."""
+
+    _fields = ("a_slots", "b")
+
+
+def pfister_expand(field, a_slots, b, peel: int) -> Counter:
+    """Expand the first `peel` slots of <<a_slots, b]] multilinearly:
+    the result is the multiset of scaled copies
+
+        << c_1, ..., c_peel, rest, b]]
+            = sum over subsets J of {c_i} of  (prod J) * <<rest, b]]
+
+    returned as a Counter over (scalar, PfisterBase(rest, b)).  With
+    peel = 0 this is {1 * <<a_slots, b]]: 1}.  Repeated scalars simply
+    raise multiplicities; nothing is cancelled here.  Any field with
+    `one`, `mul`, `check` and `is_zero` works: a `FormalField2` here,
+    and F_{2^k} in the tests, which compare it with
+    `qform2.pfister_build`.
+    """
+    a_slots = tuple(a_slots)
+    if not 0 <= peel <= len(a_slots):
+        raise ValueError("peel out of range")
+    for a in a_slots:
+        if field.is_zero(a):
+            raise ValueError("Pfister slots must be nonzero")
+    field.check(b)
+    outer, inner = a_slots[:peel], a_slots[peel:]
+    base = PfisterBase(inner, b)
+    out: Counter = Counter()
+    for picks in itertools.product([False, True], repeat=peel):
+        s = field.one
+        for chosen, a in zip(picks, outer):
+            if chosen:
+                s = field.mul(s, a)
+        out[(s, base)] += 1
     return out
 
 

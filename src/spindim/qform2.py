@@ -10,13 +10,12 @@ hyperbolic pairing, so the diagonal coordinates span the radical of
 the polar form; a form is nonsingular when the radical has dimension
 at most 1 and the form does not vanish on it.
 
-Two kinds of coefficient field are supported.  A concrete field is
-F_{2^k} with elements encoded as polynomial bit patterns; it supports
-full arithmetic, evaluation and classification.  A formal field is a
-multiplicative group of square-free monomials in named indeterminates
-(every generator squares to 1); it has no addition, so forms over it
-only support the multiplicative operations (scaling, tensoring, the
-Pfister constructions) and evaluation is rejected.
+The coefficient field is always F_{2^k} (`ConcreteField2`), with
+elements encoded as polynomial bit patterns; `QForm` refuses any
+other field with TypeError, so no form operation needs to ask which
+field it holds.  The formal Pfister forms of the symbol calculus are
+not `QForm`s: `invariants` keeps them, over its own field of formal
+monomials.
 
 Classification facts used and checked against brute force in the test
 suite, for F_{2^k}:
@@ -37,8 +36,6 @@ by trial division.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from functools import lru_cache
 
 from ._record import Record
@@ -83,8 +80,6 @@ def min_poly_for(k: int) -> int:
 
 class ConcreteField2:
     """F_{2^k} with elements 0 .. 2^k - 1 as polynomial bit patterns."""
-
-    kind = "concrete"
 
     def __init__(self, k: int):
         if not 1 <= k <= MAX_FIELD_BITS:
@@ -180,69 +175,8 @@ def _trace_mask(k: int) -> int:
     return mask
 
 
-class FormalField2:
-    """Square-free monomials in named indeterminates, multiplicative only.
-
-    Elements are frozensets of names; the empty set is 1.  Multiplying
-    is symmetric difference (each generator squares to 1), so every
-    element is its own inverse.  There is no addition and no zero.
-    """
-
-    kind = "formal"
-
-    def __init__(self, names):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate indeterminate names")
-        for n in names:
-            if not n or not isinstance(n, str):
-                raise ValueError(f"bad indeterminate name: {n!r}")
-        self.names = names
-        self._name_set = frozenset(names)
-        self.one = frozenset()
-
-    def __eq__(self, other):
-        return isinstance(other, FormalField2) and other.names == self.names
-
-    def __hash__(self):
-        return hash(("formal", self.names))
-
-    def __repr__(self):
-        return f"FormalField2({self.names!r})"
-
-    def var(self, name: str) -> frozenset:
-        if name not in self.names:
-            raise ValueError(f"unknown indeterminate {name!r}")
-        return frozenset([name])
-
-    def check(self, x) -> frozenset:
-        if not isinstance(x, frozenset) or not x <= self._name_set:
-            raise ValueError(f"not a monomial in {self.names}: {x!r}")
-        return x
-
-    def add(self, x, y):
-        raise TypeError("formal monomial fields have no addition")
-
-    def mul(self, x, y) -> frozenset:
-        """x * y.  Unchecked: both operands must already be monomials
-        (see `check`); callers check values where they enter."""
-        return x ^ y
-
-    def inv(self, x) -> frozenset:
-        return self.check(x)   # x * x = 1
-
-    def is_zero(self, x) -> bool:
-        self.check(x)
-        return False
-
-
 def format_element(field, x) -> str:
-    if field.kind == "concrete":
-        return format(field.check(x), "x")
-    x = field.check(x)
-    if not x:
-        return "1"
-    return "*".join(sorted(x, key=lambda n: field.names.index(n)))
+    return format(field.check(x), "x")
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +190,17 @@ class BinaryBlock(Record):
 
 
 class QForm(Record):
-    """Orthogonal sum of binary blocks and diagonal summands, with an
-    optional multiplicative scale tag (used only over formal fields,
-    where a scalar cannot be folded away without losing its identity).
-    """
+    """Orthogonal sum of binary blocks and diagonal summands over F_{2^k}.
 
-    _fields = ("field", "blocks", "diag", "tag")
+    The one field gate: every form operation reads `q.field`, so none
+    of them checks the field again."""
 
-    def __init__(self, field, blocks: tuple = (), diag: tuple = (),
-                 tag: object = None):
+    _fields = ("field", "blocks", "diag")
+
+    def __init__(self, field, blocks: tuple = (), diag: tuple = ()):
+        if not isinstance(field, ConcreteField2):
+            raise TypeError(f"quadratic forms need a ConcreteField2, "
+                            f"not {field!r}")
         for bl in blocks:
             if not isinstance(bl, BinaryBlock):
                 raise ValueError("blocks must be BinaryBlock instances")
@@ -272,13 +208,7 @@ class QForm(Record):
             field.check(bl.b)
         for c in diag:
             field.check(c)
-        if tag is None:
-            tag = field.one
-        else:
-            field.check(tag)
-            if field.kind == "concrete" and tag != field.one:
-                raise ValueError("scale tags only make sense over formal fields")
-        super().__init__(field, blocks, diag, tag)
+        super().__init__(field, blocks, diag)
 
     @property
     def dim(self) -> int:
@@ -294,17 +224,12 @@ def diag_form(field, *entries) -> QForm:
 
 
 def hyperbolic(field, copies: int = 1) -> QForm:
-    z = field.zero if field.kind == "concrete" else None
-    if z is None:
-        raise ValueError("hyperbolic blocks need a zero, i.e. a concrete field")
-    return QForm(field, blocks=tuple(BinaryBlock(z, z) for _ in range(copies)))
+    return QForm(field, blocks=(BinaryBlock(0, 0),) * copies)
 
 
 def evaluate(q: QForm, vec) -> object:
-    """Value of q at a coordinate vector (concrete fields only)."""
+    """Value of q at a coordinate vector."""
     f = q.field
-    if f.kind != "concrete":
-        raise TypeError("evaluation needs a concrete field")
     if len(vec) != q.dim:
         raise ValueError(f"vector length {len(vec)} != dim {q.dim}")
     vec = [f.check(x) for x in vec]
@@ -324,32 +249,25 @@ def evaluate(q: QForm, vec) -> object:
 def orth_sum(q1: QForm, q2: QForm) -> QForm:
     if q1.field != q2.field:
         raise ValueError("forms live over different fields")
-    if q1.tag != q2.tag:
-        raise ValueError("cannot sum forms carrying different scale tags")
-    return QForm(q1.field, q1.blocks + q2.blocks, q1.diag + q2.diag, q1.tag)
+    return QForm(q1.field, q1.blocks + q2.blocks, q1.diag + q2.diag)
 
 
 def _fold_scale(a, q: QForm) -> QForm:
     # substitution (x, y) -> (x/a, y) in each block, z -> z in <c>:
-    # a[c,d] = [ac, d/a], a<c> = <ac>.  Valid over both field kinds
-    # (formal elements are their own inverses).
+    # a[c,d] = [ac, d/a], a<c> = <ac>.  Callers check a != 0, each with
+    # its own message.
     f = q.field
     blocks = tuple(BinaryBlock(f.mul(a, bl.a), f.mul(f.inv(a), bl.b))
                    for bl in q.blocks)
     diag = tuple(f.mul(a, c) for c in q.diag)
-    return QForm(f, blocks, diag, q.tag)
+    return QForm(f, blocks, diag)
 
 
 def scale(a, q: QForm) -> QForm:
-    """The form a*q.  Over a concrete field the scalar is folded into
-    the coefficients; over a formal field it is recorded on the tag so
-    that scaled Pfister forms stay recognizable."""
-    f = q.field
-    if f.is_zero(a):
+    """The form a*q, the scalar folded into the coefficients."""
+    if q.field.is_zero(a):
         raise ValueError("cannot scale by zero")
-    if f.kind == "concrete":
-        return _fold_scale(a, q)
-    return QForm(f, q.blocks, q.diag, f.mul(q.tag, a))
+    return _fold_scale(a, q)
 
 
 def tensor_bilinear(entries, q: QForm) -> QForm:
@@ -381,44 +299,8 @@ def pfister_build(field, a_slots, b) -> QForm:
     return q
 
 
-class PfisterBase(Record):
-    """A symbolic Pfister form <<a_slots..., b]], used as an expansion key."""
-
-    _fields = ("a_slots", "b")
-
-
-def pfister_expand(field, a_slots, b, peel: int) -> Counter:
-    """Expand the first `peel` slots of <<a_slots, b]] multilinearly:
-    the result is the multiset of scaled copies
-
-        << c_1, ..., c_peel, rest, b]]
-            = sum over subsets J of {c_i} of  (prod J) * <<rest, b]]
-
-    returned as a Counter over (scalar, PfisterBase(rest, b)).  With
-    peel = 0 this is {1 * <<a_slots, b]]: 1}.  Repeated scalars simply
-    raise multiplicities; nothing is cancelled here.
-    """
-    a_slots = tuple(a_slots)
-    if not 0 <= peel <= len(a_slots):
-        raise ValueError("peel out of range")
-    for a in a_slots:
-        if field.is_zero(a):
-            raise ValueError("Pfister slots must be nonzero")
-    field.check(b)
-    outer, inner = a_slots[:peel], a_slots[peel:]
-    base = PfisterBase(inner, b)
-    out: Counter = Counter()
-    for picks in itertools.product([False, True], repeat=peel):
-        s = field.one
-        for chosen, a in zip(picks, outer):
-            if chosen:
-                s = field.mul(s, a)
-        out[(s, base)] += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
-# classification over concrete fields
+# classification
 
 
 NONDEGENERATE = "nondegenerate"
@@ -442,8 +324,6 @@ def classify_form(q: QForm) -> FormClass:
     c_1^2 d_1 = c_2^2 d_2 using square roots).
     """
     f = q.field
-    if f.kind != "concrete":
-        raise TypeError("classification needs a concrete field")
     t = len(q.diag)
     offset = 2 * len(q.blocks)
     if t == 0:
@@ -472,8 +352,6 @@ def arf(q: QForm) -> int:
     trace bit of sum a_i b_i (the class in k modulo p(c) = c^2 + c;
     for finite fields that quotient is F_2 via the absolute trace)."""
     f = q.field
-    if f.kind != "concrete":
-        raise TypeError("the Arf invariant needs a concrete field")
     if q.diag:
         raise ValueError("Arf invariant is defined for even nonsingular forms")
     acc = 0
@@ -523,8 +401,6 @@ def equivalent_ff(q1: QForm, q2: QForm) -> bool:
     Singular inputs are not supported."""
     if q1.field != q2.field:
         raise ValueError("forms live over different fields")
-    if q1.field.kind != "concrete":
-        raise TypeError("equivalence is decided over concrete fields only")
     for q in (q1, q2):
         if classify_form(q).kind == SINGULAR:
             raise ValueError("equivalence of singular forms is not supported")
@@ -626,7 +502,7 @@ def block_normalize_with_basis(field, coeffs):
     the input matrix, not from B and Q.  A mismatch raises
     AssertionError.
     """
-    if field.kind != "concrete":
+    if not isinstance(field, ConcreteField2):
         raise TypeError("matrix reduction needs a concrete field")
     n = len(coeffs)
     M = [[field.check(x) for x in row] for row in coeffs]
@@ -698,7 +574,4 @@ def format_qform(q: QForm) -> str:
         parts.append(f"[{format_element(q.field, bl.a)},{format_element(q.field, bl.b)}]")
     for c in q.diag:
         parts.append(f"<{format_element(q.field, c)}>")
-    body = "+".join(parts) if parts else "0"
-    if q.tag != q.field.one:
-        return f"({format_element(q.field, q.tag)})*({body})"
-    return body
+    return "+".join(parts) if parts else "0"

@@ -34,6 +34,9 @@ from ._record import Record
 from .abelian import FgAbGroup, GroupElement, Presentation, Subgroup
 
 MAX_RANK = 16
+# The one rank cap of `verify-lattice`, `verify-heisenberg` and the
+# ed-table, whose gcd step at n has rank n // 2: edcalc.MAX_N = 2 * MAX_R.
+MAX_R = 32
 
 
 class Parity(Enum):

@@ -479,6 +479,30 @@ def test_invariant_failure_exit_code(monkeypatch):
     assert "Pfister expansion" in payload["error"]
 
 
+@pytest.mark.parametrize("group", ["spin7", "spin8", "spin9", "spin10"])
+def test_invariant_identity_check_fires(group, monkeypatch):
+    # one stray summand in the expansion: invariant_f's own check, not a
+    # stand-in for it, must refuse the torsor forms
+    inv = cli.invariants
+    real = inv.pfister_expand
+
+    def stray(field, a_slots, b, peel):
+        out = real(field, a_slots, b, peel)
+        out[(field.one, inv.PfisterBase((), b))] += 1
+        return out
+
+    monkeypatch.setattr(inv, "pfister_expand", stray)
+    message = "torsor forms do not match the Pfister expansion"
+    labels = "a,b,c,d,e"[:2 * inv.PARAM_COUNT[inv.SpinId(group)] - 1]
+    with pytest.raises(AssertionError, match=message):
+        inv.invariant_f(inv.TorsorData(inv.SpinId(group),
+                                       tuple(labels.split(","))))
+    code, out, err = run(["invariant", "--group", group, "--labels", labels])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"group": group, "labels": labels.split(","),
+                               "ok": False, "error": message}
+
+
 # ---------------------------------------------------------------------------
 # global behavior
 

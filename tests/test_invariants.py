@@ -20,7 +20,7 @@ from spindim.invariants import (PARAM_COUNT, ZERO_SYMBOL, InvariantReport,
                                 strip_hyperbolic, symbol,
                                 symbol_generic_nonzero, symbol_normalize,
                                 torsor_forms, _sort_key)
-from spindim.qform2 import FormalField2, PfisterBase
+from spindim.invariants import FormalField2, PfisterBase
 
 NAMES = ("a", "b", "c", "d", "e")
 FIELD = FormalField2(NAMES)

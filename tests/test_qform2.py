@@ -16,17 +16,17 @@ from pathlib import Path
 
 import pytest
 
+from spindim.invariants import FormalField2, PfisterBase, pfister_expand
 from spindim.qform2 import (MAX_FIELD_BITS, BinaryBlock, ConcreteField2,
-                            FormalField2, NONDEGENERATE,
-                            NONSINGULAR_RADICAL_1, SINGULAR, PfisterBase,
+                            NONDEGENERATE, NONSINGULAR_RADICAL_1, SINGULAR,
                             QForm, arf, block, block_normalize,
                             block_normalize_with_basis, classify_form,
                             diag_form, equivalent_ff, evaluate, format_element,
                             format_qform, hyperbolic, is_isotropic,
                             is_nonsingular, min_poly_for, orth_sum,
-                            pfister_build, pfister_expand, scale,
-                            tensor_bilinear, witt_decompose,
-                            _check_certificate, _matrix_eval, _polar)
+                            pfister_build, scale, tensor_bilinear,
+                            witt_decompose, _check_certificate, _matrix_eval,
+                            _polar)
 
 F2 = ConcreteField2(1)
 F4 = ConcreteField2(2)
@@ -368,21 +368,26 @@ def test_formal_monomials_are_checked_where_they_enter():
     # outside the field must still be refused at every entry point
     f = FormalField2(("a", "b"))
     a, bad = f.var("a"), frozenset(["z"])
-    q = QForm(f, blocks=(BinaryBlock(f.one, a),))
-    entries = [lambda: QForm(f, diag=(bad,)),
-               lambda: QForm(f, blocks=(BinaryBlock(a, {"a"}),)),
-               lambda: QForm(f, diag=(a,), tag=bad),
-               lambda: scale(bad, q),
-               lambda: tensor_bilinear([f.one, bad], q),
-               lambda: pfister_build(f, [a, bad], f.one),
-               lambda: pfister_build(f, [a], bad),
-               lambda: pfister_expand(f, [a, bad], f.one, 1),
-               lambda: pfister_expand(f, [a], bad, 1),
-               lambda: f.inv(bad),
-               lambda: format_element(f, bad),
-               lambda: format_element(f, "a")]
+    entries = [lambda: pfister_expand(f, [a, bad], f.one, 1),
+               lambda: pfister_expand(f, [a], bad, 1)]
     for entry in entries:
         with pytest.raises(ValueError):
+            entry()
+
+
+def test_forms_over_formal_monomials_are_refused():
+    # a QForm lives over F_{2^k}: valid formal monomials do not make one,
+    # whichever constructor is asked
+    f = FormalField2(("a", "d"))
+    a, d = f.var("a"), f.var("d")
+    entries = [lambda: QForm(f, blocks=(BinaryBlock(f.one, a),), diag=(d,)),
+               lambda: QForm(f),
+               lambda: hyperbolic(f),
+               lambda: pfister_build(f, (a,), d),
+               lambda: scale(d, pfister_build(f, (), a)),
+               lambda: tensor_bilinear([f.one, d], QForm(f, diag=(a,)))]
+    for entry in entries:
+        with pytest.raises(TypeError, match="ConcreteField2"):
             entry()
 
 
@@ -403,18 +408,13 @@ def test_field_guards():
 
 def test_formal_field_basics():
     f = FormalField2(("a", "b", "c"))
-    a, b = f.var("a"), f.var("b")
+    a = f.var("a")
     assert f.mul(a, a) == f.one
-    assert f.inv(f.mul(a, b)) == f.mul(a, b)
     assert not f.is_zero(f.one)
-    with pytest.raises(TypeError):
-        f.add(a, b)
     with pytest.raises(ValueError):
         f.var("z")
     with pytest.raises(ValueError):
         FormalField2(("a", "a"))
-    assert format_element(f, f.mul(b, a)) == "a*b"
-    assert format_element(f, f.one) == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +448,9 @@ def test_orth_sum_evaluates_to_sum():
 def test_orth_sum_guards():
     with pytest.raises(ValueError):
         orth_sum(block(F2, 1, 1), block(F4, 1, 1))
-    f = FormalField2(("d",))
-    p = pfister_build(f, (), f.one)
-    with pytest.raises(ValueError):
-        orth_sum(scale(f.var("d"), p), p)
 
 
 def test_hyperbolic_needs_concrete_field():
-    with pytest.raises(ValueError):
-        hyperbolic(FormalField2(("a",)))
     assert hyperbolic(F4, 3).dim == 6
 
 
@@ -465,8 +459,6 @@ def test_form_validation():
         QForm(F4, blocks=((1, 2),))
     with pytest.raises(ValueError):
         diag_form(F4, 5)
-    with pytest.raises(ValueError):
-        QForm(F4, diag=(1,), tag=2)
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +482,6 @@ def test_scale_identity_and_zero():
     assert scale(1, q) == q
     with pytest.raises(ValueError):
         scale(0, q)
-
-
-def test_scale_records_tag_over_formal_fields():
-    f = FormalField2(("d", "e"))
-    d, e = f.var("d"), f.var("e")
-    p = pfister_build(f, (d,), f.one)
-    assert scale(d, p).tag == d
-    assert scale(e, scale(d, p)).tag == f.mul(d, e)
-    assert scale(d, scale(d, p)).tag == f.one
-    assert scale(d, p).blocks == p.blocks
 
 
 def test_tensor_bilinear_block_shape():
@@ -530,20 +512,14 @@ def test_pfister_build_shapes():
     assert pfister_build(F4, (), 2) == block(F4, 1, 2)
     for m, slots in ((1, ()), (2, (3,)), (3, (3, 2))):
         assert pfister_build(F4, slots, 2).dim == 2 ** m
+    # the block order the CLI prints: the last slot folds in first, and
+    # a[1,b] = [a, b/a]
+    a1, a2, b = 2, 3, 5
+    a12 = F8.mul(a1, a2)
+    assert pfister_build(F8, (a1, a2), b).blocks == tuple(
+        BinaryBlock(a, F8.mul(F8.inv(a), b)) for a in (1, a2, a1, a12))
     with pytest.raises(ValueError):
         pfister_build(F4, (0,), 2)
-
-
-def test_pfister_formal_block_structure():
-    f = FormalField2(("a1", "a2", "b"))
-    a1, a2, b = (f.var(n) for n in ("a1", "a2", "b"))
-    p = pfister_build(f, (a1, a2), b)
-    assert p.blocks == (
-        BinaryBlock(f.one, b),
-        BinaryBlock(a2, f.mul(a2, b)),
-        BinaryBlock(a1, f.mul(a1, b)),
-        BinaryBlock(f.mul(a1, a2), f.mul(f.mul(a1, a2), b)),
-    )
 
 
 def test_pfister_expand_identities():
@@ -875,10 +851,6 @@ def test_equivalence_guards():
         equivalent_ff(block(F2, 1, 1), block(F4, 1, 1))
     with pytest.raises(ValueError):
         equivalent_ff(diag_form(F4, 1, 2), diag_form(F4, 1, 2))
-    f = FormalField2(("a",))
-    p = pfister_build(f, (), f.one)
-    with pytest.raises(TypeError):
-        equivalent_ff(p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,8 +1038,5 @@ def test_format_qform():
     assert format_qform(block(F2, 1, 1)) == "[1,1]"
     assert format_qform(orth_sum(hyperbolic(F4), diag_form(F4, 3))) == "[0,0]+<3>"
     assert format_qform(QForm(F2)) == "0"
-    f = FormalField2(("d", "a"))
-    p = scale(f.var("d"), pfister_build(f, (f.var("a"),), f.one))
-    assert format_qform(p) == "(d)*([1,1]+[a,a])"
     assert format_element(F4, 3) == "3"
     assert format_element(ConcreteField2(4), 12) == "c"

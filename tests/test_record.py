@@ -17,9 +17,9 @@ from spindim._record import Record
 from spindim.edcalc import DerivationStep, LiveCheck, Rule
 from spindim.abelian import GroupElement
 from spindim.invariants import (Nonvanishing, NonvanishingReport,
-                                ScaledPfister, SymbolSum, SymbolTerm)
-from spindim.qform2 import (BinaryBlock, ConcreteField2, FormClass,
-                            PfisterBase, QForm)
+                                PfisterBase, ScaledPfister, SymbolSum,
+                                SymbolTerm)
+from spindim.qform2 import BinaryBlock, ConcreteField2, FormClass, QForm
 from spindim.repdim import CharMultiset, DivisibilityReport
 from spindim.spinlat import (Parity, WeylElt, build_char_data,
                              free_transitive_check)
