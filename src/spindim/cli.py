@@ -76,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
 _ELEMENT_RE = re.compile(r"[0-9a-fA-F]+")
 _BLOCK_RE = re.compile(r"\[[^][]*\]")
 _DIAG_RE = re.compile(r"<[^<>]*>")
-_FIELD_RE = re.compile(r"f2\^(\d+)")
+_FIELD_RE = re.compile(r"f2\^([0-9]+)")
 
 
 def _split_top(text: str, sep: str):

@@ -32,6 +32,12 @@ Witt index (or a singular form), and equivalence of nonsingular forms
 is equality of Witt decompositions (Witt cancellation).  The modulus
 of F_{2^k} is the smallest irreducible polynomial of degree k, found
 by trial division.
+
+`ConcreteField2.mul` is the one multiply entry point, so a wrapper on
+the class counts every product.  Up to k = 8 it is a log/exp table
+lookup, the tables built on first use of each k; above that it runs
+the shift-and-add loop in its own frame.  `inv` is the extended
+Euclidean algorithm over F_2[t] and makes no multiply.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ MAX_FIELD_BITS = 16
 
 
 def _poly_mul_mod(x: int, y: int, mod: int, k: int) -> int:
+    # the table builder's multiply; ConcreteField2.mul inlines the same
+    # loop above MAX_TABLE_BITS, where a call would be a second frame
     r = 0
     while y:
         if y & 1:
@@ -78,10 +86,41 @@ def min_poly_for(k: int) -> int:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+# fields up to this degree multiply through log/exp tables
+MAX_TABLE_BITS = 8
+
+
+@lru_cache(maxsize=None)
+def _log_exp(k: int) -> tuple:
+    """(log, exp) tables of F_{2^k} for a generator g of its unit group:
+    exp[i] = g^i for i < 2 (2^k - 1), so exp[log[x] + log[y]] = x y
+    for nonzero x, y without a reduction; log[0] is unused.  The
+    modulus need not be primitive (x is no generator of F_256 mod
+    0x11B), so g is the smallest element whose powers reach every
+    unit."""
+    mod, units = min_poly_for(k), (1 << k) - 1
+    for g in range(1, units + 1):
+        exp = [1]
+        x = _poly_mul_mod(1, g, mod, k)
+        while x != 1:
+            exp.append(x)
+            x = _poly_mul_mod(x, g, mod, k)
+        if len(exp) == units:
+            break
+    else:
+        raise AssertionError("no generator found")  # unreachable
+    log = [0] * (units + 1)
+    for i, x in enumerate(exp):
+        log[x] = i
+    return tuple(log), tuple(exp + exp)
+
+
 class ConcreteField2:
     """F_{2^k} with elements 0 .. 2^k - 1 as polynomial bit patterns."""
 
     def __init__(self, k: int):
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"field degree must be an int, not {k!r}")
         if not 1 <= k <= MAX_FIELD_BITS:
             raise ValueError(f"field degree must be between 1 and {MAX_FIELD_BITS}")
         self.k = k
@@ -89,6 +128,8 @@ class ConcreteField2:
         self.min_poly = min_poly_for(k)
         self.zero = 0
         self.one = 1
+        self._log, self._exp = (_log_exp(k) if k <= MAX_TABLE_BITS
+                                else (None, None))
 
     def __eq__(self, other):
         return isinstance(other, ConcreteField2) and other.k == self.k
@@ -111,8 +152,27 @@ class ConcreteField2:
 
     def mul(self, x: int, y: int) -> int:
         """x * y.  Unchecked: both operands must already be elements
-        (see `check`); callers check values where they enter."""
-        return _poly_mul_mod(x, y, self.min_poly, self.k)
+        (see `check`); callers check values where they enter.
+
+        The one multiply entry point, so a wrapper on the class sees
+        every product.  Up to MAX_TABLE_BITS a product is one log/exp
+        lookup; above, the shift-and-add loop runs in this frame,
+        reducing by the modulus whenever bit k is set."""
+        if self.k <= MAX_TABLE_BITS:
+            if x and y:
+                log = self._log
+                return self._exp[log[x] + log[y]]
+            return 0
+        r = 0
+        top, mod = self.order, self.min_poly
+        while y:
+            if y & 1:
+                r ^= x
+            y >>= 1
+            x <<= 1
+            if x & top:
+                x ^= mod
+        return r
 
     def pow(self, x: int, e: int) -> int:
         self.check(x)
@@ -128,9 +188,21 @@ class ConcreteField2:
         return r
 
     def inv(self, x: int) -> int:
+        """1 / x by the extended Euclidean algorithm over F_2[t], with
+        no multiply: u x = a and v x = b (mod the modulus) hold
+        throughout, and each step cancels the top bit of the
+        higher-degree remainder until a = 1."""
         if self.check(x) == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.pow(x, self.order - 2)
+        a, b, u, v = x, self.min_poly, 1, 0
+        while a != 1:
+            j = a.bit_length() - b.bit_length()
+            if j < 0:
+                a, b, u, v = b, a, v, u
+                j = -j
+            a ^= b << j
+            u ^= v << j
+        return u
 
     def sqrt(self, x: int) -> int:
         # Frobenius is bijective; its inverse is squaring k-1 times
@@ -257,7 +329,8 @@ def _fold_scale(a, q: QForm) -> QForm:
     # a[c,d] = [ac, d/a], a<c> = <ac>.  Callers check a != 0, each with
     # its own message.
     f = q.field
-    blocks = tuple(BinaryBlock(f.mul(a, bl.a), f.mul(f.inv(a), bl.b))
+    a_inv = f.inv(a)
+    blocks = tuple(BinaryBlock(f.mul(a, bl.a), f.mul(a_inv, bl.b))
                    for bl in q.blocks)
     diag = tuple(f.mul(a, c) for c in q.diag)
     return QForm(f, blocks, diag)

@@ -297,6 +297,15 @@ def test_qform_usage_errors():
                  "--form", "[1,1]"])
 
 
+@pytest.mark.parametrize("field", ["f2^\u0663", "f2^\uff13", "f2^\u00b2",
+                                   "f2^3 ", "f2^0x3"])
+def test_field_degree_is_ascii_digits(field):
+    # Arabic-Indic and fullwidth 3 are \d digits that int() reads as 3
+    err = usage_error(["qform", "--field", field, "--op", "arf",
+                       "--form", "[1,1]"])
+    assert err == f"bad field {field!r} (expected f2^K)\n"
+
+
 def test_pfister_slots_must_not_be_empty():
     for form in ("pf(1,,2;1)", "pf(1,;1)", "pf(,1;1)", "pf(,;1)"):
         assert "bad field element ''" in usage_error(

@@ -10,7 +10,10 @@ the top are deliberately naive reimplementations.
 import importlib.util
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -25,8 +28,8 @@ from spindim.qform2 import (MAX_FIELD_BITS, BinaryBlock, ConcreteField2,
                             format_qform, hyperbolic, is_isotropic,
                             is_nonsingular, min_poly_for, orth_sum,
                             pfister_build, scale, tensor_bilinear,
-                            witt_decompose, _check_certificate, _matrix_eval,
-                            _polar)
+                            witt_decompose, _check_certificate, _log_exp,
+                            _matrix_eval, _polar, _trace_mask)
 
 F2 = ConcreteField2(1)
 F4 = ConcreteField2(2)
@@ -63,6 +66,17 @@ def carry_less_product(x, y):
 def ref_mul(k, x, y):
     """x * y in F_{2^k}: carry-less product, then long division."""
     return poly_divmod(carry_less_product(x, y), min_poly_for(k))[1]
+
+
+def ref_inv(k, x):
+    """1 / x in F_{2^k} as x^(2^k - 2), by square and multiply."""
+    r, e = 1, (1 << k) - 2
+    while e:
+        if e & 1:
+            r = ref_mul(k, r, x)
+        x = ref_mul(k, x, x)
+        e >>= 1
+    return r
 
 
 def frobenius_trace(k, x):
@@ -298,11 +312,99 @@ def field_pairs(k):
             for _ in range(2000)]
 
 
-@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6, 8, 16))
+@pytest.mark.parametrize("k", range(1, MAX_FIELD_BITS + 1))
 def test_mul_matches_carry_less_product_and_long_division(k):
+    # both kernels: log/exp tables up to k = 8, the bit loop above
     f = ConcreteField2(k)
     for x, y in field_pairs(k):
         assert f.mul(x, y) == ref_mul(k, x, y), (x, y)
+
+
+@pytest.mark.parametrize("k", range(9, MAX_FIELD_BITS + 1))
+def test_inverse_beyond_exhaustive_sizes(k):
+    f = ConcreteField2(k)
+    rng = random.Random(k)
+    xs = [1, 2, f.order - 1] + [rng.randrange(1, f.order) for _ in range(500)]
+    for x in xs:
+        y = f.inv(x)
+        assert 0 < y < f.order and ref_mul(k, x, y) == 1, x
+
+
+@pytest.mark.parametrize("k", (1, 3, 8, 9, 16))
+def test_pow_with_negative_exponent_inverts_first(k):
+    f = ConcreteField2(k)
+    rng = random.Random(k)
+    for x in [1, f.order - 1] + [rng.randrange(1, f.order) for _ in range(50)]:
+        for e in (1, 2, 5, f.order):
+            assert ref_mul(k, f.pow(x, -e), f.pow(x, e)) == 1, (x, e)
+        assert f.pow(x, -1) == f.inv(x) == ref_inv(k, x)
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
+
+
+def test_log_exp_tables():
+    # tables stop at k = 8: at most 2^8 log slots (slot 0 unused) and
+    # 2 * 255 exp entries, one generator of the unit group
+    for k in range(1, 9):
+        log, exp = _log_exp(k)
+        units = (1 << k) - 1
+        assert len(log) == units + 1 and len(exp) == 2 * units
+        assert sorted(exp[:units]) == list(range(1, units + 1))
+        assert all(exp[log[x]] == x for x in range(1, units + 1))
+    # 0x11B is not primitive: t has order 51, so the generator is t + 1
+    assert min_poly_for(8) == 0x11B and _log_exp(8)[1][1] == 3
+    _log_exp.cache_clear()
+    assert ConcreteField2(16).mul(3, 5) == 15
+    assert _log_exp.cache_info().currsize == 0
+
+
+def test_no_table_is_built_at_import():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from spindim import qform2\n"
+            "print(qform2._log_exp.cache_info().currsize)\n"
+            "qform2.ConcreteField2(4)\n"
+            "print(qform2._log_exp.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stdout.split() == ["0", "1"]
+
+
+def test_fields_do_not_depend_on_build_order():
+    # tables and moduli are cached per k; build every field from empty
+    # caches, ascending and then descending, and compare what they compute
+    def sample(k):
+        rng = random.Random(k)
+        return [(rng.randrange(1 << k), rng.randrange(1, 1 << k))
+                for _ in range(200)]
+
+    def build(ks):
+        for cache in (_log_exp, min_poly_for, _trace_mask):
+            cache.cache_clear()
+        fields = {k: ConcreteField2(k) for k in ks}
+        return {k: ([f.mul(x, y) for x, y in sample(k)],
+                    [f.inv(y) for _, y in sample(k)],
+                    f.trace_one_element())
+                for k, f in fields.items()}
+
+    ks = range(1, MAX_FIELD_BITS + 1)
+    up = build(ks)
+    assert build(reversed(ks)) == up
+    for k, (prods, invs, _) in up.items():
+        assert prods == [ref_mul(k, x, y) for x, y in sample(k)]
+        assert invs == [ref_inv(k, y) for _, y in sample(k)]
+
+
+def test_trace_mask_checks_fire(monkeypatch):
+    # a multiply that loses the Frobenius sum must be caught before the
+    # mask is used; __wrapped__ skips the cache
+    monkeypatch.setattr(ConcreteField2, "mul", lambda self, x, y: 0)
+    with pytest.raises(AssertionError, match="the trace must lie in F_2"):
+        _trace_mask.__wrapped__(4)
+    # squaring as the identity makes every Frobenius sum of even length 0
+    monkeypatch.setattr(ConcreteField2, "mul", lambda self, x, y: x)
+    with pytest.raises(AssertionError, match="trace cannot be identically zero"):
+        _trace_mask.__wrapped__(4)
 
 
 @pytest.mark.parametrize("k", (*range(1, 11), 16))
@@ -404,6 +506,10 @@ def test_field_guards():
         F4.check("1")
     with pytest.raises(ZeroDivisionError):
         F4.inv(0)
+    # a bool would share k = 1's cached tables, and print as True
+    for k in (True, False, 2.0, "2", None):
+        with pytest.raises(ValueError, match="field degree must be an int"):
+            ConcreteField2(k)
 
 
 def test_formal_field_basics():
@@ -520,6 +626,27 @@ def test_pfister_build_shapes():
         BinaryBlock(a, F8.mul(F8.inv(a), b)) for a in (1, a2, a1, a12))
     with pytest.raises(ValueError):
         pfister_build(F4, (0,), 2)
+
+
+def test_pfister_build_inverts_each_slot_once(monkeypatch):
+    # one inverse per slot, however many blocks the slot scales
+    slots = range(2, 12)
+    k = 16
+    want = [(1, 1)]
+    for a in reversed(slots):
+        a_inv = ref_inv(k, a)
+        want += [(ref_mul(k, a, c), ref_mul(k, a_inv, d)) for c, d in want]
+    calls = []
+    inv = ConcreteField2.inv
+
+    def counted(self, x):
+        calls.append(x)
+        return inv(self, x)
+
+    monkeypatch.setattr(ConcreteField2, "inv", counted)
+    q = pfister_build(ConcreteField2(k), slots, 1)
+    assert len(calls) == 10
+    assert q.blocks == tuple(BinaryBlock(a, b) for a, b in want)
 
 
 def test_pfister_expand_identities():
@@ -651,6 +778,14 @@ def test_classify_witness_lies_in_radical():
     for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
         s = tuple(a ^ b for a, b in zip(w, e))
         assert evaluate(q, s) ^ evaluate(q, w) ^ evaluate(q, e) == 0
+
+
+def test_classify_radical_check_fires(monkeypatch):
+    # a wrong square root gives a radical vector on which q does not
+    # vanish: q(1, 1) = 1 + 2 = 3 on <1, 2> over F_4
+    monkeypatch.setattr(ConcreteField2, "sqrt", lambda self, x: 1)
+    with pytest.raises(AssertionError, match="radical vector does not vanish"):
+        classify_form(diag_form(F4, 1, 2))
 
 
 def test_classify_needs_concrete_field():
