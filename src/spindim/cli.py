@@ -28,12 +28,12 @@ Symbol expressions: terms '{s1,...,sn-1,b]' joined by '+'; slots are
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
 import re
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
@@ -63,11 +63,6 @@ MAX_SYMBOL_EXPANSION = 4096
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +97,9 @@ def _parse_element(field, tok: str) -> int:
     if not _ELEMENT_RE.fullmatch(tok):
         raise _UsageError(f"bad field element {tok!r} (expected hex digits)")
     x = int(tok, 16)
-    try:
-        return field.check(x)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    if x >= field.order:    # quote the hex as typed, not x in decimal
+        raise _UsageError(f"not an element of F_{{2^{field.k}}}: {tok!r}")
+    return x
 
 
 def _grow_form(dim: int, extra: int) -> int:
@@ -164,8 +158,14 @@ def parse_field_name(text: str) -> qform2.ConcreteField2:
     m = _FIELD_RE.fullmatch(text)
     if not m:
         raise _UsageError(f"bad field {text!r} (expected f2^K)")
+    # int() refuses a string of more than 4300 digits; a degree with
+    # more digits than MAX_FIELD_BITS is out of range anyway, so the
+    # field gets one that is and reports it
+    digits = m.group(1).lstrip("0")
+    top = qform2.MAX_FIELD_BITS
+    k = int(digits or "0") if len(digits) <= len(str(top)) else top + 1
     try:
-        return qform2.ConcreteField2(int(m.group(1)))
+        return qform2.ConcreteField2(k)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -381,91 +381,123 @@ def _cmd_invariant(args) -> int:
 # wiring
 
 
+# subcommand -> (handler, help, description, options); each option is
+# its flag and the keywords of its `add_argument` call.  `_parse` reads
+# well-formed argv from this table alone; `_build_parser` builds the
+# argparse parser, which prints help and usage errors, from it.
+_COMMANDS = {
+    "ed-table": (
+        _cmd_ed_table, "essential dimension table",
+        "Print essential dimension rows: n, value, upper, lower, case.",
+        (("--min", {"type": int, "required": True}),
+         ("--max", {"type": int, "required": True}),
+         ("--format", {"choices": ("tsv", "json"), "default": "tsv"}))),
+    "verify-lattice": (
+        _cmd_verify_lattice, "character lattice structure checks",
+        "Recompute X(T), X(L), X(K), the faithful set and the sign-flip "
+        "orbits for every rank up to --r-max, both parities, and compare "
+        "with the expected shapes.",
+        (("--r-max", {"type": int, "required": True}),)),
+    "verify-heisenberg": (
+        _cmd_verify_heisenberg,
+        "representation dimension divisibility report",
+        "Orbit sizes, minimal center-faithful dimension and the gcd bound "
+        "for one rank and parity (brute-force confirmed for small ranks).",
+        (("--r", {"type": int, "required": True}),
+         ("--parity", {"choices": ("odd", "even"), "required": True}))),
+    "qform": (
+        _cmd_qform, "quadratic form operations",
+        "Evaluate classification, Arf, Witt decomposition, equivalence or "
+        "matrix reduction over F_{2^K}.",
+        (("--field", {"required": True, "metavar": "f2^K"}),
+         ("--op", {"required": True, "choices": ("classify", "arf", "witt",
+                                                 "normalize", "equiv")}),
+         ("--form", {"required": True}),
+         ("--form2", {}))),
+    "symbol": (
+        _cmd_symbol, "normalize a symbol expression",
+        "Normalize a mod-2 symbol sum and print it in the same syntax.",
+        (("--normalize", {"required": True, "metavar": "EXPR"}),)),
+    "invariant": (
+        _cmd_invariant, "torsor invariant of a spin group",
+        "Build the generic torsor's quadratic forms, verify the Pfister "
+        "expansion identity behind the invariant, and print the "
+        "invariant's symbol.",
+        # the values of invariants.SpinId, spelled out so that parsing
+        # does not load the form layer
+        (("--group", {"required": True,
+                      "choices": ("spin7", "spin8", "spin9", "spin10")}),
+         ("--labels", {"required": True,
+                       "help": "comma-separated parameter names "
+                               "('1' = trivial)"}))),
+}
+
+
 @lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The parser, built once per process.  Reuse is safe: parse results
-    live in the returned Namespace, and help and errors are written to
-    the sys.stdout / sys.stderr current at call time.  `subcommands`
-    maps each subcommand name to its own parser (argparse's table)."""
+def _build_parser():
+    """The argparse parser of `_COMMANDS`, built once per process and
+    only for argv that `_parse` does not read itself.  Reuse is safe:
+    parse results live in the returned Namespace, and help and errors
+    are written to the sys.stdout / sys.stderr current at call time."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(
+                f"{self.prog}: error: {message}\n{self.format_usage()}")
+
     p = _Parser(prog="spindim", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    p.subcommands = sub.choices
-
-    t = sub.add_parser("ed-table", help="essential dimension table",
-                       description="Print essential dimension rows: "
-                                   "n, value, upper, lower, case.")
-    t.add_argument("--min", type=int, required=True)
-    t.add_argument("--max", type=int, required=True)
-    t.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    t.set_defaults(fn=_cmd_ed_table)
-
-    v = sub.add_parser("verify-lattice",
-                       help="character lattice structure checks",
-                       description="Recompute X(T), X(L), X(K), the faithful "
-                                   "set and the sign-flip orbits for every "
-                                   "rank up to --r-max, both parities, and "
-                                   "compare with the expected shapes.")
-    v.add_argument("--r-max", type=int, required=True)
-    v.set_defaults(fn=_cmd_verify_lattice)
-
-    h = sub.add_parser("verify-heisenberg",
-                       help="representation dimension divisibility report",
-                       description="Orbit sizes, minimal center-faithful "
-                                   "dimension and the gcd bound for one rank "
-                                   "and parity (brute-force confirmed for "
-                                   "small ranks).")
-    h.add_argument("--r", type=int, required=True)
-    h.add_argument("--parity", choices=("odd", "even"), required=True)
-    h.set_defaults(fn=_cmd_verify_heisenberg)
-
-    q = sub.add_parser("qform", help="quadratic form operations",
-                       description="Evaluate classification, Arf, Witt "
-                                   "decomposition, equivalence or matrix "
-                                   "reduction over F_{2^K}.")
-    q.add_argument("--field", required=True, metavar="f2^K")
-    q.add_argument("--op", required=True,
-                   choices=("classify", "arf", "witt", "normalize", "equiv"))
-    q.add_argument("--form", required=True)
-    q.add_argument("--form2")
-    q.set_defaults(fn=_cmd_qform)
-
-    s = sub.add_parser("symbol", help="normalize a symbol expression",
-                       description="Normalize a mod-2 symbol sum and print "
-                                   "it in the same syntax.")
-    s.add_argument("--normalize", required=True, metavar="EXPR")
-    s.set_defaults(fn=_cmd_symbol)
-
-    i = sub.add_parser("invariant", help="torsor invariant of a spin group",
-                       description="Build the generic torsor's quadratic "
-                                   "forms, verify the Pfister expansion "
-                                   "identity behind the invariant, and print "
-                                   "the invariant's symbol.")
-    # the values of invariants.SpinId, spelled out so that building the
-    # parser does not load the form layer
-    i.add_argument("--group", required=True,
-                   choices=("spin7", "spin8", "spin9", "spin10"))
-    i.add_argument("--labels", required=True,
-                   help="comma-separated parameter names ('1' = trivial)")
-    i.set_defaults(fn=_cmd_invariant)
+    for name, (fn, help_, description, options) in _COMMANDS.items():
+        s = sub.add_parser(name, help=help_, description=description)
+        for flag, kwargs in options:
+            s.add_argument(flag, **kwargs)
+        s.set_defaults(fn=fn)
     return p
 
 
-def _parse(argv) -> argparse.Namespace:
-    """Parse like `_build_parser().parse_args(argv)`.  When argv starts
-    with a subcommand name, the full parser would hand the rest to that
-    subcommand's parser and report what it leaves over; do just that.
-    Anything else (no arguments, help, an option first, an unknown
-    name) goes through the full parser."""
-    parser = _build_parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:],
-                                        argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error("unrecognized arguments: %s" % " ".join(extras))
+def _table_args(argv):
+    """The parse of a well-formed argv, read from `_COMMANDS` alone, or
+    None.  Well formed: a subcommand, then distinct `flag value` pairs,
+    each flag one of the subcommand's exactly, no value starting with
+    '-', each value of its option's type and among its choices, and
+    every required flag given."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if entry is None or 2 * len(given) + 1 != len(argv):
+        return None     # no subcommand, a flag with no value, or a repeat
+    fn, _, _, options = entry
+    args = types.SimpleNamespace(command=argv[0])
+    for flag, kwargs in options:
+        if flag in given:
+            value = given.pop(flag)
+            if value.startswith("-"):
+                return None
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+        setattr(args, flag[2:].replace("-", "_"), value)
+    if given:
+        return None     # a flag the subcommand does not have
+    args.fn = fn
     return args
+
+
+def _parse(argv):
+    """Parse like `_build_parser().parse_args(argv)`: from the table
+    when argv is well formed, else (help, errors, '--x=v',
+    abbreviations, repeats, negative numbers, '--') with argparse."""
+    args = _table_args(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def run(argv):

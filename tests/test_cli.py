@@ -7,6 +7,7 @@ verifications all pass on real data) are driven by monkeypatching the
 library functions the commands call.
 """
 
+import importlib.util
 import io
 import json
 import os
@@ -306,6 +307,49 @@ def test_field_degree_is_ascii_digits(field):
     assert err == f"bad field {field!r} (expected f2^K)\n"
 
 
+@pytest.mark.parametrize("field, form, message", [
+    ("f2^3", "[a,1]", "not an element of F_{2^3}: 'a'"),
+    ("f2^3", "<" + "f" * 5000 + ">",
+     "not an element of F_{2^3}: '" + "f" * 5000 + "'"),
+    ("f2^" + "9" * 5000, "[1,1]", "field degree must be between 1 and 16"),
+    ("f2^" + "0" * 5000 + "17", "[1,1]",
+     "field degree must be between 1 and 16"),
+], ids=["letter", "long-element", "long-degree", "long-degree-zeros"])
+def test_element_and_degree_errors_quote_the_input(field, form, message):
+    # the element as typed, not its value in decimal, and no int() digit
+    # limit error for a long element or degree
+    assert usage_error(["qform", "--field", field, "--op", "arf",
+                        "--form", form]) == message + "\n"
+
+
+def test_long_degree_with_leading_zeros_builds_the_field():
+    field = "f2^" + "0" * 5000 + "3"
+    argv = ["qform", "--field", "f2^3", "--op", "arf", "--form", "[1,5]"]
+    want = ok_json(argv)
+    assert ok_json(argv[:2] + [field] + argv[3:]) == dict(want, field=field)
+
+
+def _qform(form, op="arf"):
+    return ["qform", "--field", "f2^2", "--op", op, "--form", form]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_qform(""), "empty form expression"),
+    (_qform("[1,2,3]"), "block needs two entries: '[1,2,3]'"),
+    (_qform("pf(1,2)"), "pf(...) needs 'slots;unit', e.g. pf(2,3;1)"),
+    (_qform("foo"), "cannot parse form summand 'foo'"),
+    (_qform("[1,1]", "normalize"), "normalize expects mat(row;row;...)"),
+    (_qform("mat(1,2)", "normalize"), "coefficient matrix must be square"),
+    (["symbol", "--normalize", ""], "empty symbol expression"),
+    (["symbol", "--normalize", "{a,&,c]"], "bad monomial factor '&'"),
+    (["symbol", "--normalize", "{a]"], "a symbol needs at least two slots"),
+    (["symbol", "--normalize", "nonsense"],
+     "cannot parse symbol term 'nonsense'"),
+])
+def test_expression_parser_guards(argv, message):
+    assert run(argv) == (2, "", message + "\n")
+
+
 def test_pfister_slots_must_not_be_empty():
     for form in ("pf(1,,2;1)", "pf(1,;1)", "pf(,1;1)", "pf(,;1)"):
         assert "bad field element ''" in usage_error(
@@ -571,14 +615,36 @@ DISPATCH_CORPUS = [
     ["qform", "--field", "f2^2"], ["symbol"],
     # unknown subcommand, option before the subcommand
     ["frobnicate"], ["frobnicate", "--x"], ["--min", "3", "ed-table"],
+    # every spelling int() reads: the table path must accept them too
+    ["ed-table", "--min", "+3", "--max", "4"],
+    ["ed-table", "--min", " 3 ", "--max", "4"],
+    ["ed-table", "--min", "1_0", "--max", "12"],
+    ["ed-table", "--min", "\u0661\u0660", "--max", "12"],
+    # an empty value, a trailing flag, an unknown flag after valid pairs,
+    # a missing required flag, a value that starts with '-'
+    ["qform", "--field", "f2^2", "--op", "arf", "--form", ""],
+    ["ed-table", "--min", "3", "--max", "4", "--format"],
+    ["verify-lattice", "--r-max", "3", "--r", "2"],
+    ["verify-heisenberg", "--r", "3"],
+    ["symbol", "--normalize", "-{a,b]"],
+    # a repeated option whose last value is good but first is not
+    ["ed-table", "--min", "x", "--min", "5", "--max", "6"],
 ]
+# every request the benchmark's three workloads send (seed 1)
+_WORKLOADS = importlib.util.spec_from_file_location(
+    "bench_workloads", os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "bench", "workloads.py"))
+workloads = importlib.util.module_from_spec(_WORKLOADS)
+_WORKLOADS.loader.exec_module(workloads)
+DISPATCH_CORPUS += [argv for w in workloads.WORKLOADS
+                    for argv in workloads.generate(w, 1)]
 
 
 def _parse_outcome(parse, argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            return "parsed", parse(argv)
+            return "parsed", vars(parse(argv))
         except cli._UsageError as exc:
             return "usage error", str(exc)
         except SystemExit as exc:
@@ -587,7 +653,7 @@ def _parse_outcome(parse, argv):
 
 @pytest.mark.parametrize("argv", DISPATCH_CORPUS)
 def test_dispatch_matches_full_parser(argv, monkeypatch):
-    # the full parser stays the oracle for the direct subcommand dispatch
+    # the full parser stays the oracle for the table path
     monkeypatch.setenv("COLUMNS", "80")
     full = _parse_outcome(cli._build_parser().parse_args, argv)
     assert _parse_outcome(cli._parse, argv) == full

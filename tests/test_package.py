@@ -40,14 +40,15 @@ API = [
     "torsor_forms", "verify_trace", "weyl_act", "witt_decompose",
 ]
 
-# prints the exit code, then the layers that have run and those that
-# are only registered
+# prints the exit code, whether argparse was imported, then the layers
+# that have run and those that are only registered
 PROBE = """
 import sys, types
 import spindim.cli
 code = spindim.cli.run(sys.argv[1:])[0]
 mods = {n[8:]: m for n, m in sys.modules.items() if n.startswith("spindim.")}
 print(code)
+print("argparse" in sys.modules)
 print(*sorted(n for n, m in mods.items() if type(m) is types.ModuleType))
 print(*sorted(n for n, m in mods.items() if type(m) is not types.ModuleType))
 """
@@ -63,12 +64,13 @@ def cold(code, *argv):
 
 
 def layers_run(*argv):
-    """(exit code, the layers that ran) for one cold `cli.run(argv)`;
-    the others must still be registered."""
-    code, ran, lazy = cold(PROBE, *argv)
+    """(exit code, the layers that ran, whether argparse was imported)
+    for one cold `cli.run(argv)`; the other layers must still be
+    registered."""
+    code, argparse_loaded, ran, lazy = cold(PROBE, *argv)
     ran, lazy = set(ran.split()), set(lazy.split())
     assert ran | lazy >= set(LAYERS)
-    return int(code), ran & set(LAYERS)
+    return int(code), ran & set(LAYERS), argparse_loaded == "True"
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -83,9 +85,8 @@ def layers_run(*argv):
      {"invariants"}),
 ])
 def test_form_requests_never_run_the_lattice_layer(argv, want):
-    code, ran = layers_run(*argv)
-    assert code == 0
-    assert ran == want
+    # a well-formed request is parsed from the option table alone
+    assert layers_run(*argv) == (0, want, False)
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -98,18 +99,15 @@ def test_form_requests_never_run_the_lattice_layer(argv, want):
     (["verify-lattice", "--r-max", "6"], {"abelian", "spinlat"}),
 ])
 def test_lattice_requests_never_run_the_form_layer(argv, want):
-    code, ran = layers_run(*argv)
-    assert code == 0
-    assert ran == want
+    assert layers_run(*argv) == (0, want, False)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["symbol", "--help"], [],
                                   ["invariant", "--group", "spin6",
                                    "--labels", "a"]])
 def test_help_and_parse_errors_run_no_layer(argv):
-    code, ran = layers_run(*argv)
-    assert code == (0 if "--help" in argv else 2)
-    assert ran == set()
+    # argparse prints help and parse errors
+    assert layers_run(*argv) == (0 if "--help" in argv else 2, set(), True)
 
 
 def test_importing_the_cli_registers_every_layer_and_runs_none():
@@ -156,6 +154,5 @@ def test_dir_lists_every_public_name():
 
 
 def test_cli_group_choices_are_the_spin_ids():
-    parser = cli._build_parser().subcommands["invariant"]
-    group = next(a for a in parser._actions if a.dest == "group")
-    assert group.choices == tuple(g.value for g in SpinId)
+    options = dict(cli._COMMANDS["invariant"][3])
+    assert options["--group"]["choices"] == tuple(g.value for g in SpinId)
