@@ -7,7 +7,6 @@ verifications all pass on real data) are driven by monkeypatching the
 library functions the commands call.
 """
 
-import importlib.util
 import io
 import json
 import os
@@ -20,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spindim
+from cli_corpus import HAND_ARGV, workloads
 from spindim import cli, qform2
 from spindim.cli import run
 from spindim.edcalc import MAX_N, ed_table
@@ -578,66 +578,10 @@ def test_unknown_subcommand_is_a_usage_error():
     usage_error(["frobnicate"])
 
 
-DISPATCH_CORPUS = [
-    # every subcommand, well formed
-    ["ed-table", "--min", "3", "--max", "9", "--format", "json"],
-    ["verify-lattice", "--r-max", "3"],
-    ["verify-heisenberg", "--r", "2", "--parity", "even"],
-    ["qform", "--field", "f2^3", "--op", "equiv", "--form", "[1,3]",
-     "--form2", "[3,1]"],
-    ["symbol", "--normalize", "{a,b]"],
-    ["invariant", "--group", "spin8", "--labels", "a,b,c,d,e"],
-    # help, before and after the subcommand, and abbreviated
-    [], ["-h"], ["--help"], ["-h", "qform"], ["qform", "-h"],
-    ["symbol", "--help"], ["ed-table", "--min", "3", "-h"], ["qform", "--he"],
-    # '--' and option-like strings
-    ["--", "ed-table", "--min", "3", "--max", "4"],
-    ["ed-table", "--", "--min", "3", "--max", "4"],
-    ["ed-table", "--min", "3", "--max", "4", "--"],
-    ["ed-table", "--min=3", "--max=4"],
-    ["ed-table", "--min", "-3", "--max", "4"],
-    # abbreviations, ambiguous and not
-    ["ed-table", "--mi", "3", "--ma", "4"], ["ed-table", "--m", "3"],
-    ["verify-heisenberg", "--r", "3", "--par", "odd"],
-    ["qform", "--fi", "f2^2", "--o", "arf", "--fo", "[1,1]"],
-    # repeated options: the last one wins
-    ["ed-table", "--min", "3", "--min", "5", "--max", "6"],
-    ["qform", "--field", "f2^2", "--op", "arf", "--form", "[1,1]",
-     "--op", "witt"],
-    # extras
-    ["ed-table", "--min", "3", "--max", "4", "extra"],
-    ["ed-table", "--min", "3", "--max", "4", "--bogus", "x", "y"],
-    ["symbol", "--normalize", "{a,b]", "junk"],
-    # bad values and missing arguments
-    ["ed-table", "--min", "x", "--max", "4"],
-    ["ed-table", "--min", "3", "--max", "4", "--format", "xml"],
-    ["qform", "--field", "f2^2", "--op", "arf", "--form"],
-    ["qform", "--field", "f2^2"], ["symbol"],
-    # unknown subcommand, option before the subcommand
-    ["frobnicate"], ["frobnicate", "--x"], ["--min", "3", "ed-table"],
-    # every spelling int() reads: the table path must accept them too
-    ["ed-table", "--min", "+3", "--max", "4"],
-    ["ed-table", "--min", " 3 ", "--max", "4"],
-    ["ed-table", "--min", "1_0", "--max", "12"],
-    ["ed-table", "--min", "\u0661\u0660", "--max", "12"],
-    # an empty value, a trailing flag, an unknown flag after valid pairs,
-    # a missing required flag, a value that starts with '-'
-    ["qform", "--field", "f2^2", "--op", "arf", "--form", ""],
-    ["ed-table", "--min", "3", "--max", "4", "--format"],
-    ["verify-lattice", "--r-max", "3", "--r", "2"],
-    ["verify-heisenberg", "--r", "3"],
-    ["symbol", "--normalize", "-{a,b]"],
-    # a repeated option whose last value is good but first is not
-    ["ed-table", "--min", "x", "--min", "5", "--max", "6"],
-]
-# every request the benchmark's three workloads send (seed 1)
-_WORKLOADS = importlib.util.spec_from_file_location(
-    "bench_workloads", os.path.join(os.path.dirname(__file__), os.pardir,
-                                    "bench", "workloads.py"))
-workloads = importlib.util.module_from_spec(_WORKLOADS)
-_WORKLOADS.loader.exec_module(workloads)
-DISPATCH_CORPUS += [argv for w in workloads.WORKLOADS
-                    for argv in workloads.generate(w, 1)]
+# the hand-written parser probes, then every request the benchmark's
+# three workloads send (seed 1)
+DISPATCH_CORPUS = HAND_ARGV + [argv for w in workloads.WORKLOADS
+                               for argv in workloads.generate(w, 1)]
 
 
 def _parse_outcome(parse, argv):
