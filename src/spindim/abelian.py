@@ -102,8 +102,8 @@ class Presentation(Record):
 
     _fields = ("num_generators", "relations")
 
-    def __init__(self, num_generators: int,
-                 relations: tuple[tuple[int, ...], ...]):
+    def __new__(cls, num_generators: int,
+                relations: tuple[tuple[int, ...], ...]):
         if (not isinstance(num_generators, int)
                 or isinstance(num_generators, bool)):
             raise ValueError(
@@ -113,12 +113,13 @@ class Presentation(Record):
         for row in relations:
             if len(row) != num_generators:
                 raise ValueError("relation length does not match generator count")
-        super().__init__(num_generators, relations)
+        return super().__new__(cls, num_generators, relations)
 
 
 class GroupElement(Record):
-    """An element in reduced Smith coordinates.  Hashable; equality is
-    equality of reduced coordinates within the same group instance."""
+    """An element in reduced Smith coordinates.  As the tuple (group,
+    coords) it hashes, compares equal and orders by its coordinates
+    within one group instance: `FgAbGroup` compares by identity."""
 
     _fields = ("group", "coords")
 
@@ -136,17 +137,6 @@ class GroupElement(Record):
 
     def __rmul__(self, k: int) -> "GroupElement":
         return self.group._from_reduced([k * a for a in self.coords])
-
-    def __hash__(self):
-        return hash((id(self.group), self.coords))
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupElement)
-                and self.group is other.group and self.coords == other.coords)
-
-    def __lt__(self, other: "GroupElement"):
-        # a fixed total order, used for deterministic listings
-        return self.coords < other.coords
 
     def is_identity(self) -> bool:
         return all(a == 0 for a in self.coords)

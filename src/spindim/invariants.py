@@ -301,7 +301,7 @@ class TorsorData(Record):
 
     _fields = ("group", "labels")
 
-    def __init__(self, group: SpinId, labels: tuple):
+    def __new__(cls, group: SpinId, labels: tuple):
         want = PARAM_COUNT[group]
         if len(labels) != want:
             raise ValueError(
@@ -311,7 +311,7 @@ class TorsorData(Record):
             if not (isinstance(name, str)
                     and (name == "1" or _NAME_RE.fullmatch(name))):
                 raise ValueError(f"bad parameter label: {name!r}")
-        super().__init__(group, labels)
+        return super().__new__(cls, group, labels)
 
     def formal_field(self) -> FormalField2:
         names = []

@@ -269,7 +269,7 @@ class QForm(Record):
 
     _fields = ("field", "blocks", "diag")
 
-    def __init__(self, field, blocks: tuple = (), diag: tuple = ()):
+    def __new__(cls, field, blocks: tuple = (), diag: tuple = ()):
         if not isinstance(field, ConcreteField2):
             raise TypeError(f"quadratic forms need a ConcreteField2, "
                             f"not {field!r}")
@@ -280,7 +280,7 @@ class QForm(Record):
             field.check(bl.b)
         for c in diag:
             field.check(c)
-        super().__init__(field, blocks, diag)
+        return super().__new__(cls, field, blocks, diag)
 
     @property
     def dim(self) -> int:

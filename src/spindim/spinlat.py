@@ -55,7 +55,7 @@ class WeylElt(Record):
 
     _fields = ("perm", "signs")
 
-    def __init__(self, perm: tuple[int, ...], signs: int):
+    def __new__(cls, perm: tuple[int, ...], signs: int):
         r = len(perm)
         # True == 1 and 1.0 == 1, so the checks below need ints
         for x in (*perm, signs):
@@ -65,7 +65,7 @@ class WeylElt(Record):
             raise ValueError("perm is not a permutation of 0..r-1")
         if not 0 <= signs < (1 << r):
             raise ValueError("sign bitmask out of range")
-        super().__init__(perm, signs)
+        return super().__new__(cls, perm, signs)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         # (self * other) acts as other first, then self

@@ -1,12 +1,14 @@
 """The frozen-record contract every value class in spindim relies on,
-and the import cost it exists to avoid: one `__init__` that takes the
+and the import cost it exists to avoid: one `__new__` that takes the
 fields by position, by name or from `_defaults`, equality and hashing
 by field tuple within one class, frozen fields, the field repr,
-`_replace` re-running the checks in `__init__`, and no `dataclasses` on
-the cold import path."""
+`_replace` re-running the checks in `__new__`, the tuple operators
+fenced off, and no `dataclasses` on the cold import path."""
 
+import copy
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 
@@ -15,11 +17,12 @@ import pytest
 import spindim
 from spindim._record import Record
 from spindim.edcalc import DerivationStep, LiveCheck, Rule
-from spindim.abelian import GroupElement
+from spindim.abelian import FgAbGroup, Presentation
 from spindim.invariants import (Nonvanishing, NonvanishingReport,
                                 PfisterBase, ScaledPfister, SymbolSum,
                                 SymbolTerm)
-from spindim.qform2 import BinaryBlock, ConcreteField2, FormClass, QForm
+from spindim.qform2 import (BinaryBlock, ConcreteField2, FormClass, QForm,
+                            WittDecomposition)
 from spindim.repdim import CharMultiset, DivisibilityReport
 from spindim.spinlat import (Parity, WeylElt, build_char_data,
                              free_transitive_check)
@@ -36,12 +39,12 @@ CHECKED = {"Presentation", "QForm", "TorsorData", "WeylElt"}
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_fields_match_the_init_parameters(cls):
     # _replace, __eq__, __hash__ and __repr__ all read _fields; a record
-    # either takes them through Record.__init__ or names them all itself
+    # either takes them through Record.__new__ or names them all itself
     if cls.__name__ not in CHECKED:
-        assert cls.__init__ is Record.__init__
+        assert cls.__new__ is Record.__new__
         return
-    params = list(inspect.signature(cls.__init__).parameters)
-    assert params == ["self", *cls._fields]
+    params = list(inspect.signature(cls.__new__).parameters)
+    assert params == ["cls", *cls._fields]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -118,11 +121,11 @@ def test_equal_fields_give_equal_objects_and_hashes(make):
 
 
 def test_equality_and_hash_have_one_implementation():
-    # only GroupElement departs from the field tuple, on purpose: it
-    # hashes its group by identity
+    # GroupElement too compares as its field tuple: its group, an
+    # FgAbGroup, compares and hashes by identity
     own = {cls for cls in RECORDS
            if {"__eq__", "__hash__"} & cls.__dict__.keys()}
-    assert own == {GroupElement}
+    assert own == set()
 
 
 def test_a_changed_field_breaks_equality():
@@ -137,6 +140,48 @@ def test_different_classes_with_equal_fields_are_unequal():
     assert BinaryBlock(1, 2) != (1, 2)
     assert LiveCheck("x", 1, 1) != Rule("x", 1, 1)
     assert Rule("x", 1, 1) != LiveCheck("x", 1, 1)
+
+
+def test_a_plain_tuple_never_equals_a_record():
+    # Record.__eq__ runs first from either side, its class being the
+    # subclass
+    assert (1, 2) != BinaryBlock(1, 2)
+    assert not (1, 2) == BinaryBlock(1, 2)
+    assert not BinaryBlock(1, 2) == (1, 2)
+    assert len({(1, 2), BinaryBlock(1, 2)}) == 2
+
+
+def test_tuple_concatenation_and_repetition_are_fenced():
+    bl = BinaryBlock(1, 2)
+    for op in (lambda: bl + bl, lambda: bl * 2, lambda: 2 * bl,
+               lambda: (0,) + bl):
+        with pytest.raises(TypeError):
+            op()
+    # the records that define their own operators keep them
+    group = FgAbGroup(Presentation(1, ((4,),)))
+    g = group.element([1])
+    assert g + g == 2 * g == group.element([2])
+    with pytest.raises(TypeError):
+        g * 2
+    w = WeylElt((1, 0), 0b01)
+    assert w * w == WeylElt((0, 1), 0b11)
+    one = SymbolSum((SymbolTerm((frozenset("a"),), (frozenset("b"),)),))
+    assert (one + one).terms == one.terms * 2
+
+
+def test_a_record_reads_as_the_tuple_of_its_fields():
+    bl = BinaryBlock(1, 2)
+    assert tuple(bl) == (1, 2) and len(bl) == 2 and bl[1] == 2
+    assert BinaryBlock(1, 2) < BinaryBlock(1, 3)
+    # a field wins over the tuple method of the same name
+    assert WittDecomposition(1, QForm(F4)).index == 1
+
+
+def test_copy_and_pickle_rebuild_the_record():
+    w = WeylElt((1, 0, 2), 0b101)
+    for twin in (copy.copy(w), copy.deepcopy(w),
+                 pickle.loads(pickle.dumps(w))):
+        assert twin == w and type(twin) is WeylElt
 
 
 def test_fields_are_frozen():
