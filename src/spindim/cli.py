@@ -170,23 +170,25 @@ def parse_field_name(text: str) -> qform2.ConcreteField2:
         raise _UsageError(str(exc)) from None
 
 
-def parse_symbol_expr(text: str):
-    """Parse a sum of symbol terms; returns (SymbolSum, field)."""
+def parse_symbol_expr(text: str) -> invariants.SymbolSum:
+    """Parse a sum of symbol terms."""
     text = text.replace(" ", "")
     if not text:
         raise _UsageError("empty symbol expression")
-    names: list = []
 
-    def note_names(mono_text):
+    def mono(mono_text):
+        # the product of the factors: a repeated one cancels, '1' adds
+        # nothing
+        out = frozenset()
         for piece in mono_text.split("*"):
             if piece == "1":
                 continue
             if not invariants._NAME_RE.fullmatch(piece):
                 raise _UsageError(f"bad monomial factor {piece!r}")
-            if piece not in names:
-                names.append(piece)
+            out ^= frozenset({piece})
+        return out
 
-    raw_terms, expansion = [], 0
+    terms, expansion = [], 0
     for part in _split_top(text, "+"):
         if part == "0":
             continue
@@ -195,29 +197,16 @@ def parse_symbol_expr(text: str):
         slots = _split_top(part[1:-1], ",")
         if len(slots) < 2:
             raise _UsageError("a symbol needs at least two slots")
-        for s in slots[:-1]:
-            note_names(s)
+        a_slots = tuple(map(mono, slots[:-1]))
         b_pieces = slots[-1].split("+")
-        for b in b_pieces:
-            note_names(b)
+        b_slot = tuple(map(mono, b_pieces))
         expansion += len(b_pieces) * math.prod(
             s.count("*") + 1 for s in slots[:-1])
         if expansion > MAX_SYMBOL_EXPANSION:
             raise _UsageError(f"symbol expression expands to more than "
                               f"{MAX_SYMBOL_EXPANSION} terms")
-        raw_terms.append((slots[:-1], b_pieces))
-
-    field = invariants.FormalField2(tuple(names))
-
-    def mono(text_):
-        return invariants.label(field, *text_.split("*"))
-
-    acc = invariants.ZERO_SYMBOL
-    for a_slots, b_pieces in raw_terms:
-        acc = acc + invariants.symbol(
-            tuple(mono(s) for s in a_slots),
-            tuple(mono(b) for b in b_pieces))
-    return acc, field
+        terms.append(invariants.SymbolTerm(a_slots, b_slot))
+    return invariants.SymbolSum(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +329,13 @@ def _cmd_qform(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
-    s, _ = parse_symbol_expr(args.normalize)
+    s = parse_symbol_expr(args.normalize)
     print(invariants.format_symbol(invariants.symbol_normalize(s)))
     return 0
 
 
 def _cmd_invariant(args) -> int:
-    try:
-        group = invariants.SpinId(args.group)
-    except ValueError:
-        raise _UsageError(f"unknown group {args.group!r}") from None
+    group = invariants.SpinId(args.group)
     labels = tuple(args.labels.split(","))
     try:
         torsor = invariants.TorsorData(group, labels)
@@ -511,10 +497,8 @@ def run(argv):
             except _UsageError as exc:
                 print(str(exc), file=sys.stderr)
                 code = 2
-    except SystemExit as exc:    # --help and argparse-internal exits
-        code = exc.code if isinstance(exc.code, int) else 0
-        if code not in (0,):
-            code = 2
+    except SystemExit as exc:    # --help; argparse errors raise _UsageError
+        code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
