@@ -293,6 +293,18 @@ def test_infinite_groups_are_guarded():
         subgroup_span(free, [free.generator(0)])
 
 
+def test_shape_and_foreign_element_guards(z2_z4):
+    with pytest.raises(ValueError, match="at least one generator"):
+        Presentation(0, ())
+    with pytest.raises(ValueError, match="relation length"):
+        Presentation(2, ((1,),))
+    other = FgAbGroup(Presentation(1, ((2,),)))
+    with pytest.raises(ValueError, match="element belongs to a different"):
+        z2_z4.lift(other.generator(0))
+    with pytest.raises(ValueError, match="generator belongs to a different"):
+        subgroup_span(z2_z4, [z2_z4.generator(0), other.generator(0)])
+
+
 def test_subgroup_span(z2_z4):
     x1, x2, A = (z2_z4.generator(i) for i in range(3))
     k = subgroup_span(z2_z4, [x1, x2])

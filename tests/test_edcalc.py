@@ -193,6 +193,25 @@ def test_consistency_reports_a_bound_mismatch(monkeypatch):
         ed_value(18)
 
 
+@pytest.mark.parametrize("side", ("upper_trace", "lower_trace"))
+def test_consistency_reports_a_trace_that_fails_to_reverify(side,
+                                                            monkeypatch):
+    # the last step of one trace is off by one, its bound untouched:
+    # the report says so, where ed_value would print the row
+    real = edcalc._ed_entry
+
+    def tampered(n):
+        entry = real(n)
+        *head, last = getattr(entry, side)
+        bad = last._replace(out=last.out + 1)
+        return entry._replace(**{side: (*head, bad)})
+
+    monkeypatch.setattr(edcalc, "_ed_entry", tampered)
+    rep = consistency_check(18)
+    assert not rep.ok
+    assert rep.problems == ("trace arithmetic failed to re-verify",)
+
+
 def test_consistency_live_checks_cover_every_rank():
     for n in range(MIN_N, 15):
         assert consistency_check(n).live_checks == ()

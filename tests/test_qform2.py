@@ -491,6 +491,8 @@ def test_forms_over_formal_monomials_are_refused():
     for entry in entries:
         with pytest.raises(TypeError, match="ConcreteField2"):
             entry()
+    with pytest.raises(TypeError, match="needs a concrete field"):
+        block_normalize(f, [[a]])
 
 
 def test_field_guards():
@@ -521,6 +523,9 @@ def test_formal_field_basics():
         f.var("z")
     with pytest.raises(ValueError):
         FormalField2(("a", "a"))
+    for bad in ("", 3):
+        with pytest.raises(ValueError, match="bad indeterminate name"):
+            FormalField2(("a", bad))
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +570,8 @@ def test_form_validation():
         QForm(F4, blocks=((1, 2),))
     with pytest.raises(ValueError):
         diag_form(F4, 5)
+    with pytest.raises(ValueError, match="vector length 1 != dim 2"):
+        evaluate(block(F4, 1, 2), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +701,13 @@ def test_pfister_expand_matches_build(field, slots, b):
                 total_dim += inner.dim
         assert total_dim == built.dim
         assert counts == want
+
+
+def test_pfister_expand_guards():
+    with pytest.raises(ValueError, match="slots must be nonzero"):
+        pfister_expand(F4, (2, 0), 1, 1)
+    with pytest.raises(ValueError, match="peel out of range"):
+        pfister_expand(F4, (2,), 1, 2)
 
 
 @pytest.mark.parametrize("field", (F2, F4))

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from spindim import repdim
 from spindim.repdim import (CharMultiset, divisibility_report,
                             enumerate_invariant_multisets, is_center_faithful,
                             is_invariant, merkurjev_index_bound,
@@ -193,6 +194,17 @@ def test_divisibility_report_exhaustive(r, parity):
     assert rep.min_achieving.total_dim == rep.min_dim
     assert is_invariant(data, rep.min_achieving)
     assert is_center_faithful(data, rep.min_achieving)
+
+
+@pytest.mark.parametrize("check", ("is_invariant", "is_center_faithful"))
+def test_exhaustive_report_fails_on_a_multiset_that_fails_a_check(
+        check, monkeypatch):
+    # the enumeration is trusted only as far as each multiset it yields
+    # passes both checks again
+    monkeypatch.setattr(repdim, check, lambda data, ms: False)
+    rep = divisibility_report(build_char_data(3, Parity.ODD), exhaustive=True)
+    assert rep.exhaustive_ok is False
+    assert rep.exhaustive_checked_to == 2 * max(rep.orbit_sizes)
 
 
 def test_report_without_exhaustive_leaves_fields_unset():

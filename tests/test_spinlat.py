@@ -157,6 +157,15 @@ def test_weyl_elt_rejects_bools_and_floats():
     assert WeylElt((1, 0), 1).signs == 1
 
 
+def test_weyl_act_guards():
+    data = build_char_data(2, Parity.ODD)
+    with pytest.raises(ValueError, match="wrong rank"):
+        weyl_act(data, weyl_identity(3), data.xL.generator(0))
+    stranger = build_char_data(3, Parity.ODD).xL.generator(0)
+    with pytest.raises(ValueError, match=r"on X\(T\) or X\(L\)"):
+        weyl_act(data, weyl_identity(2), stranger)
+
+
 @pytest.mark.parametrize("parity", PARITIES)
 def test_action_preserves_relation_lattice(parity):
     # image of every relation word must die in the quotient, which is
