@@ -138,17 +138,12 @@ def test_different_classes_with_equal_fields_are_unequal():
     assert BinaryBlock(1, 2) != PfisterBase(1, 2)
     assert PfisterBase(1, 2) != BinaryBlock(1, 2)
     assert BinaryBlock(1, 2) != (1, 2)
-    assert LiveCheck("x", 1, 1) != Rule("x", 1, 1)
-    assert Rule("x", 1, 1) != LiveCheck("x", 1, 1)
-
-
-def test_a_plain_tuple_never_equals_a_record():
-    # Record.__eq__ runs first from either side, its class being the
-    # subclass
+    # a record is a tuple, and Record.__eq__ runs first from either side
     assert (1, 2) != BinaryBlock(1, 2)
     assert not (1, 2) == BinaryBlock(1, 2)
-    assert not BinaryBlock(1, 2) == (1, 2)
     assert len({(1, 2), BinaryBlock(1, 2)}) == 2
+    assert LiveCheck("x", 1, 1) != Rule("x", 1, 1)
+    assert Rule("x", 1, 1) != LiveCheck("x", 1, 1)
 
 
 def test_tuple_concatenation_and_repetition_are_fenced():
