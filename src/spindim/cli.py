@@ -29,7 +29,6 @@ Symbol expressions: terms '{s1,...,sn-1,b]' joined by '+'; slots are
 from __future__ import annotations
 
 import io
-import json
 import math
 import re
 import sys
@@ -41,7 +40,7 @@ from functools import lru_cache
 # on the first attribute a subcommand reads, so refer to them only
 # through the module, inside the `_cmd_*` functions and the parsers
 # they call.
-from . import edcalc, invariants, qform2, repdim, spinlat
+from . import _json, edcalc, invariants, qform2, repdim, spinlat
 
 
 # Largest coefficient matrix `qform --op normalize` accepts.  The
@@ -113,6 +112,8 @@ def parse_form(field, text: str) -> qform2.QForm:
     text = text.replace(" ", "")
     if not text:
         raise _UsageError("empty form expression")
+    if text == "0":     # the empty form, as `format_qform` prints it
+        return qform2.QForm(field)
     blocks, diag, dim = [], [], 0
     for part in _split_top(text, "+"):
         if _BLOCK_RE.fullmatch(part):
@@ -213,15 +214,14 @@ def parse_symbol_expr(text: str) -> invariants.SymbolSum:
 # subcommands
 
 
-def _cmd_ed_table(args) -> int:
+def _cmd_ed_table(args) -> tuple[int, str]:
     try:
-        print(edcalc.ed_table(args.min, args.max, args.format), end="")
+        return 0, edcalc.ed_table(args.min, args.max, args.format)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return 0
 
 
-def _cmd_verify_lattice(args) -> int:
+def _cmd_verify_lattice(args) -> tuple[int, str]:
     if not 1 <= args.r_max <= spinlat.MAX_R:
         raise _UsageError(f"--r-max must be between 1 and {spinlat.MAX_R}")
     rows = []
@@ -249,12 +249,11 @@ def _cmd_verify_lattice(args) -> int:
                 "orbit_sizes": list(shape.orbit_sizes),
                 "ok": ok,
             })
-    print(json.dumps({"r_max": args.r_max, "ok": all_ok, "rows": rows},
-                     indent=2))
-    return 0 if all_ok else 1
+    payload = {"r_max": args.r_max, "ok": all_ok, "rows": rows}
+    return 0 if all_ok else 1, _json.dumps(payload) + "\n"
 
 
-def _cmd_verify_heisenberg(args) -> int:
+def _cmd_verify_heisenberg(args) -> tuple[int, str]:
     if not 1 <= args.r <= spinlat.MAX_R:
         raise _UsageError(f"--r must be between 1 and {spinlat.MAX_R}")
     parity = spinlat.Parity(args.parity)
@@ -285,11 +284,10 @@ def _cmd_verify_heisenberg(args) -> int:
         "exhaustive_ok": exhaustive_ok,
         "ok": ok,
     }
-    print(json.dumps(payload, indent=2))
-    return 0 if ok else 1
+    return 0 if ok else 1, _json.dumps(payload) + "\n"
 
 
-def _cmd_qform(args) -> int:
+def _cmd_qform(args) -> tuple[int, str]:
     if args.form2 is not None and args.op != "equiv":
         raise _UsageError("--form2 is only valid with --op equiv")
     field = parse_field_name(args.field)
@@ -324,17 +322,15 @@ def _cmd_qform(args) -> int:
                 out["equivalent"] = qform2.equivalent_ff(q, q2)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc)) from None
-    print(json.dumps(out, indent=2))
-    return 0
+    return 0, _json.dumps(out) + "\n"
 
 
-def _cmd_symbol(args) -> int:
+def _cmd_symbol(args) -> tuple[int, str]:
     s = parse_symbol_expr(args.normalize)
-    print(invariants.format_symbol(invariants.symbol_normalize(s)))
-    return 0
+    return 0, invariants.format_symbol(invariants.symbol_normalize(s)) + "\n"
 
 
-def _cmd_invariant(args) -> int:
+def _cmd_invariant(args) -> tuple[int, str]:
     group = invariants.SpinId(args.group)
     labels = tuple(args.labels.split(","))
     try:
@@ -344,9 +340,8 @@ def _cmd_invariant(args) -> int:
     try:
         rep = invariants.invariant_f(torsor)
     except AssertionError as exc:
-        print(json.dumps({"group": group.value, "labels": list(labels),
-                          "ok": False, "error": str(exc)}, indent=2))
-        return 1
+        return 1, _json.dumps({"group": group.value, "labels": list(labels),
+                               "ok": False, "error": str(exc)}) + "\n"
     nv = rep.nonvanishing
     payload = {
         "group": group.value,
@@ -359,8 +354,7 @@ def _cmd_invariant(args) -> int:
     }
     if nv.note:
         payload["nonvanishing_note"] = nv.note
-    print(json.dumps(payload, indent=2))
-    return 0
+    return 0, _json.dumps(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +362,10 @@ def _cmd_invariant(args) -> int:
 
 
 # subcommand -> (handler, help, description, options); each option is
-# its flag and the keywords of its `add_argument` call.  `_parse` reads
-# well-formed argv from this table alone; `_build_parser` builds the
-# argparse parser, which prints help and usage errors, from it.
+# its flag and the keywords of its `add_argument` call.  `_table_args`
+# reads well-formed argv from this table alone; `_build_parser` builds
+# the argparse parser, which reads the rest and prints help and usage
+# errors, from it.  A handler returns (exit code, stdout text).
 _COMMANDS = {
     "ed-table": (
         _cmd_ed_table, "essential dimension table",
@@ -422,7 +417,7 @@ _COMMANDS = {
 @lru_cache(maxsize=None)
 def _build_parser():
     """The argparse parser of `_COMMANDS`, built once per process and
-    only for argv that `_parse` does not read itself.  Reuse is safe:
+    only for argv that `_table_args` does not read.  Reuse is safe:
     parse results live in the returned Namespace, and help and errors
     are written to the sys.stdout / sys.stderr current at call time."""
     import argparse
@@ -478,28 +473,25 @@ def _table_args(argv):
     return args
 
 
-def _parse(argv):
-    """Parse like `_build_parser().parse_args(argv)`: from the table
-    when argv is well formed, else (help, errors, '--x=v',
-    abbreviations, repeats, negative numbers, '--') with argparse."""
-    args = _table_args(argv)
-    return _build_parser().parse_args(argv) if args is None else args
-
-
 def run(argv):
-    """Run one invocation; returns (exit_code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
+    """Run one invocation; returns (exit_code, stdout, stderr).
+
+    A well-formed argv is read from the option table; any other (help,
+    errors, '--x=v', abbreviations, repeats, negative numbers, '--')
+    goes to argparse, whose printed help is caught here."""
+    args = _table_args(argv)
     try:
-        with redirect_stdout(out), redirect_stderr(err):
+        if args is None:
+            out, err = io.StringIO(), io.StringIO()
             try:
-                args = _parse(argv)
-                code = args.fn(args)
-            except _UsageError as exc:
-                print(str(exc), file=sys.stderr)
-                code = 2
-    except SystemExit as exc:    # --help; argparse errors raise _UsageError
-        code = exc.code
-    return code, out.getvalue(), err.getvalue()
+                with redirect_stdout(out), redirect_stderr(err):
+                    args = _build_parser().parse_args(argv)
+            except SystemExit as exc:   # --help; errors raise _UsageError
+                return exc.code, out.getvalue(), err.getvalue()
+        code, text = args.fn(args)
+    except _UsageError as exc:
+        return 2, "", f"{exc}\n"
+    return code, text, ""
 
 
 def main() -> None:

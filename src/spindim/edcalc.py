@@ -29,8 +29,7 @@ groups are special), 4, 5, 5, 4 for n = 7..10, and open for 11..14.
 
 from __future__ import annotations
 
-import json
-
+from . import _json
 from ._record import Record
 from .spinlat import MAX_R, Parity, expected_orbit_size, orbit_structure
 
@@ -329,5 +328,5 @@ def ed_table(lo: int, hi: int, fmt: str = "tsv") -> str:
         rows = [{"n": e.n, "value": cell(e.value), "upper": cell(e.upper),
                  "lower": cell(e.lower), "case": e.case, "trace": _trace_json(e)}
                 for e in entries]
-        return json.dumps(rows, indent=2) + "\n"
+        return _json.dumps(rows) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

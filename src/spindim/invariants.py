@@ -178,30 +178,29 @@ def symbol(a_slots, b_slot) -> SymbolSum:
 ZERO_SYMBOL = SymbolSum(())
 
 
-def _sort_key(mono: Label):
-    return tuple(sorted(mono))
-
-
 def symbol_normalize(s: SymbolSum) -> SymbolSum:
     """Canonical form: expand products, drop vanishing terms, split
     additive slots, cancel mod 2, sort.  The rules are confluent (the
     tests drive them in random orders); this computes the fixpoint in
     one pass."""
+    # a term is keyed by its sorted slot names and the sorted names of
+    # its additive monomial; ordering the keys orders the monomials by
+    # their sorted names, as the normal form does
     parity: Counter = Counter()
     for term in s.terms:
+        b_keys = [tuple(sorted(b)) for b in term.b_slot]
         # expand multilinearly; a slot equal to 1 has no choices at
         # all, so the term dies
-        choices = [[frozenset([v]) for v in sorted(slot)]
-                   for slot in term.a_slots]
-        for picked in itertools.product(*choices):
+        for picked in itertools.product(*map(sorted, term.a_slots)):
             if len(set(picked)) < len(picked):    # equal slots vanish
                 continue
-            a_slots = tuple(sorted(picked, key=_sort_key))
-            for b in term.b_slot:                 # split the additive slot
-                parity[a_slots, b] ^= 1
-    kept = sorted((t for t, p in parity.items() if p),
-                  key=lambda t: (tuple(map(_sort_key, t[0])), _sort_key(t[1])))
-    return SymbolSum(tuple(SymbolTerm(a_slots, (b,)) for a_slots, b in kept))
+            a_key = tuple(sorted(picked))
+            for b in b_keys:                      # split the additive slot
+                parity[a_key, b] ^= 1
+    kept = sorted(t for t, p in parity.items() if p)
+    return SymbolSum(tuple(
+        SymbolTerm(tuple(frozenset((v,)) for v in a_key), (frozenset(b),))
+        for a_key, b in kept))
 
 
 def format_mono(m: Label) -> str:

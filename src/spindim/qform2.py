@@ -273,13 +273,17 @@ class QForm(Record):
         if not isinstance(field, ConcreteField2):
             raise TypeError(f"quadratic forms need a ConcreteField2, "
                             f"not {field!r}")
+        # an exact int in range is an element; `check` judges the rest
+        order = field.order
         for bl in blocks:
             if not isinstance(bl, BinaryBlock):
                 raise ValueError("blocks must be BinaryBlock instances")
-            field.check(bl.a)
-            field.check(bl.b)
-        for c in diag:
-            field.check(c)
+            for x in bl:
+                if not (x.__class__ is int and 0 <= x < order):
+                    field.check(x)
+        for x in diag:
+            if not (x.__class__ is int and 0 <= x < order):
+                field.check(x)
         return super().__new__(cls, field, blocks, diag)
 
     @property
@@ -642,9 +646,7 @@ def block_normalize(field, coeffs) -> QForm:
 
 
 def format_qform(q: QForm) -> str:
-    parts = []
-    for bl in q.blocks:
-        parts.append(f"[{format_element(q.field, bl.a)},{format_element(q.field, bl.b)}]")
-    for c in q.diag:
-        parts.append(f"<{format_element(q.field, c)}>")
+    # `QForm.__new__` has checked every coefficient
+    parts = [f"[{a:x},{b:x}]" for a, b in q.blocks]
+    parts += [f"<{c:x}>" for c in q.diag]
     return "+".join(parts) if parts else "0"

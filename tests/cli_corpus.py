@@ -93,6 +93,11 @@ HAND_ARGV = [
     ["symbol", "--normalize", "-{a,b]"],
     # a repeated option whose last value is good but first is not
     ["ed-table", "--min", "x", "--min", "5", "--max", "6"],
+    # the zero form, as the form layer prints it; only '0' alone is one
+    ["qform", "--field", "f2^3", "--op", "witt", "--form", "0"],
+    ["qform", "--field", "f2^1", "--op", "equiv", "--form", " 0 ",
+     "--form2", "0"],
+    ["qform", "--field", "f2^2", "--op", "arf", "--form", "[1,1]+0"],
 ]
 
 

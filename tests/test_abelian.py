@@ -247,6 +247,10 @@ def test_group_axioms_exhaustive_order_64():
     sample = rng.sample(els, 16)
     for a, b, c in itertools.product(sample, repeat=3):
         assert (a + b) + c == a + (b + c)
+    for a, b in itertools.product(sample, repeat=2):
+        # subtraction, against the difference of lifted words
+        assert a - b == g.element([x - y for x, y in zip(g.lift(a), g.lift(b))])
+        assert (a - b) + b == a
     for a, b in itertools.product(els, repeat=2):
         assert a + b == b + a
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spindim
-from cli_corpus import HAND_ARGV, workloads
+from cli_corpus import HAND_ARGV, corpus, workloads
 from spindim import cli, qform2
 from spindim.cli import run
 from spindim.edcalc import MAX_N, ed_table
@@ -393,6 +393,27 @@ def test_parse_form_equals_orth_sum_fold(case):
     assert cli.parse_form(field, "+".join(t for t, _ in summands)) == want
 
 
+def test_every_printed_form_parses_back():
+    # `format_qform` is one-to-one, so format(parse(t)) == t for each
+    # printed t = format(q) says parse(t) == q
+    printed = set()
+    for argv in corpus():
+        if argv[:1] != ["qform"]:
+            continue
+        out = run(argv)[1]
+        if not out.startswith("{"):     # help or a usage error
+            continue
+        payload = json.loads(out)
+        field = cli.parse_field_name(payload["field"])
+        for key in ("form", "form2", "kernel"):
+            if key in payload:
+                text = payload[key]
+                q = cli.parse_form(field, text)
+                assert qform2.format_qform(q) == text, (argv, key)
+                printed.add(text)
+    assert "0" in printed and len(printed) > 300
+
+
 def test_form_dimension_limit(monkeypatch):
     limit = cli.MAX_FORM_DIM
     f = qform2.ConcreteField2(1)
@@ -597,10 +618,13 @@ def _parse_outcome(parse, argv):
 
 @pytest.mark.parametrize("argv", DISPATCH_CORPUS)
 def test_dispatch_matches_full_parser(argv, monkeypatch):
-    # the full parser stays the oracle for the table path
+    # the full parser stays the oracle for the table path; `run` hands
+    # every argv the table does not read to that parser itself
     monkeypatch.setenv("COLUMNS", "80")
-    full = _parse_outcome(cli._build_parser().parse_args, argv)
-    assert _parse_outcome(cli._parse, argv) == full
+    table = cli._table_args(argv)
+    if table is not None:
+        full = _parse_outcome(cli._build_parser().parse_args, argv)
+        assert full == ("parsed", vars(table))
 
 
 @pytest.mark.parametrize("argv", [

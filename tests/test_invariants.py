@@ -19,7 +19,7 @@ from spindim.invariants import (PARAM_COUNT, ZERO_SYMBOL, InvariantReport,
                                 invariant_f, label, pfister_recover,
                                 strip_hyperbolic, symbol,
                                 symbol_generic_nonzero, symbol_normalize,
-                                torsor_forms, _sort_key)
+                                torsor_forms)
 from spindim.invariants import FormalField2, PfisterBase
 
 NAMES = ("a", "b", "c", "d", "e")
@@ -33,6 +33,11 @@ def mono(*names):
 def sym(*slot_names, b=("c",)):
     return symbol(tuple(mono(n) for n in slot_names),
                   tuple(mono(n) for n in b))
+
+
+def _sort_key(m):
+    # the normal form orders monomials by their sorted names
+    return tuple(sorted(m))
 
 
 # ---------------------------------------------------------------------------

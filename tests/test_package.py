@@ -40,8 +40,8 @@ API = [
     "torsor_forms", "verify_trace", "weyl_act", "witt_decompose",
 ]
 
-# prints the exit code, whether argparse was imported, then the layers
-# that have run and those that are only registered
+# prints the exit code, whether argparse and json were imported, then
+# the layers that have run and those that are only registered
 PROBE = """
 import sys, types
 import spindim.cli
@@ -49,6 +49,7 @@ code = spindim.cli.run(sys.argv[1:])[0]
 mods = {n[8:]: m for n, m in sys.modules.items() if n.startswith("spindim.")}
 print(code)
 print("argparse" in sys.modules)
+print("json" in sys.modules)
 print(*sorted(n for n, m in mods.items() if type(m) is types.ModuleType))
 print(*sorted(n for n, m in mods.items() if type(m) is not types.ModuleType))
 """
@@ -64,13 +65,14 @@ def cold(code, *argv):
 
 
 def layers_run(*argv):
-    """(exit code, the layers that ran, whether argparse was imported)
-    for one cold `cli.run(argv)`; the other layers must still be
-    registered."""
-    code, argparse_loaded, ran, lazy = cold(PROBE, *argv)
+    """(exit code, the layers that ran, whether argparse was imported,
+    whether json was) for one cold `cli.run(argv)`; the other layers
+    must still be registered."""
+    code, argparse_loaded, json_loaded, ran, lazy = cold(PROBE, *argv)
     ran, lazy = set(ran.split()), set(lazy.split())
     assert ran | lazy >= set(LAYERS)
-    return int(code), ran & set(LAYERS), argparse_loaded == "True"
+    return (int(code), ran & set(LAYERS), argparse_loaded == "True",
+            json_loaded == "True")
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -85,8 +87,9 @@ def layers_run(*argv):
      {"invariants"}),
 ])
 def test_form_requests_never_run_the_lattice_layer(argv, want):
-    # a well-formed request is parsed from the option table alone
-    assert layers_run(*argv) == (0, want, False)
+    # a well-formed request is parsed from the option table alone, and
+    # its JSON written without the json module
+    assert layers_run(*argv) == (0, want, False, False)
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -99,7 +102,7 @@ def test_form_requests_never_run_the_lattice_layer(argv, want):
     (["verify-lattice", "--r-max", "6"], {"abelian", "spinlat"}),
 ])
 def test_lattice_requests_never_run_the_form_layer(argv, want):
-    assert layers_run(*argv) == (0, want, False)
+    assert layers_run(*argv) == (0, want, False, False)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["symbol", "--help"], [],
@@ -107,7 +110,8 @@ def test_lattice_requests_never_run_the_form_layer(argv, want):
                                    "--labels", "a"]])
 def test_help_and_parse_errors_run_no_layer(argv):
     # argparse prints help and parse errors
-    assert layers_run(*argv) == (0 if "--help" in argv else 2, set(), True)
+    assert layers_run(*argv) == (0 if "--help" in argv else 2, set(), True,
+                                 False)
 
 
 def test_importing_the_cli_registers_every_layer_and_runs_none():

@@ -512,10 +512,17 @@ def test_field_guards():
     for k in (True, False, 2.0, "2", None):
         with pytest.raises(ValueError, match="field degree must be an int"):
             ConcreteField2(k)
+    assert repr(ConcreteField2(16)) == "ConcreteField2(16)"
 
 
 def test_formal_field_basics():
     f = FormalField2(("a", "b", "c"))
+    # equal and hashed by the names, in order
+    assert f == FormalField2(("a", "b", "c"))
+    assert len({f, FormalField2(("a", "b", "c"))}) == 1
+    for other in (FormalField2(("a", "b")), FormalField2(("b", "a", "c")),
+                  ConcreteField2(3), ("a", "b", "c")):
+        assert f != other and other != f
     a = f.var("a")
     assert f.mul(a, a) == f.one
     assert not f.is_zero(f.one)

@@ -1,7 +1,8 @@
 """Every source and test file parses as Python 3.10, the oldest version
 `pyproject.toml` allows, whatever interpreter runs the suite; the
-library imports nothing outside the standard library, sets record
-fields only in `_record.py`, and runs no generated code."""
+library imports nothing outside the standard library, imports json only
+inside a function, sets record fields only in `_record.py`, and runs no
+generated code."""
 
 import ast
 import sys
@@ -36,6 +37,27 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (
                     f"{path.name} imports {name}")
+
+
+def test_no_module_imports_json_when_it_is_imported():
+    # `_json.dumps` writes every payload; only an escape needs json
+    files = sorted((ROOT / "src" / "spindim").glob("*.py"))
+    assert ROOT / "src" / "spindim" / "_json.py" in files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        todo = list(tree.body)
+        while todo:     # every node but those in function bodies
+            node = todo.pop()
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            assert "json" not in [n.split(".")[0] for n in names], (
+                f"{path.name}:{node.lineno} imports json")
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.extend(ast.iter_child_nodes(node))
 
 
 def test_only_the_record_base_sets_fields_and_no_code_is_generated():
