@@ -60,10 +60,6 @@ MAX_FORM_DIM = 4096
 MAX_SYMBOL_EXPANSION = 4096
 
 
-class _UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # expression parsing
 
@@ -94,24 +90,24 @@ def _split_top(text: str, sep: str):
 def _parse_element(field, tok: str) -> int:
     tok = tok.strip()
     if not _ELEMENT_RE.fullmatch(tok):
-        raise _UsageError(f"bad field element {tok!r} (expected hex digits)")
+        raise ValueError(f"bad field element {tok!r} (expected hex digits)")
     x = int(tok, 16)
     if x >= field.order:    # quote the hex as typed, not x in decimal
-        raise _UsageError(f"not an element of F_{{2^{field.k}}}: {tok!r}")
+        raise ValueError(f"not an element of F_{{2^{field.k}}}: {tok!r}")
     return x
 
 
 def _grow_form(dim: int, extra: int) -> int:
     dim += extra
     if dim > MAX_FORM_DIM:
-        raise _UsageError(f"form dimension is larger than {MAX_FORM_DIM}")
+        raise ValueError(f"form dimension is larger than {MAX_FORM_DIM}")
     return dim
 
 
 def parse_form(field, text: str) -> qform2.QForm:
     text = text.replace(" ", "")
     if not text:
-        raise _UsageError("empty form expression")
+        raise ValueError("empty form expression")
     if text == "0":     # the empty form, as `format_qform` prints it
         return qform2.QForm(field)
     blocks, diag, dim = [], [], 0
@@ -119,7 +115,7 @@ def parse_form(field, text: str) -> qform2.QForm:
         if _BLOCK_RE.fullmatch(part):
             toks = part[1:-1].split(",")
             if len(toks) != 2:
-                raise _UsageError(f"block needs two entries: {part!r}")
+                raise ValueError(f"block needs two entries: {part!r}")
             dim = _grow_form(dim, 2)
             blocks.append(qform2.BinaryBlock(_parse_element(field, toks[0]),
                                              _parse_element(field, toks[1])))
@@ -129,7 +125,7 @@ def parse_form(field, text: str) -> qform2.QForm:
         elif part.startswith("pf(") and part.endswith(")"):
             inner = part[3:-1]
             if ";" not in inner:
-                raise _UsageError("pf(...) needs 'slots;unit', e.g. pf(2,3;1)")
+                raise ValueError("pf(...) needs 'slots;unit', e.g. pf(2,3;1)")
             slots_text, b_text = inner.rsplit(";", 1)
             slots = ([_parse_element(field, t) for t in slots_text.split(",")]
                      if slots_text else [])
@@ -137,45 +133,42 @@ def parse_form(field, text: str) -> qform2.QForm:
             dim = _grow_form(dim, 2 << len(slots))
             blocks += qform2.pfister_build(field, slots, b).blocks
         else:
-            raise _UsageError(f"cannot parse form summand {part!r}")
+            raise ValueError(f"cannot parse form summand {part!r}")
     return qform2.QForm(field, tuple(blocks), tuple(diag))
 
 
 def parse_matrix(field, text: str):
     text = text.replace(" ", "")
     if not (text.startswith("mat(") and text.endswith(")")):
-        raise _UsageError("normalize expects mat(row;row;...)")
+        raise ValueError("normalize expects mat(row;row;...)")
     cells = [row.split(",") for row in text[4:-1].split(";")]
     if max(len(cells), *map(len, cells)) > MAX_MATRIX_DIM:
-        raise _UsageError(f"coefficient matrix is larger than "
-                          f"{MAX_MATRIX_DIM}x{MAX_MATRIX_DIM}")
+        raise ValueError(f"coefficient matrix is larger than "
+                         f"{MAX_MATRIX_DIM}x{MAX_MATRIX_DIM}")
     rows = [[_parse_element(field, t) for t in row] for row in cells]
     if any(len(r) != len(rows) for r in rows):
-        raise _UsageError("coefficient matrix must be square")
+        raise ValueError("coefficient matrix must be square")
     return rows
 
 
 def parse_field_name(text: str) -> qform2.ConcreteField2:
     m = _FIELD_RE.fullmatch(text)
     if not m:
-        raise _UsageError(f"bad field {text!r} (expected f2^K)")
+        raise ValueError(f"bad field {text!r} (expected f2^K)")
     # int() refuses a string of more than 4300 digits; a degree with
     # more digits than MAX_FIELD_BITS is out of range anyway, so the
     # field gets one that is and reports it
     digits = m.group(1).lstrip("0")
     top = qform2.MAX_FIELD_BITS
     k = int(digits or "0") if len(digits) <= len(str(top)) else top + 1
-    try:
-        return qform2.ConcreteField2(k)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return qform2.ConcreteField2(k)
 
 
 def parse_symbol_expr(text: str) -> invariants.SymbolSum:
     """Parse a sum of symbol terms."""
     text = text.replace(" ", "")
     if not text:
-        raise _UsageError("empty symbol expression")
+        raise ValueError("empty symbol expression")
 
     def mono(mono_text):
         # the product of the factors: a repeated one cancels, '1' adds
@@ -185,7 +178,7 @@ def parse_symbol_expr(text: str) -> invariants.SymbolSum:
             if piece == "1":
                 continue
             if not invariants._NAME_RE.fullmatch(piece):
-                raise _UsageError(f"bad monomial factor {piece!r}")
+                raise ValueError(f"bad monomial factor {piece!r}")
             out ^= frozenset({piece})
         return out
 
@@ -194,18 +187,18 @@ def parse_symbol_expr(text: str) -> invariants.SymbolSum:
         if part == "0":
             continue
         if not (part.startswith("{") and part.endswith("]")):
-            raise _UsageError(f"cannot parse symbol term {part!r}")
+            raise ValueError(f"cannot parse symbol term {part!r}")
         slots = _split_top(part[1:-1], ",")
         if len(slots) < 2:
-            raise _UsageError("a symbol needs at least two slots")
+            raise ValueError("a symbol needs at least two slots")
         a_slots = tuple(map(mono, slots[:-1]))
         b_pieces = slots[-1].split("+")
         b_slot = tuple(map(mono, b_pieces))
         expansion += len(b_pieces) * math.prod(
             s.count("*") + 1 for s in slots[:-1])
         if expansion > MAX_SYMBOL_EXPANSION:
-            raise _UsageError(f"symbol expression expands to more than "
-                              f"{MAX_SYMBOL_EXPANSION} terms")
+            raise ValueError(f"symbol expression expands to more than "
+                             f"{MAX_SYMBOL_EXPANSION} terms")
         terms.append(invariants.SymbolTerm(a_slots, b_slot))
     return invariants.SymbolSum(tuple(terms))
 
@@ -215,15 +208,12 @@ def parse_symbol_expr(text: str) -> invariants.SymbolSum:
 
 
 def _cmd_ed_table(args) -> tuple[int, str]:
-    try:
-        return 0, edcalc.ed_table(args.min, args.max, args.format)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return 0, edcalc.ed_table(args.min, args.max, args.format)
 
 
 def _cmd_verify_lattice(args) -> tuple[int, str]:
     if not 1 <= args.r_max <= spinlat.MAX_R:
-        raise _UsageError(f"--r-max must be between 1 and {spinlat.MAX_R}")
+        raise ValueError(f"--r-max must be between 1 and {spinlat.MAX_R}")
     rows = []
     all_ok = True
     for r in range(1, args.r_max + 1):
@@ -255,7 +245,7 @@ def _cmd_verify_lattice(args) -> tuple[int, str]:
 
 def _cmd_verify_heisenberg(args) -> tuple[int, str]:
     if not 1 <= args.r <= spinlat.MAX_R:
-        raise _UsageError(f"--r must be between 1 and {spinlat.MAX_R}")
+        raise ValueError(f"--r must be between 1 and {spinlat.MAX_R}")
     parity = spinlat.Parity(args.parity)
     # The orbits all have one size, so it is both the least dimension
     # (one orbit with multiplicity one) and the gcd of the dimensions.
@@ -289,39 +279,36 @@ def _cmd_verify_heisenberg(args) -> tuple[int, str]:
 
 def _cmd_qform(args) -> tuple[int, str]:
     if args.form2 is not None and args.op != "equiv":
-        raise _UsageError("--form2 is only valid with --op equiv")
+        raise ValueError("--form2 is only valid with --op equiv")
     field = parse_field_name(args.field)
     out = {"op": args.op, "field": args.field}
-    try:
-        if args.op == "normalize":
-            mat = parse_matrix(field, args.form)
-            q = qform2.block_normalize(field, mat)
-            out["form"] = qform2.format_qform(q)
-        else:
-            q = parse_form(field, args.form)
-            out["form"] = qform2.format_qform(q)
-            out["dim"] = q.dim
-            if args.op == "arf":
-                out["arf"] = qform2.arf(q)
-            elif args.op == "witt":
-                dec = qform2.witt_decompose(q)
-                out["witt_index"] = dec.index
-                out["kernel"] = qform2.format_qform(dec.kernel)
-            elif args.op == "classify":
-                cls = qform2.classify_form(q)
-                out["class"] = cls.kind
-                out["radical_dim"] = cls.radical_dim
-                if cls.vanishing_radical_vector is not None:
-                    out["vanishing_radical_vector"] = [
-                        format(x, "x") for x in cls.vanishing_radical_vector]
-            else:   # equiv
-                if args.form2 is None:
-                    raise _UsageError("--op equiv needs --form2")
-                q2 = parse_form(field, args.form2)
-                out["form2"] = qform2.format_qform(q2)
-                out["equivalent"] = qform2.equivalent_ff(q, q2)
-    except (ValueError, TypeError) as exc:
-        raise _UsageError(str(exc)) from None
+    if args.op == "normalize":
+        mat = parse_matrix(field, args.form)
+        q = qform2.block_normalize(field, mat)
+        out["form"] = qform2.format_qform(q)
+    else:
+        q = parse_form(field, args.form)
+        out["form"] = qform2.format_qform(q)
+        out["dim"] = q.dim
+        if args.op == "arf":
+            out["arf"] = qform2.arf(q)
+        elif args.op == "witt":
+            dec = qform2.witt_decompose(q)
+            out["witt_index"] = dec.index
+            out["kernel"] = qform2.format_qform(dec.kernel)
+        elif args.op == "classify":
+            cls = qform2.classify_form(q)
+            out["class"] = cls.kind
+            out["radical_dim"] = cls.radical_dim
+            if cls.vanishing_radical_vector is not None:
+                out["vanishing_radical_vector"] = [
+                    format(x, "x") for x in cls.vanishing_radical_vector]
+        else:   # equiv
+            if args.form2 is None:
+                raise ValueError("--op equiv needs --form2")
+            q2 = parse_form(field, args.form2)
+            out["form2"] = qform2.format_qform(q2)
+            out["equivalent"] = qform2.equivalent_ff(q, q2)
     return 0, _json.dumps(out) + "\n"
 
 
@@ -333,11 +320,8 @@ def _cmd_symbol(args) -> tuple[int, str]:
 def _cmd_invariant(args) -> tuple[int, str]:
     group = invariants.SpinId(args.group)
     labels = tuple(args.labels.split(","))
-    try:
-        torsor = invariants.TorsorData(group, labels)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    try:
+    torsor = invariants.TorsorData(group, labels)
+    try:     # a failed self-check, not bad input
         rep = invariants.invariant_f(torsor)
     except AssertionError as exc:
         return 1, _json.dumps({"group": group.value, "labels": list(labels),
@@ -424,7 +408,7 @@ def _build_parser():
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
-            raise _UsageError(
+            raise ValueError(
                 f"{self.prog}: error: {message}\n{self.format_usage()}")
 
     p = _Parser(prog="spindim", description=__doc__,
@@ -478,7 +462,9 @@ def run(argv):
 
     A well-formed argv is read from the option table; any other (help,
     errors, '--x=v', abbreviations, repeats, negative numbers, '--')
-    goes to argparse, whose printed help is caught here."""
+    goes to argparse, whose printed help is caught here.  ValueError is
+    bad input, from a parser, a handler, a layer's guard or argparse's
+    error hook alike: exit 2 with its message on stderr."""
     args = _table_args(argv)
     try:
         if args is None:
@@ -486,10 +472,10 @@ def run(argv):
             try:
                 with redirect_stdout(out), redirect_stderr(err):
                     args = _build_parser().parse_args(argv)
-            except SystemExit as exc:   # --help; errors raise _UsageError
+            except SystemExit as exc:   # --help; errors raise ValueError
                 return exc.code, out.getvalue(), err.getvalue()
         code, text = args.fn(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         return 2, "", f"{exc}\n"
     return code, text, ""
 

@@ -127,7 +127,7 @@ RULES = {
 
 
 def group_numerics(n: int) -> GroupNumerics:
-    if not MIN_N <= n <= MAX_N:
+    if type(n) is not int or not MIN_N <= n <= MAX_N:
         raise ValueError(f"n must be between {MIN_N} and {MAX_N}")
     v = {"n": n}
     dim_so, pow2 = RULES["dim-so"].fn(v), RULES["pow2-part"].fn(v)
@@ -143,25 +143,27 @@ def _step(rule_id: str, **inputs) -> DerivationStep:
                           tuple(sorted(inputs.items())), out)
 
 
-def _in_table_range(inputs: dict) -> bool:
-    """n and r, where given, are ints in the range a real trace uses;
-    they size the live Smith-form work and the 2-powers a step builds."""
+def _well_typed(inputs: dict, out) -> bool:
+    """Every input and the output are exact ints (no float, no bool),
+    and n and r, where given, lie in the range a real trace uses; they
+    size the live Smith-form work and the 2-powers a step builds."""
     bounds = {"n": (MIN_N, MAX_N), "r": (1, MAX_R)}
-    return all(type(inputs[k]) is int and lo <= inputs[k] <= hi
-               for k, (lo, hi) in bounds.items() if k in inputs)
+    return (all(type(v) is int for v in (out, *inputs.values()))
+            and all(lo <= inputs[k] <= hi
+                    for k, (lo, hi) in bounds.items() if k in inputs))
 
 
 def verify_trace(steps) -> bool:
     """Re-run every step's arithmetic, live rules included.  A step
-    with an unknown rule, a missing or ill-typed input, or an n or r
-    outside the table's range is rejected, never raised on."""
+    with an unknown rule, a statement other than its rule's, a missing
+    or ill-typed input or output, or an n or r outside the table's
+    range is rejected, never raised on."""
     for s in steps:
-        rule = RULES.get(s.rule)
-        if rule is None:
-            return False
         try:
+            rule = RULES[s.rule]
             inputs = dict(s.inputs)
-            if not _in_table_range(inputs) or rule.fn(inputs) != s.out:
+            if (s.statement != rule.statement or not _well_typed(inputs, s.out)
+                    or rule.fn(inputs) != s.out):
                 return False
         except (KeyError, TypeError, ValueError):
             return False
@@ -182,7 +184,7 @@ def _case_of(n: int) -> str:
 
 def ed_upper_char2(n: int):
     """Upper bound for n >= 15 with its derivation trace."""
-    if not 15 <= n <= MAX_N:
+    if type(n) is not int or not 15 <= n <= MAX_N:
         raise ValueError("the case analysis starts at n = 15")
     case = _case_of(n)
     dim = _step("dim-so", n=n)
@@ -207,7 +209,7 @@ def ed_upper_char2(n: int):
 def ed_lower_char2(n: int):
     """Lower bound for n >= 15 with its derivation trace.  The gcd
     steps recompute from the character-lattice orbit structure."""
-    if not 15 <= n <= MAX_N:
+    if type(n) is not int or not 15 <= n <= MAX_N:
         raise ValueError("the case analysis starts at n = 15")
     case = _case_of(n)
     dim = _step("dim-so", n=n)
@@ -247,7 +249,7 @@ def ed_value(n: int) -> EdEntry:
 def _ed_entry(n: int) -> EdEntry:
     """`ed_value` without its check that the bounds agree, so that
     `consistency_check` can report a mismatch instead."""
-    if not MIN_N <= n <= MAX_N:
+    if type(n) is not int or not MIN_N <= n <= MAX_N:
         raise ValueError(f"n must be between {MIN_N} and {MAX_N}")
     case = _case_of(n)
     if case == "trivial":
@@ -312,7 +314,7 @@ def ed_table(lo: int, hi: int, fmt: str = "tsv") -> str:
     """Rows n = lo..hi.  tsv columns: n, value, upper, lower, case
     (open entries render as '?' / "unknown").  json is a list of objects
     with the derivation traces attached."""
-    if not (MIN_N <= lo <= hi <= MAX_N):
+    if not (type(lo) is type(hi) is int and MIN_N <= lo <= hi <= MAX_N):
         raise ValueError(
             f"range must satisfy {MIN_N} <= min <= max <= {MAX_N}")
     entries = [ed_value(n) for n in range(lo, hi + 1)]

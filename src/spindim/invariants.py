@@ -301,6 +301,11 @@ class TorsorData(Record):
     _fields = ("group", "labels")
 
     def __new__(cls, group: SpinId, labels: tuple):
+        if not isinstance(group, SpinId):
+            raise ValueError(f"group must be a SpinId, got {group!r}")
+        if not isinstance(labels, tuple):   # the record must hash
+            raise ValueError(f"labels must be a tuple, got "
+                             f"{type(labels).__name__}")
         want = PARAM_COUNT[group]
         if len(labels) != want:
             raise ValueError(

@@ -610,7 +610,7 @@ def _parse_outcome(parse, argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             return "parsed", vars(parse(argv))
-        except cli._UsageError as exc:
+        except ValueError as exc:
             return "usage error", str(exc)
         except SystemExit as exc:
             return "exit", exc.code, out.getvalue(), err.getvalue()

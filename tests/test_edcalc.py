@@ -85,6 +85,8 @@ def test_group_numerics():
         group_numerics(2)
     with pytest.raises(ValueError):
         group_numerics(MAX_N + 1)
+    with pytest.raises(ValueError):
+        group_numerics(15.0)
 
 
 def test_bound_functions_reject_small_n():
@@ -94,6 +96,17 @@ def test_bound_functions_reject_small_n():
         ed_lower_char2(14)
     with pytest.raises(ValueError):
         ed_value(2)
+    # a float or bool n: an exact int, as everywhere in the table
+    for bad in (8.0, 15.0, 16.0, True):
+        for fn in (ed_value, consistency_check, group_numerics):
+            with pytest.raises(ValueError):
+                fn(bad)
+    for fn in (ed_upper_char2, ed_lower_char2):
+        with pytest.raises(ValueError):
+            fn(15.0)
+    for lo, hi in ((3, 64.0), (3.0, 64), (False, 10)):
+        with pytest.raises(ValueError):
+            ed_table(lo, hi)
 
 
 def test_trace_rule_sequences():
@@ -131,23 +144,35 @@ def test_verify_trace_rejects_malformed_steps():
     # a missing input, rank 0, a string rank, a rank beyond the table,
     # an ill-typed input, inputs that are not name-value pairs, and
     # steps whose arithmetic holds but whose n or r no table row has
-    # (beyond the table, a float, a bool): the checker answers False
-    # instead of raising
+    # (beyond the table, a float, a bool), or whose other inputs or
+    # output are not exact ints, or whose statement is not its rule's,
+    # and an unhashable rule: the checker answers False instead of
+    # raising
+    def step(rule, inputs, out, statement=None):
+        if statement is None:
+            statement = RULES[rule].statement
+        return DerivationStep(rule, statement, inputs, out)
+
     top = MAX_N // 2 + 1
-    steps = [DerivationStep("dim-so", "", (), 0),
-             DerivationStep("heisenberg-gcd-odd", "", (("r", 0),), 1),
-             DerivationStep("heisenberg-gcd-odd", "", (("r", "7"),), 128),
-             DerivationStep("heisenberg-gcd-even", "", (("r", top),),
-                            1 << (top - 1)),
-             DerivationStep("generically-free-upper", "",
-                            (("dim_g", 1), ("dim_v", "9")), 8),
-             DerivationStep("dim-so", "", (("n", 15, 0),), 105),
-             DerivationStep("dim-so", "", (("n", MAX_N + 1),),
-                            (MAX_N + 1) * MAX_N // 2),
-             DerivationStep("dim-so", "", (("n", 15.0),), 105),
-             DerivationStep("heisenberg-gcd-odd", "", (("r", True),), 2)]
-    for step in steps:
-        assert verify_trace((step,)) is False, step
+    last_up = ed_value(15).upper_trace[-1]
+    assert last_up.inputs == (("dim_g", 105), ("dim_v", 128))
+    assert verify_trace((last_up,))
+    steps = [step("dim-so", (), 0),
+             step("heisenberg-gcd-odd", (("r", 0),), 1),
+             step("heisenberg-gcd-odd", (("r", "7"),), 128),
+             step("heisenberg-gcd-even", (("r", top),), 1 << (top - 1)),
+             step("generically-free-upper", (("dim_g", 1), ("dim_v", "9")), 8),
+             step("dim-so", (("n", 15, 0),), 105),
+             step("dim-so", (("n", MAX_N + 1),), (MAX_N + 1) * MAX_N // 2),
+             step("dim-so", (("n", 15.0),), 105),
+             step("heisenberg-gcd-odd", (("r", True),), 2),
+             step(last_up.rule, (("dim_g", 105.0), ("dim_v", 128.0)), 23),
+             step(last_up.rule, last_up.inputs, 23.0),
+             step("trivial-low", (("n", 5),), False),
+             step(last_up.rule, last_up.inputs, 23, RULES["dim-so"].statement),
+             step(["dim-so"], (("n", 15),), 105, RULES["dim-so"].statement)]
+    for s in steps:
+        assert verify_trace((s,)) is False, s
 
 
 def test_steps_carry_statements_and_inputs():

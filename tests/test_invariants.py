@@ -229,6 +229,12 @@ def test_torsor_data_validation():
         TorsorData(SpinId.SPIN10, ("a", "b", "c", ""))
     with pytest.raises(ValueError):
         TorsorData(SpinId.SPIN8, ("a", "b", "c", "d", 5))
+    # a group name where a SpinId belongs, and labels that would leave
+    # the record unhashable
+    with pytest.raises(ValueError):
+        TorsorData("spin7", ("a", "b", "c", "d"))
+    with pytest.raises(ValueError):
+        TorsorData(SpinId.SPIN7, ["a", "b", "c", "d"])
     # `format_symbol` would print a label that is not a name as part of
     # another symbol
     for bad in ("a*b", "{x]", " c", "a+b"):

@@ -2,9 +2,10 @@
 `pyproject.toml` allows, whatever interpreter runs the suite; the
 library imports nothing outside the standard library, imports json only
 inside a function, sets record fields only in `_record.py`, and runs no
-generated code."""
+generated code; bad CLI input takes one route to exit 2."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -79,3 +80,32 @@ def test_only_the_record_base_sets_fields_and_no_code_is_generated():
                         and isinstance(node.value, ast.Name)
                         and node.value.id == "object"), (
                 f"{path.name}:{node.lineno} uses object.__setattr__")
+
+
+def test_cli_turns_value_error_into_exit_2_in_run_alone():
+    # bad input raises ValueError wherever it is found, and `run` alone
+    # catches it; `_table_args` catches a failed int conversion only to
+    # hand that argv to argparse
+    path = ROOT / "src" / "spindim" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    catchers = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                          else [node.type])
+                if any(isinstance(c, ast.Name) and c.id == "ValueError"
+                       for c in caught):
+                    catchers.add(owner)
+            assert not (isinstance(node, ast.Raise)
+                        and isinstance(node.cause, ast.Constant)
+                        and node.cause.value is None), (
+                f"cli.py:{node.lineno} re-raises with 'from None'")
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    cls = getattr(builtins, getattr(base, "id", ""), None)
+                    assert not (isinstance(cls, type)
+                                and issubclass(cls, BaseException)), (
+                        f"cli.py:{node.lineno} defines exception {node.name}")
+    assert catchers == {"run", "_table_args"}
