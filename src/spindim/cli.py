@@ -28,8 +28,10 @@ Symbol expressions: terms '{s1,...,sn-1,b]' joined by '+'; slots are
 
 from __future__ import annotations
 
+import gc
 import io
 import math
+import os
 import re
 import sys
 import types
@@ -481,9 +483,24 @@ def run(argv):
 
 
 def main() -> None:
+    """Process entry: write and flush what `run` returns, then exit.
+
+    A reader that closed stdout early gets exit 141 (128 + SIGPIPE) and
+    nothing on stderr: fd 1 then points at os.devnull, so the flush at
+    interpreter exit cannot fail again.  The collector is frozen last,
+    so the interpreter's final collections skip every live object,
+    memory the OS reclaims anyway; `run` leaves the collector alone."""
     code, out, err = run(sys.argv[1:])
-    sys.stdout.write(out)
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141
     sys.stderr.write(err)
+    gc.freeze()
     raise SystemExit(code)
 
 

@@ -1,12 +1,14 @@
-"""End-to-end command-line checks through run(); one subprocess test
-covers the `python -m` entry points.
+"""End-to-end command-line checks through run(); subprocess tests cover
+the `python -m` entry points and the process exit in `main`.
 
-Exit code contract: 0 success, 1 a verification failed, 2 usage error.
+Exit code contract: 0 success, 1 a verification failed, 2 usage error,
+141 stdout closed before the output was written.
 The failure paths that cannot be reached with honest inputs (the
 verifications all pass on real data) are driven by monkeypatching the
 library functions the commands call.
 """
 
+import gc
 import io
 import json
 import os
@@ -25,6 +27,9 @@ from spindim.cli import run
 from spindim.edcalc import MAX_N, ed_table
 from spindim.repdim import divisibility_report
 from spindim.spinlat import MAX_RANK, Parity, build_char_data
+
+# the source tree, for the subprocess tests' PYTHONPATH
+SRC = os.path.dirname(os.path.dirname(spindim.__file__))
 
 
 def ok_json(argv):
@@ -639,25 +644,91 @@ def test_identical_invocations_print_identical_bytes(argv):
 
 
 def test_main_raises_system_exit(capsys, monkeypatch):
+    # the recorder stands in for gc.freeze, so pytest's own heap is never
+    # frozen; main freezes once, after stdout holds the output
+    freezes = []
+    monkeypatch.setattr(gc, "freeze",
+                        lambda: freezes.append(capsys.readouterr()))
     monkeypatch.setattr(cli.sys, "argv",
                         ["spindim", "ed-table", "--min", "15", "--max", "15"])
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 0
-    captured = capsys.readouterr()
-    assert captured.out == "15\t23\t23\t23\todd\n"
+    assert [(c.out, c.err) for c in freezes] == [("15\t23\t23\t23\todd\n", "")]
+    assert capsys.readouterr() == ("", "")
+
+
+def _refuse_freeze():
+    raise AssertionError("gc.freeze called outside main")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ed-table", "--min", "3", "--max", "8"],
+    ["verify-lattice", "--r-max", "4"],
+    ["verify-heisenberg", "--r", "3", "--parity", "odd"],
+    ["qform", "--field", "f2^3", "--op", "arf", "--form", "[1,3]"],
+    ["symbol", "--normalize", "{a,b]"],
+    ["invariant", "--group", "spin7", "--labels", "a,b,c"],
+    ["ed-table", "--min", "2"],
+    ["--help"],
+])
+def test_run_never_freezes_the_collector(argv, monkeypatch):
+    # library callers and the warm worker keep a working collector
+    monkeypatch.setattr(gc, "freeze", _refuse_freeze)
+    code, out, err = run(argv)
+    assert code in (0, 2) and (out or err)
 
 
 @pytest.mark.parametrize("module", ["spindim", "spindim.cli"])
-def test_python_dash_m_matches_run(module):
-    argv = ["ed-table", "--min", "15", "--max", "20"]
-    src = os.path.dirname(os.path.dirname(spindim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+def test_python_dash_m_matches_run(module, monkeypatch):
+    # exit 0, a usage error (exit 2) and help; COLUMNS pins the help width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in (["ed-table", "--min", "15", "--max", "20"],
+                 ["verify-heisenberg", "--r", "0", "--parity", "odd"],
+                 ["--help"]):
+        proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(argv)
+
+
+AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: print("at exit, frozen:", gc.get_freeze_count() > 0))
+sys.argv = ["spindim", "ed-table", "--min", "15", "--max", "15"]
+from spindim.cli import main
+main()
+"""
+
+
+def test_main_keeps_atexit_handlers():
+    # main exits through SystemExit, so atexit handlers still run, and
+    # by then the collector is frozen
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", AT_EXIT], env=env,
                           capture_output=True, text=True, timeout=60)
-    code, out, _ = run(argv)
-    assert (proc.returncode, proc.stdout) == (code, out)
-    assert out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "15\t23\t23\t23\todd\nat exit, frozen: True\n", "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["symbol", "--normalize", "{a,b]"],
+    ["ed-table", "--min", "3", "--max", str(MAX_N), "--format", "json"],
+], ids=["small", "large"])
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails; the small output fails at the flush when stdout is
+    # buffered, the large one (over the 8 KiB buffer) inside the write
+    assert (len(run(argv)[1]) > 8192) == (argv[0] == "ed-table")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with subprocess.Popen([sys.executable, "-m", "spindim", *argv], env=env,
+                          stdout=write_end, stderr=subprocess.PIPE) as proc:
+        os.close(write_end)
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
 
 
 TAMPERED_ORBITS = """
@@ -675,8 +746,7 @@ def test_lattice_checks_survive_python_dash_o():
     # so verify-lattice and the table, whose gcd rows rest on the same
     # checks, print the same bytes, and a tampered translation set is
     # still caught
-    src = os.path.dirname(os.path.dirname(spindim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     for argv in (["verify-lattice", "--r-max", "8"],
                  ["verify-lattice", "--r-max", str(MAX_N // 2)],
                  ["ed-table", "--min", "3", "--max", str(MAX_N),
@@ -716,8 +786,7 @@ def test_qform_checks_survive_python_dash_o():
     # the vanishing-vector check and the trace-in-F_2 check raise
     # explicitly, so -O keeps them
     argv = ["qform", "--field", "f2^2", "--op", "classify", "--form", "<1>+<2>"]
-    src = os.path.dirname(os.path.dirname(spindim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-m", "spindim", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == run(argv)[:2]
@@ -747,8 +816,7 @@ def test_reused_parser_leaks_no_state(monkeypatch):
     second = [run(argv) for argv in PARSER_ROUND]
     assert first == second
     assert [r[0] for r in first] == [2, 0, 0, 0]
-    src = os.path.dirname(os.path.dirname(spindim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     for argv, (code, out, err) in zip(PARSER_ROUND[:2], first):
         proc = subprocess.run([sys.executable, "-m", "spindim", *argv],
                               env=env, capture_output=True, text=True,
