@@ -3,9 +3,11 @@ characteristic 2: character lattices, orbit data, quadratic form
 classification, symbol invariants and the resulting bound tables.
 
 Each layer module runs on first use.  Importing the package registers
-all six in `sys.modules` as `importlib.util.LazyLoader` modules, and a
-layer is compiled and run when one of its attributes is first read, so
-a request that only parses forms never compiles the lattice layer.
+all six, and the private expression parsers `_parse`, in `sys.modules`
+as `importlib.util.LazyLoader` modules.  A module compiles and runs
+when one of its attributes is first read, so a form request never
+compiles the lattice layer and a lattice request never compiles the
+parsers.
 Because they are registered, `sys.modules["spindim.<layer>"]` is there
 right after the import, for tools that look the layers up by name.
 The public names below are served from their layers by `__getattr__`:
@@ -19,13 +21,12 @@ import sys
 _EXPORTS = {
     "abelian": ("FgAbGroup", "GroupElement", "Presentation", "Subgroup",
                 "smith_normal_form", "subgroup_span"),
-    "spinlat": ("OrbitStructure", "Parity", "SpinCharData", "WeylElt",
-                "build_char_data", "center_restriction",
-                "free_transitive_check", "orbit_structure",
-                "orbits_on_faithful", "weyl_act"),
-    "repdim": ("CharMultiset", "divisibility_report",
-               "enumerate_invariant_multisets", "is_invariant",
-               "merkurjev_index_bound", "min_faithful_dim"),
+    "spinlat": ("OrbitStructure", "Parity", "orbit_structure"),
+    "repdim": ("CharMultiset", "SpinCharData", "WeylElt", "build_char_data",
+               "center_restriction", "divisibility_report",
+               "enumerate_invariant_multisets", "free_transitive_check",
+               "is_invariant", "merkurjev_index_bound", "min_faithful_dim",
+               "orbits_on_faithful", "weyl_act"),
     "qform2": ("BinaryBlock", "ConcreteField2", "QForm", "arf",
                "block_normalize", "classify_form", "equivalent_ff",
                "evaluate", "is_isotropic", "orth_sum", "pfister_build",
@@ -51,7 +52,8 @@ def _lazy(layer):
     return module
 
 
-globals().update((layer, _lazy(layer)) for layer in _EXPORTS)
+# `_parse` is lazy like a layer but private: it exports nothing
+globals().update((name, _lazy(name)) for name in (*_EXPORTS, "_parse"))
 
 __all__ = sorted([*_EXPORTS, *_HOME])
 

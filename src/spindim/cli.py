@@ -11,8 +11,9 @@ Subcommands:
   invariant         torsor forms, expansion identity and symbol for
                     the small spin groups
 
-Exit codes: 0 success, 1 a verification failed, 2 usage error.  All
-output is deterministic: identical invocations print identical bytes.
+Exit codes: 0 success, 1 a verification failed, 2 usage error, 141
+stdout closed by its reader (128 + SIGPIPE).  All output is
+deterministic: identical invocations print identical bytes.
 
 Form expressions (qform): summands joined by '+', each '[a,b]' (the
 block ax^2 + xy + by^2), '<c>' (cz^2), or 'pf(a1,...,am-1;b)' (the
@@ -30,179 +31,17 @@ from __future__ import annotations
 
 import gc
 import io
-import math
 import os
-import re
 import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
-# The layers are lazy modules (see `spindim/__init__`): each compiles
-# on the first attribute a subcommand reads, so refer to them only
-# through the module, inside the `_cmd_*` functions and the parsers
-# they call.
-from . import _json, edcalc, invariants, qform2, repdim, spinlat
-
-
-# Largest coefficient matrix `qform --op normalize` accepts.  The
-# reduction and its certificate cost O(n^3) field multiplies; a cold
-# normalize over f2^16 takes about 0.22 s at n = 32 and 1.05 s at n = 64.
-MAX_MATRIX_DIM = 64
-
-# Largest dimension of a parsed form.  Each Pfister slot doubles the
-# form, so the sum is checked summand by summand, before any
-# pf(...) that would pass it is built.
-MAX_FORM_DIM = 4096
-
-# Largest number of terms a symbol expression may expand into: for each
-# term, the product of its multiplicative slots' factor counts (as
-# written) times the number of its additive pieces, summed over the
-# terms.  `symbol_normalize` walks that many choices.
-MAX_SYMBOL_EXPANSION = 4096
-
-
-# ---------------------------------------------------------------------------
-# expression parsing
-
-_ELEMENT_RE = re.compile(r"[0-9a-fA-F]+")
-_BLOCK_RE = re.compile(r"\[[^][]*\]")
-_DIAG_RE = re.compile(r"<[^<>]*>")
-_FIELD_RE = re.compile(r"f2\^([0-9]+)")
-
-
-def _split_top(text: str, sep: str):
-    """Split on `sep` outside any brackets.  The symbol syntax closes
-    '{' with ']', so both count as closers for '{'."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "[(<{":
-            depth += 1
-        elif ch in ")>}]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _parse_element(field, tok: str) -> int:
-    tok = tok.strip()
-    if not _ELEMENT_RE.fullmatch(tok):
-        raise ValueError(f"bad field element {tok!r} (expected hex digits)")
-    x = int(tok, 16)
-    if x >= field.order:    # quote the hex as typed, not x in decimal
-        raise ValueError(f"not an element of F_{{2^{field.k}}}: {tok!r}")
-    return x
-
-
-def _grow_form(dim: int, extra: int) -> int:
-    dim += extra
-    if dim > MAX_FORM_DIM:
-        raise ValueError(f"form dimension is larger than {MAX_FORM_DIM}")
-    return dim
-
-
-def parse_form(field, text: str) -> qform2.QForm:
-    text = text.replace(" ", "")
-    if not text:
-        raise ValueError("empty form expression")
-    if text == "0":     # the empty form, as `format_qform` prints it
-        return qform2.QForm(field)
-    blocks, diag, dim = [], [], 0
-    for part in _split_top(text, "+"):
-        if _BLOCK_RE.fullmatch(part):
-            toks = part[1:-1].split(",")
-            if len(toks) != 2:
-                raise ValueError(f"block needs two entries: {part!r}")
-            dim = _grow_form(dim, 2)
-            blocks.append(qform2.BinaryBlock(_parse_element(field, toks[0]),
-                                             _parse_element(field, toks[1])))
-        elif _DIAG_RE.fullmatch(part):
-            dim = _grow_form(dim, 1)
-            diag.append(_parse_element(field, part[1:-1]))
-        elif part.startswith("pf(") and part.endswith(")"):
-            inner = part[3:-1]
-            if ";" not in inner:
-                raise ValueError("pf(...) needs 'slots;unit', e.g. pf(2,3;1)")
-            slots_text, b_text = inner.rsplit(";", 1)
-            slots = ([_parse_element(field, t) for t in slots_text.split(",")]
-                     if slots_text else [])
-            b = _parse_element(field, b_text)
-            dim = _grow_form(dim, 2 << len(slots))
-            blocks += qform2.pfister_build(field, slots, b).blocks
-        else:
-            raise ValueError(f"cannot parse form summand {part!r}")
-    return qform2.QForm(field, tuple(blocks), tuple(diag))
-
-
-def parse_matrix(field, text: str):
-    text = text.replace(" ", "")
-    if not (text.startswith("mat(") and text.endswith(")")):
-        raise ValueError("normalize expects mat(row;row;...)")
-    cells = [row.split(",") for row in text[4:-1].split(";")]
-    if max(len(cells), *map(len, cells)) > MAX_MATRIX_DIM:
-        raise ValueError(f"coefficient matrix is larger than "
-                         f"{MAX_MATRIX_DIM}x{MAX_MATRIX_DIM}")
-    rows = [[_parse_element(field, t) for t in row] for row in cells]
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("coefficient matrix must be square")
-    return rows
-
-
-def parse_field_name(text: str) -> qform2.ConcreteField2:
-    m = _FIELD_RE.fullmatch(text)
-    if not m:
-        raise ValueError(f"bad field {text!r} (expected f2^K)")
-    # int() refuses a string of more than 4300 digits; a degree with
-    # more digits than MAX_FIELD_BITS is out of range anyway, so the
-    # field gets one that is and reports it
-    digits = m.group(1).lstrip("0")
-    top = qform2.MAX_FIELD_BITS
-    k = int(digits or "0") if len(digits) <= len(str(top)) else top + 1
-    return qform2.ConcreteField2(k)
-
-
-def parse_symbol_expr(text: str) -> invariants.SymbolSum:
-    """Parse a sum of symbol terms."""
-    text = text.replace(" ", "")
-    if not text:
-        raise ValueError("empty symbol expression")
-
-    def mono(mono_text):
-        # the product of the factors: a repeated one cancels, '1' adds
-        # nothing
-        out = frozenset()
-        for piece in mono_text.split("*"):
-            if piece == "1":
-                continue
-            if not invariants._NAME_RE.fullmatch(piece):
-                raise ValueError(f"bad monomial factor {piece!r}")
-            out ^= frozenset({piece})
-        return out
-
-    terms, expansion = [], 0
-    for part in _split_top(text, "+"):
-        if part == "0":
-            continue
-        if not (part.startswith("{") and part.endswith("]")):
-            raise ValueError(f"cannot parse symbol term {part!r}")
-        slots = _split_top(part[1:-1], ",")
-        if len(slots) < 2:
-            raise ValueError("a symbol needs at least two slots")
-        a_slots = tuple(map(mono, slots[:-1]))
-        b_pieces = slots[-1].split("+")
-        b_slot = tuple(map(mono, b_pieces))
-        expansion += len(b_pieces) * math.prod(
-            s.count("*") + 1 for s in slots[:-1])
-        if expansion > MAX_SYMBOL_EXPANSION:
-            raise ValueError(f"symbol expression expands to more than "
-                             f"{MAX_SYMBOL_EXPANSION} terms")
-        terms.append(invariants.SymbolTerm(a_slots, b_slot))
-    return invariants.SymbolSum(tuple(terms))
+# The layers and the expression parsers (`_parse`) are lazy modules
+# (see `spindim/__init__`): each compiles on the first attribute a
+# subcommand reads, so refer to them only through the module, inside
+# the `_cmd_*` functions.
+from . import _json, _parse, edcalc, invariants, qform2, repdim, spinlat
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +98,7 @@ def _cmd_verify_heisenberg(args) -> tuple[int, str]:
     if args.r <= 6:
         # the 2^r brute force, an oracle independent of the shape
         rep = repdim.divisibility_report(
-            spinlat.build_char_data(args.r, parity), exhaustive=True)
+            repdim.build_char_data(args.r, parity), exhaustive=True)
         checked_to, exhaustive_ok = rep.exhaustive_checked_to, rep.exhaustive_ok
         ok = (ok and exhaustive_ok is True
               and rep.orbit_sizes == shape.orbit_sizes
@@ -282,14 +121,14 @@ def _cmd_verify_heisenberg(args) -> tuple[int, str]:
 def _cmd_qform(args) -> tuple[int, str]:
     if args.form2 is not None and args.op != "equiv":
         raise ValueError("--form2 is only valid with --op equiv")
-    field = parse_field_name(args.field)
+    field = _parse.parse_field_name(args.field)
     out = {"op": args.op, "field": args.field}
     if args.op == "normalize":
-        mat = parse_matrix(field, args.form)
+        mat = _parse.parse_matrix(field, args.form)
         q = qform2.block_normalize(field, mat)
         out["form"] = qform2.format_qform(q)
     else:
-        q = parse_form(field, args.form)
+        q = _parse.parse_form(field, args.form)
         out["form"] = qform2.format_qform(q)
         out["dim"] = q.dim
         if args.op == "arf":
@@ -308,14 +147,14 @@ def _cmd_qform(args) -> tuple[int, str]:
         else:   # equiv
             if args.form2 is None:
                 raise ValueError("--op equiv needs --form2")
-            q2 = parse_form(field, args.form2)
+            q2 = _parse.parse_form(field, args.form2)
             out["form2"] = qform2.format_qform(q2)
             out["equivalent"] = qform2.equivalent_ff(q, q2)
     return 0, _json.dumps(out) + "\n"
 
 
 def _cmd_symbol(args) -> tuple[int, str]:
-    s = parse_symbol_expr(args.normalize)
+    s = _parse.parse_symbol_expr(args.normalize)
     return 0, invariants.format_symbol(invariants.symbol_normalize(s)) + "\n"
 
 
@@ -482,24 +321,35 @@ def run(argv):
     return code, text, ""
 
 
+def _to_devnull(stream) -> None:
+    """Point the fd of a stream whose reader has gone at os.devnull, so
+    the flush at interpreter exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def main() -> None:
     """Process entry: write and flush what `run` returns, then exit.
 
     A reader that closed stdout early gets exit 141 (128 + SIGPIPE) and
-    nothing on stderr: fd 1 then points at os.devnull, so the flush at
-    interpreter exit cannot fail again.  The collector is frozen last,
-    so the interpreter's final collections skip every live object,
-    memory the OS reclaims anyway; `run` leaves the collector alone."""
+    nothing on stderr.  A reader that closed stderr early changes
+    nothing: the exit code stays the request's own.  Either stream then
+    points at os.devnull.  The collector is frozen last, so the
+    interpreter's final collections skip every live object, memory the
+    OS reclaims anyway; `run` leaves the collector alone."""
     code, out, err = run(sys.argv[1:])
     try:
         sys.stdout.write(out)
         sys.stdout.flush()
     except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         code = 141
-    sys.stderr.write(err)
+    try:
+        sys.stderr.write(err)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
     gc.freeze()
     raise SystemExit(code)
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from spindim import abelian
 from spindim.abelian import (FgAbGroup, Presentation, smith_normal_form,
                              subgroup_span)
-from spindim.spinlat import Parity, build_char_data
+from spindim.repdim import build_char_data
+from spindim.spinlat import Parity
 
 
 def matmul(A, B):

@@ -22,8 +22,9 @@ from spindim.qform2 import (ConcreteField2, BinaryBlock, QForm, arf, block,
                             block_normalize_with_basis, equivalent_ff,
                             evaluate, hyperbolic, is_nonsingular, orth_sum,
                             pfister_build, scale, witt_decompose)
-from spindim.repdim import divisibility_report
-from spindim.spinlat import Parity, build_char_data, free_transitive_check
+from spindim.repdim import (build_char_data, divisibility_report,
+                            free_transitive_check)
+from spindim.spinlat import Parity
 
 
 def report(num, description, started, budget):

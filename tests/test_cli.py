@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 import spindim
 from cli_corpus import HAND_ARGV, corpus, workloads
-from spindim import cli, qform2
+from spindim import _parse, cli, qform2
 from spindim.cli import run
 from spindim.edcalc import MAX_N, ed_table
-from spindim.repdim import divisibility_report
-from spindim.spinlat import MAX_RANK, Parity, build_char_data
+from spindim.repdim import build_char_data, divisibility_report
+from spindim.spinlat import MAX_RANK, Parity
 
 # the source tree, for the subprocess tests' PYTHONPATH
 SRC = os.path.dirname(os.path.dirname(spindim.__file__))
@@ -167,7 +167,7 @@ def test_verify_heisenberg_enumerates_nothing_above_rank_6(monkeypatch):
     def forbidden(r, parity):
         raise AssertionError("verify-heisenberg enumerated the characters")
 
-    monkeypatch.setattr(cli.spinlat, "build_char_data", forbidden)
+    monkeypatch.setattr(cli.repdim, "build_char_data", forbidden)
     for r in range(7, MAX_N // 2 + 1):
         for parity in ("odd", "even"):
             payload = ok_json(["verify-heisenberg", "--r", str(r),
@@ -254,7 +254,7 @@ def test_qform_normalize():
 def test_qform_normalize_size_limit():
     # the limit is checked before any entry is parsed, so an oversized
     # matrix of bad entries is a size error, not an element error
-    limit = cli.MAX_MATRIX_DIM
+    limit = _parse.MAX_MATRIX_DIM
 
     def normalize(n, entry="1"):
         rows = ";".join(",".join(entry if j >= i else "0" for j in range(n))
@@ -395,7 +395,7 @@ def test_parse_form_equals_orth_sum_fold(case):
     want = qform2.QForm(field)
     for _, q in summands:
         want = qform2.orth_sum(want, q)
-    assert cli.parse_form(field, "+".join(t for t, _ in summands)) == want
+    assert _parse.parse_form(field, "+".join(t for t, _ in summands)) == want
 
 
 def test_every_printed_form_parses_back():
@@ -409,27 +409,27 @@ def test_every_printed_form_parses_back():
         if not out.startswith("{"):     # help or a usage error
             continue
         payload = json.loads(out)
-        field = cli.parse_field_name(payload["field"])
+        field = _parse.parse_field_name(payload["field"])
         for key in ("form", "form2", "kernel"):
             if key in payload:
                 text = payload[key]
-                q = cli.parse_form(field, text)
+                q = _parse.parse_form(field, text)
                 assert qform2.format_qform(q) == text, (argv, key)
                 printed.add(text)
     assert "0" in printed and len(printed) > 300
 
 
 def test_form_dimension_limit(monkeypatch):
-    limit = cli.MAX_FORM_DIM
+    limit = _parse.MAX_FORM_DIM
     f = qform2.ConcreteField2(1)
     # pf with m slots has dimension 2^(m+1); the limit is a power of two
     slots = limit.bit_length() - 2
     at_limit = "pf(" + ",".join(["1"] * slots) + ";1)"
-    assert cli.parse_form(f, at_limit).dim == limit
+    assert _parse.parse_form(f, at_limit).dim == limit
     # limit - 1 = 2^(m+1) - 1 = pf(m-1 slots) + ... + pf(0 slots) + <1>
     below = "+".join("pf(" + ",".join(["1"] * m) + ";1)"
                      for m in range(slots)) + "+<1>"
-    assert cli.parse_form(f, below).dim == limit - 1
+    assert _parse.parse_form(f, below).dim == limit - 1
 
     def qform(form):
         return ["qform", "--field", "f2^2", "--op", "arf", "--form", form]
@@ -472,7 +472,7 @@ def test_symbol_usage_errors():
 
 
 def test_symbol_expansion_limit():
-    limit = cli.MAX_SYMBOL_EXPANSION
+    limit = _parse.MAX_SYMBOL_EXPANSION
     # three slots of 16 factors: 16^3 = limit choices for one additive piece
     mono = "*".join(f"x{i}" for i in range(16))
     at_limit = "{" + ",".join([mono] * 3) + ",b]"
@@ -731,8 +731,25 @@ def test_closed_stdout_exits_141_quietly(argv, unbuffered):
     assert (proc.returncode, err) == (141, b"")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stderr_keeps_the_exit_code(unbuffered):
+    # a usage error whose reader closed stderr: its write fails, and the
+    # request still exits 2, not 1 from an uncaught BrokenPipeError
+    argv = ["ed-table", "--min", "2", "--max", "5"]
+    assert run(argv)[:2] == (2, "")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with subprocess.Popen([sys.executable, "-m", "spindim", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=write_end) as proc:
+        os.close(write_end)
+        out = proc.stdout.read()
+    assert (proc.returncode, out) == (2, b"")
+
+
 TAMPERED_ORBITS = """
-from spindim.spinlat import Parity, build_char_data, orbits_on_faithful
+from spindim.repdim import build_char_data, orbits_on_faithful
+from spindim.spinlat import Parity
 data = build_char_data(2, Parity.EVEN)
 try:
     orbits_on_faithful(data._replace(acting_masks=(0, 1, 3)))

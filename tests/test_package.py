@@ -1,11 +1,12 @@
 """The package's public names and its lazy layers.
 
-`import spindim` registers the six layer modules in `sys.modules`
-without running them; each runs on the first read of one of its
-attributes.  A module that has run is a plain `types.ModuleType`, a
-registered one that has not is a subclass, so the probes below test
-`type(m) is types.ModuleType` and never `hasattr` or `__file__`, which
-would load the module they look at.
+`import spindim` registers the six layer modules and the private
+expression parsers `_parse` in `sys.modules` without running them;
+each runs on the first read of one of its attributes.  A module that
+has run is a plain `types.ModuleType`, a registered one that has not
+is a subclass, so the probes below test `type(m) is types.ModuleType`
+and never `hasattr` or `__file__`, which would load the module they
+look at.
 """
 
 import os
@@ -19,6 +20,8 @@ from spindim import cli
 from spindim.invariants import SpinId
 
 LAYERS = ("abelian", "spinlat", "repdim", "qform2", "invariants", "edcalc")
+# the lazy modules: the layers and the parsers of `qform` and `symbol`
+LAZY = (*LAYERS, "_parse")
 
 # spindim.__all__ before the layers became lazy: the 57 names the
 # package re-exports and the six layer modules
@@ -41,7 +44,7 @@ API = [
 ]
 
 # prints the exit code, whether argparse and json were imported, then
-# the layers that have run and those that are only registered
+# the modules that have run and those that are only registered
 PROBE = """
 import sys, types
 import spindim.cli
@@ -65,24 +68,25 @@ def cold(code, *argv):
 
 
 def layers_run(*argv):
-    """(exit code, the layers that ran, whether argparse was imported,
-    whether json was) for one cold `cli.run(argv)`; the other layers
-    must still be registered."""
+    """(exit code, the lazy modules that ran, whether argparse was
+    imported, whether json was) for one cold `cli.run(argv)`; the other
+    lazy modules must still be registered."""
     code, argparse_loaded, json_loaded, ran, lazy = cold(PROBE, *argv)
     ran, lazy = set(ran.split()), set(lazy.split())
-    assert ran | lazy >= set(LAYERS)
-    return (int(code), ran & set(LAYERS), argparse_loaded == "True",
+    assert ran | lazy >= set(LAZY)
+    return (int(code), ran & set(LAZY), argparse_loaded == "True",
             json_loaded == "True")
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["symbol", "--normalize", "{a*b,c]+{b,c]"], {"invariants"}),
+    (["symbol", "--normalize", "{a*b,c]+{b,c]"], {"invariants", "_parse"}),
     (["qform", "--field", "f2^4", "--op", "classify", "--form", "[1,2]+<3>"],
-     {"qform2"}),
+     {"qform2", "_parse"}),
     (["qform", "--field", "f2^2", "--op", "normalize",
-      "--form", "mat(1,1;0,1)"], {"qform2"}),
+      "--form", "mat(1,1;0,1)"], {"qform2", "_parse"}),
     (["qform", "--field", "f2^1", "--op", "equiv", "--form", "[1,1]",
-      "--form2", "[0,0]"], {"qform2"}),
+      "--form2", "[0,0]"], {"qform2", "_parse"}),
+    # the only form request that parses no expression
     (["invariant", "--group", "spin9", "--labels", "a,b,c,d,e"],
      {"invariants"}),
 ])
@@ -102,6 +106,8 @@ def test_form_requests_never_run_the_lattice_layer(argv, want):
     (["verify-lattice", "--r-max", "6"], {"abelian", "spinlat"}),
 ])
 def test_lattice_requests_never_run_the_form_layer(argv, want):
+    # nor the expression parsers: the 2^r enumeration (`repdim`) runs
+    # only for the brute force at r <= 6
     assert layers_run(*argv) == (0, want, False, False)
 
 
@@ -109,19 +115,19 @@ def test_lattice_requests_never_run_the_form_layer(argv, want):
                                   ["invariant", "--group", "spin6",
                                    "--labels", "a"]])
 def test_help_and_parse_errors_run_no_layer(argv):
-    # argparse prints help and parse errors
+    # argparse prints help and parse errors, and no lazy module runs
     assert layers_run(*argv) == (0 if "--help" in argv else 2, set(), True,
                                  False)
 
 
 def test_importing_the_cli_registers_every_layer_and_runs_none():
     # a tool that looks the layers up in sys.modules right after this
-    # import (bench/tracer.py does) must find all six
+    # import (bench/tracer.py does) must find all six, and `_parse`
     probe = ("import sys, types, spindim.cli\n"
-             "for name in " + repr(LAYERS) + ":\n"
+             "for name in " + repr(LAZY) + ":\n"
              "    print(name, type(sys.modules['spindim.' + name])"
              " is types.ModuleType)")
-    assert cold(probe) == [f"{name} False" for name in LAYERS]
+    assert cold(probe) == [f"{name} False" for name in LAZY]
 
 
 def test_all_is_unchanged():

@@ -23,9 +23,9 @@ from spindim.invariants import (Nonvanishing, NonvanishingReport,
                                 SymbolTerm)
 from spindim.qform2 import (BinaryBlock, ConcreteField2, FormClass, QForm,
                             WittDecomposition)
-from spindim.repdim import CharMultiset, DivisibilityReport
-from spindim.spinlat import (Parity, WeylElt, build_char_data,
-                             free_transitive_check)
+from spindim.repdim import (CharMultiset, DivisibilityReport, WeylElt,
+                            build_char_data, free_transitive_check)
+from spindim.spinlat import Parity
 
 F4 = ConcreteField2(2)
 

@@ -12,12 +12,12 @@ import math
 import pytest
 
 from spindim import repdim
-from spindim.repdim import (CharMultiset, divisibility_report,
+from spindim.repdim import (CharMultiset, build_char_data, divisibility_report,
                             enumerate_invariant_multisets, is_center_faithful,
                             is_invariant, merkurjev_index_bound,
                             min_faithful_dim, orbit_multiset,
-                            _constraint_components)
-from spindim.spinlat import Parity, build_char_data, orbits_on_faithful
+                            orbits_on_faithful, _constraint_components)
+from spindim.spinlat import Parity
 
 PARITIES = (Parity.ODD, Parity.EVEN)
 

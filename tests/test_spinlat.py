@@ -6,20 +6,22 @@ recompute images at the word level so they do not trust the lift/reduce
 plumbing they are checking.
 """
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spindim import spinlat
+from spindim import cli, repdim, spinlat
 from spindim.abelian import subgroup_span
-from spindim.spinlat import (MAX_RANK, Parity, SpinCharData, WeylElt,
-                             _f2_rank, build_char_data, center_restriction,
-                             expected_orbit_size, free_transitive_check,
-                             orbit_structure, orbits_on_faithful, weyl_act,
-                             weyl_identity)
+from spindim.repdim import (SpinCharData, WeylElt, build_char_data,
+                            center_restriction, free_transitive_check,
+                            orbits_on_faithful, weyl_act, weyl_identity)
+from spindim.spinlat import (MAX_RANK, Parity, _f2_rank, expected_orbit_size,
+                             orbit_structure)
 
 PARITIES = (Parity.ODD, Parity.EVEN)
 
@@ -383,3 +385,34 @@ def test_witness_is_an_orbit_chart():
         assert len(values) == len(set(values)) == len(data.acting_masks)
         orbit_of_a = next(o for o in rep.orbits if data.A in o)
         assert set(values) == set(orbit_of_a)
+
+
+# bench/tracer.py, loaded read-only by path
+_TRACER = importlib.util.spec_from_file_location(
+    "bench_tracer", Path(__file__).resolve().parent.parent / "bench" / "tracer.py")
+tracer = importlib.util.module_from_spec(_TRACER)
+_TRACER.loader.exec_module(tracer)
+
+
+def test_spinlat_serves_only_the_three_traced_names_from_repdim():
+    # the tracer spans these on `spinlat` and reads the cache of
+    # `spinlat.build_char_data`; the alias must not grow past them
+    for name in ("build_char_data", "orbits_on_faithful",
+                 "free_transitive_check"):
+        assert getattr(spinlat, name) is getattr(repdim, name)
+    with pytest.raises(AttributeError, match="WeylElt"):
+        spinlat.WeylElt
+    repdim.build_char_data.cache_clear()
+    real = repdim.build_char_data
+    t = tracer.Tracer()
+    t.install()
+    try:
+        argv = ["verify-heisenberg", "--r", "4", "--parity", "odd"]
+        assert cli.run(argv)[0] == 0
+        summary = t.summary()
+        spans = [name for name, _, _, _ in t.spans]
+    finally:
+        t.uninstall()
+    assert repdim.build_char_data is real
+    assert summary["spinlat.build_char_data.misses"] == 1
+    assert spans.count("repdim.divisibility_report") == 1
