@@ -156,9 +156,12 @@ def _well_typed(inputs: dict, out) -> bool:
 def verify_trace(steps) -> bool:
     """Re-run every step's arithmetic, live rules included.  A step
     with an unknown rule, a statement other than its rule's, a missing
-    or ill-typed input or output, or an n or r outside the table's
-    range is rejected, never raised on."""
+    or ill-typed input or output, an n or r outside the table's range,
+    or an item that is no `DerivationStep` is rejected, never raised
+    on."""
     for s in steps:
+        if not isinstance(s, DerivationStep):
+            return False
         try:
             rule = RULES[s.rule]
             inputs = dict(s.inputs)
@@ -317,6 +320,8 @@ def ed_table(lo: int, hi: int, fmt: str = "tsv") -> str:
     if not (type(lo) is type(hi) is int and MIN_N <= lo <= hi <= MAX_N):
         raise ValueError(
             f"range must satisfy {MIN_N} <= min <= max <= {MAX_N}")
+    if fmt not in ("tsv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
     entries = [ed_value(n) for n in range(lo, hi + 1)]
     if fmt == "tsv":
         def cell(v):
@@ -324,11 +329,10 @@ def ed_table(lo: int, hi: int, fmt: str = "tsv") -> str:
         return "\n".join("\t".join([str(e.n), cell(e.value), cell(e.upper),
                                     cell(e.lower), e.case])
                          for e in entries) + "\n"
-    if fmt == "json":
-        def cell(v):
-            return "unknown" if v is None else v
-        rows = [{"n": e.n, "value": cell(e.value), "upper": cell(e.upper),
-                 "lower": cell(e.lower), "case": e.case, "trace": _trace_json(e)}
-                for e in entries]
-        return _json.dumps(rows) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+
+    def cell(v):
+        return "unknown" if v is None else v
+    rows = [{"n": e.n, "value": cell(e.value), "upper": cell(e.upper),
+             "lower": cell(e.lower), "case": e.case, "trace": _trace_json(e)}
+            for e in entries]
+    return _json.dumps(rows) + "\n"

@@ -34,10 +34,10 @@ of F_{2^k} is the smallest irreducible polynomial of degree k, found
 by trial division.
 
 `ConcreteField2.mul` is the one multiply entry point, so a wrapper on
-the class counts every product.  Up to k = 8 it is a log/exp table
-lookup, the tables built on first use of each k; above that it runs
-the shift-and-add loop in its own frame.  `inv` is the extended
-Euclidean algorithm over F_2[t] and makes no multiply.
+the class counts every product, and the one shift-and-add loop.  Up
+to k = 8 it looks products up in log/exp tables, which, like the trace
+mask, are built through `mul` on first use of each k.  `inv` is the
+extended Euclidean algorithm over F_2[t] and makes no multiply.
 """
 
 from __future__ import annotations
@@ -51,20 +51,6 @@ MAX_FIELD_BITS = 16
 
 # ---------------------------------------------------------------------------
 # fields
-
-
-def _poly_mul_mod(x: int, y: int, mod: int, k: int) -> int:
-    # the table builder's multiply; ConcreteField2.mul inlines the same
-    # loop above MAX_TABLE_BITS, where a call would be a second frame
-    r = 0
-    while y:
-        if y & 1:
-            r ^= x
-        y >>= 1
-        x <<= 1
-        if x >> k & 1:
-            x ^= mod
-    return r
 
 
 def _poly_mod(x: int, mod: int) -> int:
@@ -91,25 +77,25 @@ MAX_TABLE_BITS = 8
 
 
 @lru_cache(maxsize=None)
-def _log_exp(k: int) -> tuple:
-    """(log, exp) tables of F_{2^k} for a generator g of its unit group:
+def _log_exp(field) -> tuple:
+    """(log, exp) tables of `field` for a generator g of its unit group:
     exp[i] = g^i for i < 2 (2^k - 1), so exp[log[x] + log[y]] = x y
     for nonzero x, y without a reduction; log[0] is unused.  The
-    modulus need not be primitive (x is no generator of F_256 mod
+    modulus need not be primitive (t is no generator of F_256 mod
     0x11B), so g is the smallest element whose powers reach every
-    unit."""
-    mod, units = min_poly_for(k), (1 << k) - 1
-    for g in range(1, units + 1):
-        exp = [1]
-        x = _poly_mul_mod(1, g, mod, k)
-        while x != 1:
+    unit.  No power list outgrows the unit group, so a wrong multiply
+    cannot hang the search.  Cached per field, that is per degree."""
+    units = field.order - 1
+    for g in range(1, field.order):
+        exp, x = [1], g
+        while x != 1 and len(exp) < units:
             exp.append(x)
-            x = _poly_mul_mod(x, g, mod, k)
-        if len(exp) == units:
+            x = field.mul(x, g)
+        if x == 1 and len(exp) == units:
             break
-    else:
-        raise AssertionError("no generator found")  # unreachable
-    log = [0] * (units + 1)
+    else:   # explicit, so it also runs under python -O
+        raise AssertionError("no generator found")
+    log = [0] * field.order
     for i, x in enumerate(exp):
         log[x] = i
     return tuple(log), tuple(exp + exp)
@@ -128,8 +114,10 @@ class ConcreteField2:
         self.min_poly = min_poly_for(k)
         self.zero = 0
         self.one = 1
-        self._log, self._exp = (_log_exp(k) if k <= MAX_TABLE_BITS
-                                else (None, None))
+        # built through mul, which runs its loop while _exp is None
+        self._log = self._exp = None
+        if k <= MAX_TABLE_BITS:
+            self._log, self._exp = _log_exp(self)
 
     def __eq__(self, other):
         return isinstance(other, ConcreteField2) and other.k == self.k
@@ -155,10 +143,10 @@ class ConcreteField2:
         (see `check`); callers check values where they enter.
 
         The one multiply entry point, so a wrapper on the class sees
-        every product.  Up to MAX_TABLE_BITS a product is one log/exp
-        lookup; above, the shift-and-add loop runs in this frame,
-        reducing by the modulus whenever bit k is set."""
-        if self.k <= MAX_TABLE_BITS:
+        every product.  Once the field has log/exp tables a product is
+        one lookup; otherwise the shift-and-add loop runs in this
+        frame, reducing by the modulus whenever bit k is set."""
+        if self._exp is not None:
             if x and y:
                 log = self._log
                 return self._exp[log[x] + log[y]]
@@ -211,12 +199,12 @@ class ConcreteField2:
     def trace(self, x: int) -> int:
         """Absolute trace, as the parity of x's overlap with the trace
         mask (the trace is F_2-linear)."""
-        return (self.check(x) & _trace_mask(self.k)).bit_count() & 1
+        return (self.check(x) & _trace_mask(self)).bit_count() & 1
 
     def trace_one_element(self) -> int:
         """Smallest element of absolute trace 1: the lowest set bit of
         the trace mask, since every smaller integer misses the mask."""
-        mask = _trace_mask(self.k)
+        mask = _trace_mask(self)
         return mask & -mask
 
     def elements(self):
@@ -227,16 +215,15 @@ class ConcreteField2:
 
 
 @lru_cache(maxsize=None)
-def _trace_mask(k: int) -> int:
+def _trace_mask(field) -> int:
     """Bit i set iff Tr(x^i) = 1, for the generator x of F_{2^k}, with
     each trace taken as the Frobenius sum t + t^2 + ... + t^(2^(k-1)).
     Tr is F_2-linear, so Tr(y) is the parity of y & mask."""
-    f = ConcreteField2(k)
     mask = 0
-    for i in range(k):
+    for i in range(field.k):
         t = acc = 1 << i
-        for _ in range(k - 1):
-            t = f.mul(t, t)
+        for _ in range(field.k - 1):
+            t = field.mul(t, t)
             acc ^= t
         # explicit raises, so the checks also run under python -O
         if acc not in (0, 1):
@@ -504,21 +491,6 @@ def _matrix_eval(field, M, vec):
             s = _dot(field.mul, M[i][i:], vec[i:])
             if s:
                 acc ^= field.mul(vi, s)
-    return acc
-
-
-def _polar(field, M, u, v):
-    # b(u, v) = q(u+v) + q(u) + q(v) = sum_{i<j} M[i][j] (u_i v_j + u_j v_i)
-    mul = field.mul
-    n = len(M)
-    acc = 0
-    for i in range(n):
-        row, ui, vi = M[i], u[i], v[i]
-        for j in range(i + 1, n):
-            if row[j]:
-                s = mul(ui, v[j]) ^ mul(u[j], vi)
-                if s:
-                    acc ^= mul(row[j], s)
     return acc
 
 

@@ -759,22 +759,16 @@ except AssertionError as exc:
 
 
 def test_lattice_checks_survive_python_dash_o():
-    # -O strips assert statements; the lattice checks raise explicitly,
-    # so verify-lattice and the table, whose gcd rows rest on the same
-    # checks, print the same bytes, and a tampered translation set is
-    # still caught
-    env = dict(os.environ, PYTHONPATH=SRC)
-    for argv in (["verify-lattice", "--r-max", "8"],
-                 ["verify-lattice", "--r-max", str(MAX_N // 2)],
+    # -O strips assert statements; the lattice checks raise explicitly.
+    # test_cli_digests runs the corpus under -O, and the corpus holds
+    # verify-lattice up to the rank cap and the whole table, whose gcd
+    # rows rest on the same checks; a tampered translation set is still
+    # caught
+    for argv in (["verify-lattice", "--r-max", str(MAX_N // 2)],
                  ["ed-table", "--min", "3", "--max", str(MAX_N),
                   "--format", "json"]):
-        proc = subprocess.run([sys.executable, "-O", "-m", "spindim", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=60)
-        assert (proc.returncode, proc.stdout) == run(argv)[:2]
-        assert proc.returncode == 0
-        if argv[0] == "verify-lattice":
-            assert json.loads(proc.stdout)["ok"] is True
+        assert argv in corpus()
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-c", TAMPERED_ORBITS],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.stdout == "translation set failed to be a subgroup\n"
@@ -791,27 +785,38 @@ try:
 except AssertionError as exc:
     print(exc)
 qform2.evaluate = real_eval
+f5 = ConcreteField2(5)
 ConcreteField2.mul = lambda self, x, y: 2
-try:
-    ConcreteField2(5).trace(1)
-except AssertionError as exc:
-    print(exc)
+for build in (lambda: f5.trace(1), lambda: ConcreteField2(6)):
+    try:
+        build()
+    except AssertionError as exc:
+        print(exc)
 """
 
 
-def test_qform_checks_survive_python_dash_o():
-    # the vanishing-vector check and the trace-in-F_2 check raise
-    # explicitly, so -O keeps them
-    argv = ["qform", "--field", "f2^2", "--op", "classify", "--form", "<1>+<2>"]
+def test_qform_checks_survive_python_dash_o(monkeypatch):
+    # the vanishing-vector check, the trace-in-F_2 check and the bound
+    # on the generator search raise explicitly, so -O keeps them.  The
+    # corpus, which test_cli_digests runs under -O, holds classify
+    # requests that reach the vanishing-vector check
+    real, evaluated = qform2.evaluate, []
+
+    def evaluate(q, vec):
+        evaluated.append(vec)
+        return real(q, vec)
+
+    monkeypatch.setattr(qform2, "evaluate", evaluate)
+    for argv in corpus():
+        if argv[:1] == ["qform"] and "classify" in argv:
+            run(argv)
+    assert evaluated
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-O", "-m", "spindim", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == run(argv)[:2]
-    assert "vanishing_radical_vector" in json.loads(proc.stdout)
     proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.stdout == ("radical vector does not vanish\n"
-                           "the trace must lie in F_2\n"), proc.stderr
+                           "the trace must lie in F_2\n"
+                           "no generator found\n"), proc.stderr
 
 
 PARSER_ROUND = [

@@ -171,6 +171,9 @@ def test_verify_trace_rejects_malformed_steps():
              step("trivial-low", (("n", 5),), False),
              step(last_up.rule, last_up.inputs, 23, RULES["dim-so"].statement),
              step(["dim-so"], (("n", 15),), 105, RULES["dim-so"].statement)]
+    # items that are no DerivationStep, a bare tuple of its fields too
+    steps += [None, ("dim-so", RULES["dim-so"].statement, (("n", 15),), 105),
+              ("dim-so", "x", (("n", 15),), 105), "abc"]
     for s in steps:
         assert verify_trace((s,)) is False, s
 
@@ -277,15 +280,21 @@ def test_ed_table_json():
     assert any("generically free" in q for q in quotes)
 
 
-def test_ed_table_guards():
+def test_ed_table_guards(monkeypatch):
+    # every guard fires before the first row is computed
+    def no_rows(n):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(edcalc, "ed_value", no_rows)
     with pytest.raises(ValueError):
         ed_table(2, 10)
     with pytest.raises(ValueError):
         ed_table(20, 15)
     with pytest.raises(ValueError):
         ed_table(60, MAX_N + 1)
-    with pytest.raises(ValueError):
-        ed_table(15, 16, fmt="csv")
+    for fmt in ("csv", "xml", "TSV", None):
+        with pytest.raises(ValueError, match="unknown format"):
+            ed_table(3, MAX_N, fmt)
 
 
 def test_ed_table_deterministic():

@@ -29,7 +29,7 @@ from spindim.qform2 import (MAX_FIELD_BITS, BinaryBlock, ConcreteField2,
                             is_nonsingular, min_poly_for, orth_sum,
                             pfister_build, scale, tensor_bilinear,
                             witt_decompose, _check_certificate, _log_exp,
-                            _matrix_eval, _polar, _trace_mask)
+                            _matrix_eval, _trace_mask)
 
 F2 = ConcreteField2(1)
 F4 = ConcreteField2(2)
@@ -346,13 +346,13 @@ def test_log_exp_tables():
     # tables stop at k = 8: at most 2^8 log slots (slot 0 unused) and
     # 2 * 255 exp entries, one generator of the unit group
     for k in range(1, 9):
-        log, exp = _log_exp(k)
+        log, exp = _log_exp(ConcreteField2(k))
         units = (1 << k) - 1
         assert len(log) == units + 1 and len(exp) == 2 * units
         assert sorted(exp[:units]) == list(range(1, units + 1))
         assert all(exp[log[x]] == x for x in range(1, units + 1))
     # 0x11B is not primitive: t has order 51, so the generator is t + 1
-    assert min_poly_for(8) == 0x11B and _log_exp(8)[1][1] == 3
+    assert min_poly_for(8) == 0x11B and _log_exp(ConcreteField2(8))[1][1] == 3
     _log_exp.cache_clear()
     assert ConcreteField2(16).mul(3, 5) == 15
     assert _log_exp.cache_info().currsize == 0
@@ -368,6 +368,41 @@ def test_no_table_is_built_at_import():
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
     assert proc.stdout.split() == ["0", "1"]
+
+
+def test_tables_are_built_through_mul():
+    # mul holds the one shift-and-add loop: each table is built by
+    # counted products, one per power of each generator candidate tried
+    # (k = 8: 0 for 1, 50 for t of order 51, 254 for the generator t + 1)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from spindim.qform2 import ConcreteField2\n"
+            "real, count = ConcreteField2.mul, [0]\n"
+            "def mul(self, x, y):\n"
+            "    count[0] += 1\n"
+            "    return real(self, x, y)\n"
+            "ConcreteField2.mul = mul\n"
+            "for k in (1, 2, 3, 4, 8, 8, 9):\n"
+            "    count[0] = 0\n"
+            "    ConcreteField2(k)\n"
+            "    print(count[0])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stdout.split() == ["0", "2", "6", "14", "304", "0", "0"]
+
+
+@pytest.mark.parametrize("wrong", [lambda self, x, y: 0,
+                                   lambda self, x, y: x,
+                                   lambda self, x, y: 2,
+                                   lambda self, x, y: x ^ y],
+                         ids=["zero", "left", "constant", "add"])
+def test_generator_search_ends_on_a_wrong_multiply(monkeypatch, wrong):
+    # no power list outgrows the unit group, so the search raises where
+    # it would loop; __wrapped__ skips the cache
+    field = ConcreteField2(5)
+    monkeypatch.setattr(ConcreteField2, "mul", wrong)
+    with pytest.raises(AssertionError, match="no generator found"):
+        _log_exp.__wrapped__(field)
 
 
 def test_fields_do_not_depend_on_build_order():
@@ -397,14 +432,16 @@ def test_fields_do_not_depend_on_build_order():
 
 def test_trace_mask_checks_fire(monkeypatch):
     # a multiply that loses the Frobenius sum must be caught before the
-    # mask is used; __wrapped__ skips the cache
+    # mask is used; the field is built before mul is patched, since its
+    # tables are built through mul, and __wrapped__ skips the cache
+    field = ConcreteField2(4)
     monkeypatch.setattr(ConcreteField2, "mul", lambda self, x, y: 0)
     with pytest.raises(AssertionError, match="the trace must lie in F_2"):
-        _trace_mask.__wrapped__(4)
+        _trace_mask.__wrapped__(field)
     # squaring as the identity makes every Frobenius sum of even length 0
     monkeypatch.setattr(ConcreteField2, "mul", lambda self, x, y: x)
     with pytest.raises(AssertionError, match="trace cannot be identically zero"):
-        _trace_mask.__wrapped__(4)
+        _trace_mask.__wrapped__(field)
 
 
 @pytest.mark.parametrize("k", (*range(1, 11), 16))
@@ -429,6 +466,23 @@ def test_trace_one_element_matches_linear_scan(k):
         assert first == 2048
 
 
+def polar(field, M, u, v):
+    """The polar form of an upper-triangular M, pairing by pairing:
+    b(u, v) = q(u+v) + q(u) + q(v) = sum_{i<j} M[i][j] (u_i v_j + u_j v_i).
+    The oracle of `reference_reduction`."""
+    mul = field.mul
+    n = len(M)
+    acc = 0
+    for i in range(n):
+        row, ui, vi = M[i], u[i], v[i]
+        for j in range(i + 1, n):
+            if row[j]:
+                s = mul(ui, v[j]) ^ mul(u[j], vi)
+                if s:
+                    acc ^= mul(row[j], s)
+    return acc
+
+
 @pytest.mark.parametrize("field", (F2, F4, ConcreteField2(8),
                                    ConcreteField2(16)))
 def test_polar_matches_value_differences(field):
@@ -444,7 +498,7 @@ def test_polar_matches_value_differences(field):
         uv = [a ^ b for a, b in zip(u, v)]
         want = (_matrix_eval(field, M, uv) ^ _matrix_eval(field, M, u)
                 ^ _matrix_eval(field, M, v))
-        assert _polar(field, M, u, v) == want
+        assert polar(field, M, u, v) == want
 
 
 def test_elements_are_checked_where_they_enter():
@@ -1095,7 +1149,7 @@ def test_certificate_rejects_tampering():
 
 def reference_reduction(field, M):
     """The O(n^4) reduction: the same pair search and updates as the
-    library's, with every pairing recomputed through `_polar`.  M is
+    library's, with every pairing recomputed through `polar`.  M is
     upper triangular; returns (QForm, basis rows)."""
     n = len(M)
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -1104,17 +1158,17 @@ def reference_reduction(field, M):
     while True:
         pair = next(((i, j) for ii, i in enumerate(remaining)
                      for j in remaining[ii + 1:]
-                     if _polar(field, M, basis[i], basis[j])), None)
+                     if polar(field, M, basis[i], basis[j])), None)
         if pair is None:
             break
         i, j = pair
-        c = field.inv(_polar(field, M, basis[i], basis[j]))
+        c = field.inv(polar(field, M, basis[i], basis[j]))
         basis[j] = [field.mul(c, x) for x in basis[j]]
         for m in remaining:
             if m in (i, j):
                 continue
-            ci = _polar(field, M, basis[m], basis[j])
-            cj = _polar(field, M, basis[m], basis[i])
+            ci = polar(field, M, basis[m], basis[j])
+            cj = polar(field, M, basis[m], basis[i])
             basis[m] = [x ^ field.mul(ci, yi) ^ field.mul(cj, yj)
                         for x, yi, yj in zip(basis[m], basis[i], basis[j])]
         blocks.append(BinaryBlock(_matrix_eval(field, M, basis[i]),
