@@ -186,7 +186,7 @@ def symbol_normalize(s: SymbolSum) -> SymbolSum:
     # a term is keyed by its sorted slot names and the sorted names of
     # its additive monomial; ordering the keys orders the monomials by
     # their sorted names, as the normal form does
-    parity: Counter = Counter()
+    odd = {}    # the keys seen an odd number of times
     for term in s.terms:
         b_keys = [tuple(sorted(b)) for b in term.b_slot]
         # expand multilinearly; a slot equal to 1 has no choices at
@@ -196,14 +196,22 @@ def symbol_normalize(s: SymbolSum) -> SymbolSum:
                 continue
             a_key = tuple(sorted(picked))
             for b in b_keys:                      # split the additive slot
-                parity[a_key, b] ^= 1
-    kept = sorted(t for t, p in parity.items() if p)
-    return SymbolSum(tuple(
-        SymbolTerm(tuple(frozenset((v,)) for v in a_key), (frozenset(b),))
-        for a_key, b in kept))
+                key = a_key, b
+                if odd.pop(key, None) is None:
+                    odd[key] = True
+    kept = sorted(odd)
+    # one singleton monomial per name, shared by every slot holding it
+    names = {v for a_key, _ in kept for v in a_key}
+    single = {v: frozenset((v,)) for v in names}
+    return SymbolSum(tuple([
+        SymbolTerm(tuple(map(single.__getitem__, a_key)), (frozenset(b),))
+        for a_key, b in kept]))
 
 
 def format_mono(m: Label) -> str:
+    if len(m) == 1:     # a single name needs no sort
+        (name,) = m
+        return name
     return "*".join(sorted(m)) if m else "1"
 
 
@@ -211,9 +219,9 @@ def format_symbol(s: SymbolSum) -> str:
     if not s.terms:
         return "0"
     parts = []
-    for t in s.terms:
-        slots = [format_mono(m) for m in t.a_slots]
-        slots.append("+".join(format_mono(m) for m in t.b_slot))
+    for a_slots, b_slot in s.terms:
+        slots = list(map(format_mono, a_slots))
+        slots.append("+".join(map(format_mono, b_slot)))
         parts.append("{" + ",".join(slots) + "]")
     return " + ".join(parts)
 
@@ -252,21 +260,24 @@ def symbol_generic_nonzero(s: SymbolSum, indeterminates) -> NonvanishingReport:
     not a computation, and is labelled as such in the report.
     Everything else is reported unknown.
     """
-    indeterminates = set(indeterminates)
-    s = symbol_normalize(s)
+    return _nonzero_normal(symbol_normalize(s), set(indeterminates))
+
+
+def _nonzero_normal(s: SymbolSum, indeterminates: set) -> NonvanishingReport:
+    """`symbol_generic_nonzero` of a sum already in normal form, whose
+    multiplicative slots are pairwise-distinct single names and whose
+    additive slot is one monomial."""
     if not s.terms:
-        return NonvanishingReport(Nonvanishing.ZERO)
+        return NonvanishingReport(Nonvanishing.ZERO, None, "")
     for term in s.terms:
-        slots = list(term.a_slots) + list(term.b_slot)
-        names = [next(iter(m)) for m in slots if len(m) == 1]
-        if (len(names) == len(slots)
-                and len(set(names)) == len(names)
-                and set(names) <= indeterminates):
+        (b,) = term.b_slot
+        names = {v for m in term.a_slots for v in m}
+        if len(b) == 1 and not b & names and names | b <= indeterminates:
             return NonvanishingReport(
                 Nonvanishing.CERTIFIED_NONZERO, term,
                 "certified by citation: a symbol in pairwise-distinct "
                 "indeterminates is nonzero over their rational function field")
-    return NonvanishingReport(Nonvanishing.UNKNOWN)
+    return NonvanishingReport(Nonvanishing.UNKNOWN, None, "")
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +428,10 @@ def invariant_f(t: TorsorData) -> InvariantReport:
 
     sym = symbol_normalize(symbol(tuple(scales) + (a, b), c))
     indet = {n for n in t.labels if n != "1" and t.labels.count(n) == 1}
-    report = symbol_generic_nonzero(sym, indet)
-    return InvariantReport(
-        group=t.group, labels=t.labels, forms=forms,
-        summands=_freeze_counter(collected),
-        expansion=_freeze_counter(expansion),
-        symbol=sym, nonvanishing=report)
+    # the two multisets were just found equal: one frozen copy serves both
+    frozen = _freeze_counter(expansion)
+    return InvariantReport(t.group, t.labels, forms, frozen, frozen,
+                           sym, _nonzero_normal(sym, indet))
 
 
 def _freeze_counter(cnt: Counter) -> tuple:

@@ -65,9 +65,11 @@ def min_poly_for(k: int) -> int:
     """The canonical modulus for F_{2^k}: the irreducible degree-k
     polynomial with the smallest integer encoding (constant term 1).
     A candidate is irreducible when no polynomial of degree 1..k/2
-    divides it; at k <= MAX_FIELD_BITS that is at most 510 divisors."""
+    divides it.  Only odd divisors are tried: one with constant term 0
+    is a multiple of x, which divides no candidate.  At k <=
+    MAX_FIELD_BITS that is at most 255 divisors."""
     for cand in range((1 << k) + 1, 1 << (k + 1), 2):
-        if all(_poly_mod(cand, d) for d in range(2, 1 << (k // 2 + 1))):
+        if all(_poly_mod(cand, d) for d in range(3, 1 << (k // 2 + 1), 2)):
             return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -76,7 +78,12 @@ def min_poly_for(k: int) -> int:
 MAX_TABLE_BITS = 8
 
 
-@lru_cache(maxsize=None)
+# per-degree tables and trace masks, keyed by the int k so that a
+# lookup hashes in C; each is built once, through `mul`, on first use
+_TABLES: dict = {}   # k -> (log, exp)
+_MASKS: dict = {}    # k -> trace mask
+
+
 def _log_exp(field) -> tuple:
     """(log, exp) tables of `field` for a generator g of its unit group:
     exp[i] = g^i for i < 2 (2^k - 1), so exp[log[x] + log[y]] = x y
@@ -84,7 +91,8 @@ def _log_exp(field) -> tuple:
     modulus need not be primitive (t is no generator of F_256 mod
     0x11B), so g is the smallest element whose powers reach every
     unit.  No power list outgrows the unit group, so a wrong multiply
-    cannot hang the search.  Cached per field, that is per degree."""
+    cannot hang the search.  Uncached: `ConcreteField2` keeps the
+    result in `_TABLES`."""
     units = field.order - 1
     for g in range(1, field.order):
         exp, x = [1], g
@@ -117,7 +125,8 @@ class ConcreteField2:
         # built through mul, which runs its loop while _exp is None
         self._log = self._exp = None
         if k <= MAX_TABLE_BITS:
-            self._log, self._exp = _log_exp(self)
+            self._log, self._exp = (_TABLES.get(k)
+                                    or _TABLES.setdefault(k, _log_exp(self)))
 
     def __eq__(self, other):
         return isinstance(other, ConcreteField2) and other.k == self.k
@@ -199,12 +208,13 @@ class ConcreteField2:
     def trace(self, x: int) -> int:
         """Absolute trace, as the parity of x's overlap with the trace
         mask (the trace is F_2-linear)."""
-        return (self.check(x) & _trace_mask(self)).bit_count() & 1
+        mask = _MASKS.get(self.k) or _MASKS.setdefault(self.k, _trace_mask(self))
+        return (self.check(x) & mask).bit_count() & 1
 
     def trace_one_element(self) -> int:
         """Smallest element of absolute trace 1: the lowest set bit of
         the trace mask, since every smaller integer misses the mask."""
-        mask = _trace_mask(self)
+        mask = _MASKS.get(self.k) or _MASKS.setdefault(self.k, _trace_mask(self))
         return mask & -mask
 
     def elements(self):
@@ -214,11 +224,11 @@ class ConcreteField2:
         return self.check(x) == 0
 
 
-@lru_cache(maxsize=None)
 def _trace_mask(field) -> int:
     """Bit i set iff Tr(x^i) = 1, for the generator x of F_{2^k}, with
     each trace taken as the Frobenius sum t + t^2 + ... + t^(2^(k-1)).
-    Tr is F_2-linear, so Tr(y) is the parity of y & mask."""
+    Tr is F_2-linear, so Tr(y) is the parity of y & mask.  Uncached:
+    `ConcreteField2` keeps the result in `_MASKS`."""
     mask = 0
     for i in range(field.k):
         t = acc = 1 << i
@@ -357,10 +367,14 @@ def pfister_build(field, a_slots, b) -> QForm:
         if field.is_zero(a):
             raise ValueError("Pfister slots must be nonzero")
     field.check(b)
-    q = block(field, field.one, b)
+    q = block(field, field.one, b)      # the field gate
+    # fold each slot as orth_sum(q, _fold_scale(a, q)) would, into one
+    # block list, so that only the result is checked as a form
+    mul, blocks = field.mul, list(q.blocks)
     for a in reversed(a_slots):
-        q = orth_sum(q, _fold_scale(a, q))
-    return q
+        a_inv = field.inv(a)
+        blocks += [BinaryBlock(mul(a, x), mul(a_inv, y)) for x, y in blocks]
+    return QForm(field, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +404,16 @@ def classify_form(q: QForm) -> FormClass:
     f = q.field
     t = len(q.diag)
     offset = 2 * len(q.blocks)
+    # every field is given, so the record skips `Record._bind`
     if t == 0:
-        return FormClass(NONDEGENERATE, 0)
+        return FormClass(NONDEGENERATE, 0, None)
     for j, c in enumerate(q.diag):
         if f.is_zero(c):
             vec = [0] * q.dim
             vec[offset + j] = 1
             return FormClass(SINGULAR, t, tuple(vec))
     if t == 1:
-        return FormClass(NONSINGULAR_RADICAL_1, 1)
+        return FormClass(NONSINGULAR_RADICAL_1, 1, None)
     vec = [0] * q.dim
     vec[offset] = f.sqrt(q.diag[1])
     vec[offset + 1] = f.sqrt(q.diag[0])
@@ -465,10 +480,12 @@ def equivalent_ff(q1: QForm, q2: QForm) -> bool:
     Singular inputs are not supported."""
     if q1.field != q2.field:
         raise ValueError("forms live over different fields")
-    for q in (q1, q2):
-        if classify_form(q).kind == SINGULAR:
-            raise ValueError("equivalence of singular forms is not supported")
-    return witt_decompose(q1) == witt_decompose(q2)
+    # witt_decompose classifies each form once, and a singular form is
+    # the one ValueError it raises
+    try:
+        return witt_decompose(q1) == witt_decompose(q2)
+    except ValueError:
+        raise ValueError("equivalence of singular forms is not supported") from None
 
 
 # ---------------------------------------------------------------------------

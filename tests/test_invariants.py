@@ -20,7 +20,9 @@ from spindim.invariants import (PARAM_COUNT, ZERO_SYMBOL, InvariantReport,
                                 strip_hyperbolic, symbol,
                                 symbol_generic_nonzero, symbol_normalize,
                                 torsor_forms)
-from spindim.invariants import FormalField2, PfisterBase
+from spindim.invariants import (FormalField2, NonvanishingReport,
+                                PfisterBase, _freeze_counter,
+                                _nonzero_normal, pfister_expand)
 
 NAMES = ("a", "b", "c", "d", "e")
 FIELD = FormalField2(NAMES)
@@ -218,6 +220,58 @@ def test_nonvanishing_any_generic_term_suffices():
     assert rep.verdict is Nonvanishing.CERTIFIED_NONZERO
 
 
+def generic_nonzero_by_renormalizing(s, indeterminates):
+    """`symbol_generic_nonzero` as it was before the invariant stopped
+    normalizing its symbol twice: every slot of every normal term is
+    walked as a monomial."""
+    indeterminates = set(indeterminates)
+    s = symbol_normalize(s)
+    if not s.terms:
+        return NonvanishingReport(Nonvanishing.ZERO)
+    for term in s.terms:
+        slots = list(term.a_slots) + list(term.b_slot)
+        names = [next(iter(m)) for m in slots if len(m) == 1]
+        if (len(names) == len(slots)
+                and len(set(names)) == len(names)
+                and set(names) <= indeterminates):
+            return NonvanishingReport(
+                Nonvanishing.CERTIFIED_NONZERO, term,
+                "certified by citation: a symbol in pairwise-distinct "
+                "indeterminates is nonzero over their rational function field")
+    return NonvanishingReport(Nonvanishing.UNKNOWN)
+
+
+def random_sum(rng):
+    # mostly single names, so that generic terms, and so certificates,
+    # are common; "1" slots and composite monomials kill or block them
+    def mono_(size):
+        return frozenset(rng.sample(NAMES, size))
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        a = tuple(mono_(rng.choice((0, 1, 1, 1, 1, 2)))
+                  for _ in range(rng.randint(0, 3)))
+        b = tuple(mono_(rng.choice((0, 1, 1, 2)))
+                  for _ in range(rng.randint(1, 2)))
+        terms.append(SymbolTerm(a, b))
+    return SymbolSum(tuple(terms))
+
+
+def test_nonvanishing_matches_the_renormalizing_walk():
+    rng = random.Random(11)
+    verdicts = Counter()
+    for _ in range(2000):
+        s = random_sum(rng)
+        indet = set(rng.sample(NAMES, rng.randint(0, len(NAMES))))
+        want = generic_nonzero_by_renormalizing(s, indet)
+        normal = symbol_normalize(s)
+        for got in (symbol_generic_nonzero(s, indet),
+                    symbol_generic_nonzero(normal, indet),
+                    _nonzero_normal(normal, indet)):
+            assert got == want, (s, indet)
+        verdicts[want.verdict] += 1
+    assert len(verdicts) == 3
+
+
 # ---------------------------------------------------------------------------
 # torsor data
 
@@ -356,3 +410,36 @@ def test_invariant_expansion_multiset_spin9():
     scalars = sorted(
         ("".join(sorted(sc)), mult) for (sc, _), mult in rep.summands)
     assert scalars == [("", 1), ("d", 1), ("de", 1), ("e", 1)]
+
+
+def invariant_by_two_freezes(t):
+    """`invariant_f` as it was before it froze one multiset for both
+    sides and normalized its symbol once."""
+    f = t.formal_field()
+    forms = torsor_forms(t)
+    lab = [label(f, n) for n in t.labels]
+    a, b, c = lab[0], lab[1], lab[2]
+    scales = lab[3:]
+    collected = Counter()
+    if t.group is not SpinId.SPIN7:
+        collected[(f.one, pfister_recover(forms[0]))] += 1
+    collected.update((p.scalar, p.base) for form in forms for p in form.parts)
+    expansion = pfister_expand(f, tuple(scales) + (a, b), c, peel=len(scales))
+    assert collected == expansion
+    sym_ = symbol_normalize(symbol(tuple(scales) + (a, b), c))
+    indet = {n for n in t.labels if n != "1" and t.labels.count(n) == 1}
+    return InvariantReport(
+        group=t.group, labels=t.labels, forms=forms,
+        summands=_freeze_counter(collected),
+        expansion=_freeze_counter(expansion),
+        symbol=sym_, nonvanishing=generic_nonzero_by_renormalizing(sym_, indet))
+
+
+@pytest.mark.parametrize("group", list(SpinId))
+def test_invariant_matches_the_two_freeze_version(group):
+    rng = random.Random(group.value)
+    for _ in range(100):
+        labels = tuple(rng.choice(NAMES + ("1",))
+                       for _ in range(PARAM_COUNT[group]))
+        t = TorsorData(group, labels)
+        assert invariant_f(t) == invariant_by_two_freezes(t), labels

@@ -28,8 +28,9 @@ from spindim.qform2 import (MAX_FIELD_BITS, BinaryBlock, ConcreteField2,
                             format_qform, hyperbolic, is_isotropic,
                             is_nonsingular, min_poly_for, orth_sum,
                             pfister_build, scale, tensor_bilinear,
-                            witt_decompose, _check_certificate, _log_exp,
-                            _matrix_eval, _trace_mask)
+                            witt_decompose, _check_certificate, _fold_scale,
+                            _log_exp, _matrix_eval, _poly_mod, _trace_mask)
+from spindim import qform2
 
 F2 = ConcreteField2(1)
 F4 = ConcreteField2(2)
@@ -259,6 +260,22 @@ def test_min_poly_is_smallest_irreducible(k):
         assert not irreducible_by_trial_division(smaller, k)
 
 
+def min_poly_all_divisors(k):
+    """The modulus search as it was before it skipped even divisors:
+    every polynomial of degree 1..k/2 is tried."""
+    for cand in range((1 << k) + 1, 1 << (k + 1), 2):
+        if all(_poly_mod(cand, d) for d in range(2, 1 << (k // 2 + 1))):
+            return cand
+    raise AssertionError("no irreducible polynomial found")
+
+
+@pytest.mark.parametrize("k", range(1, MAX_FIELD_BITS + 1))
+def test_min_poly_search_matches_the_all_divisor_search(k):
+    # the odd divisors suffice: every candidate has constant term 1, so
+    # no multiple of x divides it
+    assert min_poly_for.__wrapped__(k) == min_poly_all_divisors(k)
+
+
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_field_axioms_exhaustive(k):
     f = ConcreteField2(k)
@@ -353,21 +370,21 @@ def test_log_exp_tables():
         assert all(exp[log[x]] == x for x in range(1, units + 1))
     # 0x11B is not primitive: t has order 51, so the generator is t + 1
     assert min_poly_for(8) == 0x11B and _log_exp(ConcreteField2(8))[1][1] == 3
-    _log_exp.cache_clear()
-    assert ConcreteField2(16).mul(3, 5) == 15
-    assert _log_exp.cache_info().currsize == 0
+    f16 = ConcreteField2(16)
+    assert f16.mul(3, 5) == 15
+    assert f16._exp is None and 16 not in qform2._TABLES
 
 
 def test_no_table_is_built_at_import():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("from spindim import qform2\n"
-            "print(qform2._log_exp.cache_info().currsize)\n"
+            "print(len(qform2._TABLES), len(qform2._MASKS))\n"
             "qform2.ConcreteField2(4)\n"
-            "print(qform2._log_exp.cache_info().currsize)")
+            "print(len(qform2._TABLES), len(qform2._MASKS))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
-    assert proc.stdout.split() == ["0", "1"]
+    assert proc.stdout.split() == ["0", "0", "1", "0"]
 
 
 def test_tables_are_built_through_mul():
@@ -398,11 +415,11 @@ def test_tables_are_built_through_mul():
                          ids=["zero", "left", "constant", "add"])
 def test_generator_search_ends_on_a_wrong_multiply(monkeypatch, wrong):
     # no power list outgrows the unit group, so the search raises where
-    # it would loop; __wrapped__ skips the cache
+    # it would loop; _log_exp itself caches nothing
     field = ConcreteField2(5)
     monkeypatch.setattr(ConcreteField2, "mul", wrong)
     with pytest.raises(AssertionError, match="no generator found"):
-        _log_exp.__wrapped__(field)
+        _log_exp(field)
 
 
 def test_fields_do_not_depend_on_build_order():
@@ -414,8 +431,9 @@ def test_fields_do_not_depend_on_build_order():
                 for _ in range(200)]
 
     def build(ks):
-        for cache in (_log_exp, min_poly_for, _trace_mask):
-            cache.cache_clear()
+        min_poly_for.cache_clear()
+        qform2._TABLES.clear()
+        qform2._MASKS.clear()
         fields = {k: ConcreteField2(k) for k in ks}
         return {k: ([f.mul(x, y) for x, y in sample(k)],
                     [f.inv(y) for _, y in sample(k)],
@@ -433,15 +451,15 @@ def test_fields_do_not_depend_on_build_order():
 def test_trace_mask_checks_fire(monkeypatch):
     # a multiply that loses the Frobenius sum must be caught before the
     # mask is used; the field is built before mul is patched, since its
-    # tables are built through mul, and __wrapped__ skips the cache
+    # tables are built through mul, and _trace_mask itself caches nothing
     field = ConcreteField2(4)
     monkeypatch.setattr(ConcreteField2, "mul", lambda self, x, y: 0)
     with pytest.raises(AssertionError, match="the trace must lie in F_2"):
-        _trace_mask.__wrapped__(field)
+        _trace_mask(field)
     # squaring as the identity makes every Frobenius sum of even length 0
     monkeypatch.setattr(ConcreteField2, "mul", lambda self, x, y: x)
     with pytest.raises(AssertionError, match="trace cannot be identically zero"):
-        _trace_mask.__wrapped__(field)
+        _trace_mask(field)
 
 
 @pytest.mark.parametrize("k", (*range(1, 11), 16))
@@ -715,6 +733,27 @@ def test_pfister_build_inverts_each_slot_once(monkeypatch):
     q = pfister_build(ConcreteField2(k), slots, 1)
     assert len(calls) == 10
     assert q.blocks == tuple(BinaryBlock(a, b) for a, b in want)
+
+
+def pfister_by_folds(field, a_slots, b):
+    """`pfister_build` as it was before it folded every slot into one
+    block list: one checked form per fold and per sum."""
+    q = block(field, field.one, b)
+    for a in reversed(a_slots):
+        q = orth_sum(q, _fold_scale(a, q))
+    return q
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 8, 16))
+def test_pfister_build_matches_the_fold_by_fold_build(k):
+    field = ConcreteField2(k)
+    rng = random.Random(k)
+    for m in range(4):
+        for _ in range(20):
+            slots = [rng.randrange(1, field.order) for _ in range(m)]
+            b = rng.randrange(field.order)
+            assert pfister_build(field, slots, b) == \
+                pfister_by_folds(field, slots, b)
 
 
 def test_pfister_expand_identities():
@@ -1061,6 +1100,43 @@ def test_equivalence_guards():
         equivalent_ff(block(F2, 1, 1), block(F4, 1, 1))
     with pytest.raises(ValueError):
         equivalent_ff(diag_form(F4, 1, 2), diag_form(F4, 1, 2))
+
+
+def equivalent_by_classifying_first(q1, q2):
+    """`equivalent_ff` as it was before it classified each form once:
+    both forms are classified, then decomposed."""
+    if q1.field != q2.field:
+        raise ValueError("forms live over different fields")
+    for q in (q1, q2):
+        if classify_form(q).kind == SINGULAR:
+            raise ValueError("equivalence of singular forms is not supported")
+    return witt_decompose(q1) == witt_decompose(q2)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_equivalence_matches_the_classify_first_version():
+    # a singular form first, second and on both sides, each singular
+    # shape (a zero entry, two entries), and forms over another field
+    rng = random.Random(5)
+    singular = [diag_form(F8, 0), diag_form(F8, 3, 0), diag_form(F8, 2, 5),
+                orth_sum(block(F8, 1, 2), diag_form(F8, 1, 1))]
+    nonsingular = [random_nonsingular_form(F8, rng) for _ in range(6)]
+    others = [block(F4, 1, 1), diag_form(F4, 0, 1)]
+    forms = singular + nonsingular + others
+    seen = Counter()
+    for q1, q2 in itertools.product(forms, repeat=2):
+        got = outcome(equivalent_ff, q1, q2)
+        assert got == outcome(equivalent_by_classifying_first, q1, q2), (q1, q2)
+        seen[got] += 1
+    assert seen["ValueError: equivalence of singular forms is not supported"]
+    assert seen["ValueError: forms live over different fields"]
+    assert seen[True] and seen[False]
 
 
 # ---------------------------------------------------------------------------

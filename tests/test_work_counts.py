@@ -1,0 +1,89 @@
+"""Work counts of single requests on the form and symbol layers.
+
+Unlike wall-clock time, a count of calls or constructions is exact and
+the same on every host, so each test here pins an upper bound on the
+work one request does.
+"""
+
+import pytest
+
+from spindim import cli, invariants, qform2
+from spindim._record import Record
+from spindim.qform2 import ConcreteField2, QForm
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_binds(monkeypatch):
+    binds = []
+    real = Record._bind.__func__
+
+    def counted(cls, args, kwargs):
+        binds.append(cls.__name__)
+        return real(cls, args, kwargs)
+
+    monkeypatch.setattr(Record, "_bind", classmethod(counted))
+    return binds
+
+
+@pytest.mark.parametrize("group,labels", [("spin7", "a,b,c,d"),
+                                          ("spin9", "a,b,c,d,e"),
+                                          ("spin8", "a,b,c,d,d")])
+def test_an_invariant_request_normalizes_its_symbol_once(monkeypatch,
+                                                         group, labels):
+    calls = count_calls(monkeypatch, invariants, "symbol_normalize")
+    binds = count_binds(monkeypatch)
+    code, out, _ = cli.run(["invariant", "--group", group, "--labels", labels])
+    assert code == 0 and '"ok": true' in out
+    assert len(calls) == 1
+    # the report records are built from every field, not by keyword
+    assert "InvariantReport" not in binds
+    assert "NonvanishingReport" not in binds
+
+
+@pytest.mark.parametrize("form2", ["[1,1]+[2,3]", "[1,1]+<1>", "<3>+<5>"])
+def test_an_equiv_request_classifies_each_form_once(monkeypatch, form2):
+    calls = count_calls(monkeypatch, qform2, "classify_form")
+    code, _, err = cli.run(["qform", "--field", "f2^3", "--op", "equiv",
+                            "--form", "[1,1]+[2,3]", "--form2", form2])
+    # a singular second form still ends the request with the usage error
+    assert (code, err) in ((0, ""), (
+        2, "equivalence of singular forms is not supported\n"))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("k", (1, 4, 16))
+def test_a_two_slot_pfister_build_checks_at_most_two_forms(monkeypatch, k):
+    made = []
+    real = QForm.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    field = ConcreteField2(k)
+    monkeypatch.setattr(QForm, "__new__", counted)
+    q = qform2.pfister_build(field, (1, field.order - 1), 1)
+    assert q.dim == 8
+    assert len(made) <= 2
+
+
+def test_classify_form_builds_nonsingular_classes_by_position(monkeypatch):
+    f = ConcreteField2(3)
+    forms = [qform2.block(f, 1, 2), qform2.hyperbolic(f, 2),
+             qform2.diag_form(f, 5), QForm(f),
+             qform2.orth_sum(qform2.block(f, 3, 4), qform2.diag_form(f, 1))]
+    binds = count_binds(monkeypatch)
+    for q in forms:
+        assert qform2.is_nonsingular(q)
+    assert binds == []
