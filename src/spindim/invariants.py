@@ -357,7 +357,11 @@ def torsor_forms(t: TorsorData) -> tuple:
       spin10 (a,b,c,d):    r = H + d P
     """
     f = t.formal_field()
-    lab = [label(f, n) for n in t.labels]
+    return _torsor_forms(t, f, [label(f, n) for n in t.labels])
+
+
+def _torsor_forms(t: TorsorData, f: FormalField2, lab: list) -> tuple:
+    # `torsor_forms` over the field and labels its caller has built
     base = PfisterBase((lab[0], lab[1]), lab[2])
 
     def part(scalar):
@@ -410,8 +414,8 @@ def invariant_f(t: TorsorData) -> InvariantReport:
     raises, since it would mean the form data is inconsistent.
     """
     f = t.formal_field()
-    forms = torsor_forms(t)
     lab = [label(f, n) for n in t.labels]
+    forms = _torsor_forms(t, f, lab)
     a, b, c = lab[0], lab[1], lab[2]
     scales = lab[3:]
 

@@ -43,6 +43,8 @@ extended Euclidean algorithm over F_2[t] and makes no multiply.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, compress
+from operator import xor
 
 from ._record import Record
 
@@ -492,52 +494,51 @@ def equivalent_ff(q1: QForm, q2: QForm) -> bool:
 # reduction of a raw coefficient matrix to block shape
 
 
-def _dot(mul, u, v):
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc ^= mul(x, y)
-    return acc
-
-
-def _matrix_eval(field, M, vec):
-    # q(v) = sum_i v_i (sum_{j>=i} M[i][j] v_j)
-    acc = 0
-    for i, vi in enumerate(vec):
-        if vi:
-            s = _dot(field.mul, M[i][i:], vec[i:])
-            if s:
-                acc ^= field.mul(vi, s)
-    return acc
-
-
 def _polar_gram(M):
-    """Gram matrix S = M + M^T of the polar form of an upper-triangular
-    M: b(u, v) = u^T S v.  Symmetric, with zero diagonal."""
-    n = len(M)
-    return [[M[min(i, j)][max(i, j)] if i != j else 0 for j in range(n)]
-            for i in range(n)]
+    """S = M + M^T, the Gram matrix of the polar form: b(u, v) = u^T S v.
+    Symmetric with zero diagonal, and unchanged by folding M's lower
+    triangle up."""
+    return [list(map(xor, row, col)) for row, col in zip(M, zip(*M))]
 
 
-def _check_certificate(M, q: QForm, basis) -> None:
-    """Raise unless q is the upper-triangular matrix M written in
-    `basis`: each q(b_i) is its emitted coefficient, and b(b_i, b_j) is
-    1 for a block pair and 0 for any other i < j.  The pairings are
-    entries of (P S) P^T, P the basis rows and S = M + M^T, so the
-    whole check costs O(n^3) multiplies.  b(b_i, b_j) is taken as row
-    i of P times row j of P S: the reduction's early rows are sparse."""
-    f = q.field
-    mul = f.mul
-    coeffs = [c for bl in q.blocks for c in (bl.a, bl.b)] + list(q.diag)
+def _check_certificate(M, q: QForm, basis, S=None) -> None:
+    """Raise unless q is M written in `basis`: each q(b_j) is its emitted
+    coefficient, and b(b_i, b_j) is 1 for a block pair and 0 for any
+    other i < j.  Sums run over supports: q(b) over the pairs t <= u of
+    b's (M[t][t], then S[t][u]), b S over S's nonzero entries, and
+    b(b_i, b_j) = b_i (b_j S) over b_i's.  O(n^3) multiplies; S is
+    built from M when not given."""
+    mul = q.field.mul
+    coeffs = [*chain(*q.blocks), *q.diag]
     paired = 2 * len(q.blocks)
-    S = _polar_gram(M)
-    ps_rows = ([_dot(mul, b, col) for col in S] for b in basis)   # P S, lazily
-    if (len(basis) != len(coeffs)
-            or any(_matrix_eval(f, M, b) != c for b, c in zip(basis, coeffs))
-            or any(_dot(mul, basis[i], ps)
-                   != int(j == i + 1 and j < paired and i % 2 == 0)
-                   for j, ps in enumerate(ps_rows) for i in range(j))):
-        raise AssertionError("block reduction failed its certificate")
+    S = _polar_gram(M) if S is None else S
+    cols = range(len(S))
+    failed = AssertionError("block reduction failed its certificate")
+    if len(basis) != len(coeffs):
+        raise failed
+    supports = []
+    for j, b in enumerate(basis):
+        sup = list(compress(cols, b))
+        supports.append(sup)
+        value, bs = 0, [0] * len(S)
+        for p, t in enumerate(sup):
+            row, s = S[t], M[t][t] and mul(M[t][t], b[t])
+            for u in sup[p + 1:]:
+                if row[u]:
+                    s ^= mul(row[u], b[u])
+            if s:
+                value ^= mul(b[t], s)
+            for u in compress(cols, row):
+                bs[u] ^= mul(b[t], row[u])
+        if value != coeffs[j]:
+            raise failed
+        for i in range(j):
+            acc = 0
+            for t in supports[i]:
+                if bs[t]:
+                    acc ^= mul(basis[i][t], bs[t])
+            if acc != (i == j - 1 and j < paired and j % 2):
+                raise failed
 
 
 def block_normalize_with_basis(field, coeffs):
@@ -559,33 +560,39 @@ def block_normalize_with_basis(field, coeffs):
         B[m][m'] += a_m d_m' + d_m a_m'
 
     and a step costs O(n^2) multiplies, the whole reduction O(n^3).
+    No product with a zero operand is taken.
 
     The result is certified at every size.  In characteristic 2,
     q(sum x_i b_i) = sum x_i^2 q(b_i) + sum_{i<j} x_i x_j b(b_i, b_j),
     so the values q(b_i), which must be the emitted coefficients, and
     the pairings b(b_i, b_j), which must be 1 inside a block pair and 0
     otherwise, fix the form in the new basis.  Both are recomputed from
-    the input matrix, not from B and Q.  A mismatch raises
+    M and S = M + M^T, not from B and Q.  A mismatch raises
     AssertionError.
     """
     if not isinstance(field, ConcreteField2):
         raise TypeError("matrix reduction needs a concrete field")
     n = len(coeffs)
-    M = [[field.check(x) for x in row] for row in coeffs]
-    if any(len(row) != n for row in M):
+    M = list(map(list, coeffs))
+    # an exact int in range is an element; `check` judges the rest
+    for row in M:
+        for x in row:
+            if not (x.__class__ is int and 0 <= x < field.order):
+                field.check(x)
+    if set(map(len, M)) - {n}:
         raise ValueError("coefficient matrix must be square")
-    # fold the lower triangle up: x_i x_j and x_j x_i are the same monomial
-    for i in range(n):
-        for j in range(i + 1, n):
-            M[i][j] ^= M[j][i]
-            M[j][i] = 0
 
     mul = field.mul
-    basis = [[field.one if i == j else field.zero for j in range(n)]
-             for i in range(n)]
-    B = _polar_gram(M)
-    Q = [M[i][i] for i in range(n)]
-    remaining = list(range(n))
+    cols = range(n)
+    basis, Q = [], []
+    for i in cols:
+        basis.append([0] * n)
+        basis[i][i] = 1
+        Q.append(M[i][i])
+    # S folds the lower triangle up: x_i x_j and x_j x_i are one monomial
+    S = _polar_gram(M)
+    B = list(map(list, S))
+    remaining = list(cols)
     blocks = []
     new_basis = []
     while True:
@@ -597,35 +604,38 @@ def block_normalize_with_basis(field, coeffs):
         remaining.remove(i)
         remaining.remove(j)
         # scale b_j so that b(b_i, b_j) = 1; row and column j of B are
-        # only read once more, through a below
+        # only read once more, through the a_m
         c = field.inv(B[i][j])
-        bi = basis[i]
-        bj = basis[j] = [mul(c, x) for x in basis[j]]
-        qi, qj = Q[i], mul(mul(c, c), Q[j])
-        # the components of each remaining b_m along b_i and b_j
-        a = [mul(c, B[j][m]) for m in remaining]
-        d = [B[i][m] for m in remaining]
-        for p, m in enumerate(remaining):
-            am, dm = a[p], d[p]
-            if not (am or dm):
-                continue
-            basis[m] = [x ^ mul(am, yi) ^ mul(dm, yj)
-                        for x, yi, yj in zip(basis[m], bi, bj)]
-            Q[m] ^= mul(mul(am, am), qi) ^ mul(mul(dm, dm), qj) ^ mul(am, dm)
-            row = B[m]
-            for p2 in range(p + 1, len(remaining)):
-                s = mul(am, d[p2]) ^ mul(dm, a[p2])
+        bi, bj = basis[i], basis[j]
+        si, sj = list(compress(cols, bi)), list(compress(cols, bj))
+        for t in sj:
+            bj[t] = mul(c, bj[t])
+        qi, qj = Q[i], Q[j] and mul(mul(c, c), Q[j])
+        # each remaining m with the components a_m, d_m of b_m
+        ad = [(m, B[j][m] and mul(c, B[j][m]), B[i][m]) for m in remaining]
+        for p, (m, am, dm) in enumerate(ad):
+            bm, row = basis[m], B[m]
+            if am:
+                for t in si:
+                    bm[t] ^= mul(am, bi[t])
+            if dm:
+                for t in sj:
+                    bm[t] ^= mul(dm, bj[t])
+            Q[m] ^= ((am and qi and mul(mul(am, am), qi))
+                     ^ (dm and qj and mul(mul(dm, dm), qj))
+                     ^ (am and dm and mul(am, dm)))
+            for m2, a2, d2 in ad[p + 1:]:
+                s = (am and d2 and mul(am, d2)) ^ (dm and a2 and mul(dm, a2))
                 if s:
-                    m2 = remaining[p2]
                     row[m2] ^= s
                     B[m2][m] ^= s
         blocks.append(BinaryBlock(qi, qj))
         new_basis.extend([bi, bj])
-    diag = tuple(Q[m] for m in remaining)
-    new_basis.extend(basis[m] for m in remaining)
+    diag = tuple(map(Q.__getitem__, remaining))
+    new_basis.extend(map(basis.__getitem__, remaining))
     out = QForm(field, tuple(blocks), diag)
-    _check_certificate(M, out, new_basis)
-    return out, [list(v) for v in new_basis]
+    _check_certificate(M, out, new_basis, S)
+    return out, list(map(list, new_basis))
 
 
 def block_normalize(field, coeffs) -> QForm:

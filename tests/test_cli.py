@@ -785,6 +785,12 @@ try:
 except AssertionError as exc:
     print(exc)
 qform2.evaluate = real_eval
+M = [[1, 2, 3], [0, 2, 1], [0, 0, 3]]
+q, basis = qform2.block_normalize_with_basis(f, M)
+try:
+    qform2._check_certificate(M, q, [basis[1]] + basis[1:])
+except AssertionError as exc:
+    print(exc)
 f5 = ConcreteField2(5)
 ConcreteField2.mul = lambda self, x, y: 2
 for build in (lambda: f5.trace(1), lambda: ConcreteField2(6)):
@@ -796,10 +802,11 @@ for build in (lambda: f5.trace(1), lambda: ConcreteField2(6)):
 
 
 def test_qform_checks_survive_python_dash_o(monkeypatch):
-    # the vanishing-vector check, the trace-in-F_2 check and the bound
-    # on the generator search raise explicitly, so -O keeps them.  The
-    # corpus, which test_cli_digests runs under -O, holds classify
-    # requests that reach the vanishing-vector check
+    # the vanishing-vector check, the normalize certificate, the
+    # trace-in-F_2 check and the bound on the generator search raise
+    # explicitly, so -O keeps them.  The corpus, which test_cli_digests
+    # runs under -O, holds classify requests that reach the
+    # vanishing-vector check
     real, evaluated = qform2.evaluate, []
 
     def evaluate(q, vec):
@@ -815,6 +822,7 @@ def test_qform_checks_survive_python_dash_o(monkeypatch):
     proc = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.stdout == ("radical vector does not vanish\n"
+                           "block reduction failed its certificate\n"
                            "the trace must lie in F_2\n"
                            "no generator found\n"), proc.stderr
 

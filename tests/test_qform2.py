@@ -29,7 +29,7 @@ from spindim.qform2 import (MAX_FIELD_BITS, BinaryBlock, ConcreteField2,
                             is_nonsingular, min_poly_for, orth_sum,
                             pfister_build, scale, tensor_bilinear,
                             witt_decompose, _check_certificate, _fold_scale,
-                            _log_exp, _matrix_eval, _poly_mod, _trace_mask)
+                            _log_exp, _polar_gram, _poly_mod, _trace_mask)
 from spindim import qform2
 
 F2 = ConcreteField2(1)
@@ -484,6 +484,46 @@ def test_trace_one_element_matches_linear_scan(k):
         assert first == 2048
 
 
+def _dot(mul, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        if x and y:
+            acc ^= mul(x, y)
+    return acc
+
+
+def _matrix_eval(field, M, vec):
+    """q(v) = sum_i v_i (sum_{j>=i} M[i][j] v_j) of an upper-triangular
+    M, dense: the value oracle of `dense_certificate` and
+    `reference_reduction`."""
+    acc = 0
+    for i, vi in enumerate(vec):
+        if vi:
+            s = _dot(field.mul, M[i][i:], vec[i:])
+            if s:
+                acc ^= field.mul(vi, s)
+    return acc
+
+
+def dense_certificate(M, q, basis):
+    """The certificate of `qform2._check_certificate` over dense rows:
+    every q(b_i) by `_matrix_eval`, and each pairing b(b_i, b_j) as
+    row i of P times row j of P S, S = M + M^T.  Raises the same
+    AssertionError."""
+    f = q.field
+    mul = f.mul
+    coeffs = [c for bl in q.blocks for c in (bl.a, bl.b)] + list(q.diag)
+    paired = 2 * len(q.blocks)
+    S = _polar_gram(M)
+    ps_rows = ([_dot(mul, b, col) for col in S] for b in basis)   # P S, lazily
+    if (len(basis) != len(coeffs)
+            or any(_matrix_eval(f, M, b) != c for b, c in zip(basis, coeffs))
+            or any(_dot(mul, basis[i], ps)
+                   != int(j == i + 1 and j < paired and i % 2 == 0)
+                   for j, ps in enumerate(ps_rows) for i in range(j))):
+        raise AssertionError("block reduction failed its certificate")
+
+
 def polar(field, M, u, v):
     """The polar form of an upper-triangular M, pairing by pairing:
     b(u, v) = q(u+v) + q(u) + q(v) = sum_{i<j} M[i][j] (u_i v_j + u_j v_i).
@@ -527,6 +567,9 @@ def test_elements_are_checked_where_they_enter():
                lambda: evaluate(q, (4, 0)),
                lambda: evaluate(q, (1, True)),
                lambda: block_normalize(F4, [[1, 4], [0, 1]]),
+               lambda: block_normalize(F4, [[1, 1, 4], [0, 1, 0], [0, 0, 1]]),
+               lambda: block_normalize(F4, [[1, True], [0, 1]]),
+               lambda: block_normalize(F4, [[1, 0], [-1, 1]]),
                lambda: F4.pow(4, 3),
                lambda: F4.inv(7),
                lambda: F4.sqrt(4),
@@ -1314,6 +1357,73 @@ def test_certificate_rejects_a_stray_pairing_at_n24():
     assert _matrix_eval(field, M, bad_basis[4]) == a4
     with pytest.raises(AssertionError, match="certificate"):
         _check_certificate(M, bad_q, bad_basis)
+
+
+def certificate_cases():
+    """Seeded upper-triangular matrices for k in {1, 2, 3, 4, 8, 16} and
+    n = 1..12, in turn dense (every entry on and above the diagonal
+    nonzero), 60% filled, and block-diagonal with blocks of size 1..3."""
+    rng = random.Random(73)
+    for k in (1, 2, 3, 4, 8, 16):
+        field = ConcreteField2(k)
+        for n in range(1, 13):
+            kind = (n + k) % 3
+            starts = [0]
+            while starts[-1] < n:
+                starts.append(starts[-1] + rng.randint(1, 3))
+            block_of = [max(s for s in starts if s <= i) for i in range(n)]
+            M = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if kind == 0:
+                        M[i][j] = rng.randrange(1, field.order)
+                    elif kind == 1 and rng.random() < 0.6:
+                        M[i][j] = rng.randrange(field.order)
+                    elif kind == 2 and block_of[i] == block_of[j]:
+                        M[i][j] = rng.randrange(field.order)
+            yield field, M, rng
+
+
+def verdict(check, M, q, basis):
+    try:
+        check(M, q, basis)
+    except AssertionError as exc:
+        assert str(exc) == "block reduction failed its certificate"
+        return False
+    return True
+
+
+def test_certificate_agrees_with_the_dense_certificate():
+    # on the true basis and on every single-entry corruption of a basis
+    # row or of an emitted coefficient, the sparse certificate and the
+    # dense one reach the same verdict
+    rejected = 0
+    for field, M, rng in certificate_cases():
+        q, basis = block_normalize_with_basis(field, M)
+        assert verdict(_check_certificate, M, q, basis)
+        assert verdict(dense_certificate, M, q, basis)
+        n = len(M)
+        for r in range(n):
+            for col in range(n):
+                bad = [list(b) for b in basis]
+                bad[r][col] ^= rng.randrange(1, field.order)
+                want = verdict(dense_certificate, M, q, bad)
+                assert verdict(_check_certificate, M, q, bad) == want
+                rejected += not want
+        coeffs = [c for bl in q.blocks for c in bl] + list(q.diag)
+        paired = 2 * len(q.blocks)
+        for r in range(n):
+            bad = list(coeffs)
+            bad[r] ^= rng.randrange(1, field.order)
+            bad_q = QForm(field, tuple(BinaryBlock(*bad[i:i + 2])
+                                       for i in range(0, paired, 2)),
+                          tuple(bad[paired:]))
+            assert not verdict(dense_certificate, M, bad_q, basis)
+            assert not verdict(_check_certificate, M, bad_q, basis)
+        # a basis one row short of the emitted coefficients
+        assert not verdict(dense_certificate, M, q, basis[:-1])
+        assert not verdict(_check_certificate, M, q, basis[:-1])
+    assert rejected > 0
 
 
 # ---------------------------------------------------------------------------

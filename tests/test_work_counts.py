@@ -5,11 +5,14 @@ the same on every host, so each test here pins an upper bound on the
 work one request does.
 """
 
+import random
+
 import pytest
 
 from spindim import cli, invariants, qform2
 from spindim._record import Record
 from spindim.qform2 import ConcreteField2, QForm
+from test_qform2 import normalize_shapes
 
 
 def count_calls(monkeypatch, module, name):
@@ -51,6 +54,16 @@ def test_an_invariant_request_normalizes_its_symbol_once(monkeypatch,
     assert "NonvanishingReport" not in binds
 
 
+@pytest.mark.parametrize("group,labels", [("spin7", "a,b,c,d"),
+                                          ("spin10", "a,b,c,d")])
+def test_an_invariant_request_builds_its_formal_field_once(monkeypatch,
+                                                           group, labels):
+    calls = count_calls(monkeypatch, invariants.TorsorData, "formal_field")
+    code, out, _ = cli.run(["invariant", "--group", group, "--labels", labels])
+    assert code == 0 and '"ok": true' in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("form2", ["[1,1]+[2,3]", "[1,1]+<1>", "<3>+<5>"])
 def test_an_equiv_request_classifies_each_form_once(monkeypatch, form2):
     calls = count_calls(monkeypatch, qform2, "classify_form")
@@ -87,3 +100,23 @@ def test_classify_form_builds_nonsingular_classes_by_position(monkeypatch):
     for q in forms:
         assert qform2.is_nonsingular(q)
     assert binds == []
+
+
+# field multiplies of one reduction and its certificate, per benchmark
+# normalize shape (k, n), on a dense matrix: every entry on and above the
+# diagonal nonzero, as in the benchmark
+NORMALIZE_MULS = {(1, 12): 1746, (2, 6): 212, (3, 4): 74, (4, 3): 35,
+                  (1, 8): 524, (2, 4): 74, (8, 4): 74, (16, 4): 74}
+
+
+def test_normalize_multiplies_at_most_the_pinned_count(monkeypatch):
+    assert sorted(normalize_shapes()) == sorted(NORMALIZE_MULS)
+    for k, n in normalize_shapes():
+        rng = random.Random(100 * k + n)
+        field = ConcreteField2(k)     # builds any tables before counting
+        M = [[rng.randrange(1, field.order) if j >= i else 0
+              for j in range(n)] for i in range(n)]
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, ConcreteField2, "mul")
+            qform2.block_normalize_with_basis(field, M)
+        assert len(calls) <= NORMALIZE_MULS[k, n], (k, n, len(calls))
