@@ -35,7 +35,6 @@ import os
 import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
-from functools import lru_cache
 
 # The layers and the expression parsers (`_parse`) are lazy modules
 # (see `spindim/__init__`): each compiles on the first attribute a
@@ -239,12 +238,9 @@ _COMMANDS = {
 }
 
 
-@lru_cache(maxsize=None)
 def _build_parser():
-    """The argparse parser of `_COMMANDS`, built once per process and
-    only for argv that `_table_args` does not read.  Reuse is safe:
-    parse results live in the returned Namespace, and help and errors
-    are written to the sys.stdout / sys.stderr current at call time."""
+    """The argparse parser of `_COMMANDS`, built only for argv that
+    `_table_args` does not read."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):

@@ -382,10 +382,6 @@ def _torsor_forms(t: TorsorData, f: FormalField2, lab: list) -> tuple:
     return (TaggedForm(1, (part(d),)),)
 
 
-def strip_hyperbolic(form: TaggedForm) -> TaggedForm:
-    return TaggedForm(0, form.parts)
-
-
 def pfister_recover(form: TaggedForm) -> PfisterBase:
     """Base Pfister form of a single scaled copy, hyperbolic summands
     and the scale stripped.  Anything that is not literally one scaled

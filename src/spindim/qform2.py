@@ -246,10 +246,6 @@ def _trace_mask(field) -> int:
     return mask
 
 
-def format_element(field, x) -> str:
-    return format(field.check(x), "x")
-
-
 # ---------------------------------------------------------------------------
 # forms
 
@@ -635,7 +631,7 @@ def block_normalize_with_basis(field, coeffs):
     new_basis.extend(map(basis.__getitem__, remaining))
     out = QForm(field, tuple(blocks), diag)
     _check_certificate(M, out, new_basis, S)
-    return out, list(map(list, new_basis))
+    return out, new_basis
 
 
 def block_normalize(field, coeffs) -> QForm:

@@ -17,10 +17,10 @@ decomposition and lists every invariant multiset below a dimension
 bound.
 
 All of this needs X(K) and S listed in full, which takes 2^r work, so
-the enumeration lives here: `build_char_data` (capped at
-`spinlat.MAX_RANK`), the sign-flip orbits as lists (`orbit_codes`) and
-the Weyl action.  It is the oracle of `spinlat.orbit_structure`, which
-reads the same orbit shape at any rank with no 2^r work.
+the enumeration lives here: `build_char_data` (capped at `MAX_RANK`),
+the sign-flip orbits as lists (`orbit_codes`) and the Weyl action.  It
+is the oracle of `spinlat.orbit_structure`, which reads the same orbit
+shape at any rank with no 2^r work.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ from functools import cached_property, lru_cache
 
 from ._record import Record
 from .abelian import GroupElement, Subgroup
-from .spinlat import MAX_RANK, Parity, _require, _smith_lattice
+from .spinlat import Parity, _require, _smith_lattice
+
+# The enumeration cap of `build_char_data`, whose codes of X(K) and S
+# grow as 2^r.
+MAX_RANK = 16
 
 
 class WeylElt(Record):
@@ -102,11 +106,25 @@ class SpinCharData(Record):
         return self.xL.unpack(self.shift_codes[mask])
 
 
-@lru_cache(maxsize=None)
-def _lattice(r: int):
-    """The enumerated half of `build_char_data`, built once per rank:
-    (shift_codes, xK_codes, faithful_codes)."""
-    _, xL, x, A = _smith_lattice(r)
+@lru_cache(maxsize=None, typed=True)   # typed: True is not rank 1
+def build_char_data(r: int, parity: Parity) -> SpinCharData:
+    """Construct X(T), X(L), X(K) and the sign-flip translation data.
+
+    X(K) is read off the subset sums of x_1..x_r, since 2x_i = 0, and S
+    is the coset A + X(K).  S is certified to be the complement of X(K)
+    without enumerating X(L): A is not in X(K), A + X(K) has 2^r
+    elements none of which lie in X(K), and 2^r + 2^r = |X(L)|.
+    Only the acting sign flips depend on the parity.  MAX_RANK is the
+    enumeration cap: the codes of X(K) and S are held in full, so
+    memory grows as 2^r; `orbit_structure` has no such cap.  Results
+    are cached; the returned data is shared and must be treated as
+    read-only.
+    """
+    if type(r) is not int or not 1 <= r <= MAX_RANK:
+        raise ValueError(f"rank must be between 1 and {MAX_RANK}")
+    if not isinstance(parity, Parity):
+        raise ValueError("parity must be a Parity")
+    xT, xL, x, A = _smith_lattice(r)
     keep = xL.keep_mask
     shift_codes = [0]
     for xi in map(xL.pack, x):
@@ -122,35 +140,11 @@ def _lattice(r: int):
              and faithful_codes.isdisjoint(xK_codes)
              and len(xK_codes) + len(faithful_codes) == xL.order(),
              "A + X(K) must be the complement of X(K) in X(L)")
-    return tuple(shift_codes), xK_codes, faithful_codes
-
-
-@lru_cache(maxsize=None, typed=True)   # typed: True is not rank 1
-def build_char_data(r: int, parity: Parity) -> SpinCharData:
-    """Construct X(T), X(L), X(K) and the sign-flip translation data.
-
-    X(K) is read off the subset sums of x_1..x_r, since 2x_i = 0, and S
-    is the coset A + X(K).  S is certified to be the complement of X(K)
-    without enumerating X(L): A is not in X(K), A + X(K) has 2^r
-    elements none of which lie in X(K), and 2^r + 2^r = |X(L)|.
-    Only the acting sign flips depend on the parity; the lattice itself
-    is built once per rank and shared by both parities.
-    MAX_RANK is the enumeration cap: the codes of X(K) and S are held
-    in full, so memory grows as 2^r; `orbit_structure` has no such
-    cap.  Results are cached; the returned data is shared and must be
-    treated as read-only.
-    """
-    if type(r) is not int or not 1 <= r <= MAX_RANK:
-        raise ValueError(f"rank must be between 1 and {MAX_RANK}")
-    if not isinstance(parity, Parity):
-        raise ValueError("parity must be a Parity")
-    xT, xL, x, A = _smith_lattice(r)
-    shift_codes, xK_codes, faithful_codes = _lattice(r)
     if parity is Parity.ODD:
         masks = tuple(range(1 << r))
     else:
         masks = tuple(m for m in range(1 << r) if m.bit_count() % 2 == 0)
-    return SpinCharData(r, parity, xT, xL, x, A, masks, shift_codes,
+    return SpinCharData(r, parity, xT, xL, x, A, masks, tuple(shift_codes),
                         xK_codes, faithful_codes)
 
 

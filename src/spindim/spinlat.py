@@ -19,10 +19,10 @@ with subset-sum translations, on packed integer codes of X(L)
 
 Everything is a function of the rank r.  This module reads the orbit
 shape at any rank from the Smith form and one elimination over F_2
-(`orbit_structure`).  Its oracle up to MAX_RANK, the full enumeration
-of X(K) and S (`repdim.build_char_data`), lives in `repdim` with the
-orbit lists and the Weyl action, so a request that needs only the
-shape never compiles it.
+(`orbit_structure`).  Its oracle up to `repdim.MAX_RANK`, the full
+enumeration of X(K) and S (`repdim.build_char_data`), lives in
+`repdim` with the orbit lists and the Weyl action, so a request that
+needs only the shape never compiles it.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from functools import lru_cache
 from ._record import Record
 from .abelian import FgAbGroup, Presentation
 
-# The enumeration cap of `repdim.build_char_data`, whose codes of X(K)
-# and S grow as 2^r.
-MAX_RANK = 16
 # The one rank cap of `verify-lattice`, `verify-heisenberg` and the
 # ed-table, whose gcd step at n has rank n // 2: edcalc.MAX_N = 2 * MAX_R.
 MAX_R = 32

@@ -25,8 +25,8 @@ from cli_corpus import HAND_ARGV, corpus, workloads
 from spindim import _parse, cli, qform2
 from spindim.cli import run
 from spindim.edcalc import MAX_N, ed_table
-from spindim.repdim import build_char_data, divisibility_report
-from spindim.spinlat import MAX_RANK, Parity
+from spindim.repdim import MAX_RANK, build_char_data, divisibility_report
+from spindim.spinlat import Parity
 
 # the source tree, for the subprocess tests' PYTHONPATH
 SRC = os.path.dirname(os.path.dirname(spindim.__file__))
@@ -621,14 +621,19 @@ def _parse_outcome(parse, argv):
             return "exit", exc.code, out.getvalue(), err.getvalue()
 
 
+@pytest.fixture(scope="module")
+def full_parser():
+    return cli._build_parser()
+
+
 @pytest.mark.parametrize("argv", DISPATCH_CORPUS)
-def test_dispatch_matches_full_parser(argv, monkeypatch):
+def test_dispatch_matches_full_parser(argv, full_parser, monkeypatch):
     # the full parser stays the oracle for the table path; `run` hands
     # every argv the table does not read to that parser itself
     monkeypatch.setenv("COLUMNS", "80")
     table = cli._table_args(argv)
     if table is not None:
-        full = _parse_outcome(cli._build_parser().parse_args, argv)
+        full = _parse_outcome(full_parser.parse_args, argv)
         assert full == ("parsed", vars(table))
 
 
@@ -681,12 +686,15 @@ def test_run_never_freezes_the_collector(argv, monkeypatch):
 
 @pytest.mark.parametrize("module", ["spindim", "spindim.cli"])
 def test_python_dash_m_matches_run(module, monkeypatch):
-    # exit 0, a usage error (exit 2) and help; COLUMNS pins the help width
+    # exit 0, usage errors (exit 2) from a handler and from argparse, and
+    # help; COLUMNS pins the help and usage width
     monkeypatch.setenv("COLUMNS", "80")
     env = dict(os.environ, PYTHONPATH=SRC)
     for argv in (["ed-table", "--min", "15", "--max", "20"],
                  ["verify-heisenberg", "--r", "0", "--parity", "odd"],
-                 ["--help"]):
+                 ["qform", "--field", "f2^2"],
+                 ["--help"],
+                 ["qform", "--help"]):
         proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(argv)
@@ -825,30 +833,3 @@ def test_qform_checks_survive_python_dash_o(monkeypatch):
                            "block reduction failed its certificate\n"
                            "the trace must lie in F_2\n"
                            "no generator found\n"), proc.stderr
-
-
-PARSER_ROUND = [
-    ["qform", "--field", "f2^2"],
-    ["qform", "--help"],
-    ["qform", "--field", "f2^3", "--op", "witt", "--form", "[1,3]+<5>"],
-    ["symbol", "--normalize", "{a*b,c,d]+{b,c,d]"],
-]
-
-
-def test_reused_parser_leaks_no_state(monkeypatch):
-    # the parser is built once per process; a second round through the
-    # same parser must print what the first, freshly built, one did.
-    # COLUMNS pins the help and usage width on both sides.
-    monkeypatch.setenv("COLUMNS", "80")
-    cli._build_parser.cache_clear()
-    first = [run(argv) for argv in PARSER_ROUND]
-    assert cli._build_parser() is cli._build_parser()
-    second = [run(argv) for argv in PARSER_ROUND]
-    assert first == second
-    assert [r[0] for r in first] == [2, 0, 0, 0]
-    env = dict(os.environ, PYTHONPATH=SRC)
-    for argv, (code, out, err) in zip(PARSER_ROUND[:2], first):
-        proc = subprocess.run([sys.executable, "-m", "spindim", *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

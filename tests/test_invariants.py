@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from spindim.invariants import (PARAM_COUNT, ZERO_SYMBOL, InvariantReport,
                                 Nonvanishing, SpinId, SymbolSum, SymbolTerm,
                                 TaggedForm, TorsorData, format_symbol,
-                                invariant_f, label, pfister_recover,
-                                strip_hyperbolic, symbol,
+                                invariant_f, label, pfister_recover, symbol,
                                 symbol_generic_nonzero, symbol_normalize,
                                 torsor_forms)
 from spindim.invariants import (FormalField2, NonvanishingReport,
@@ -338,7 +337,6 @@ def test_torsor_forms_shapes():
 def test_recover_and_strip():
     t = TorsorData(SpinId.SPIN10, ("a", "b", "c", "d"))
     (r,) = torsor_forms(t)
-    assert strip_hyperbolic(r).h_copies == 0
     assert pfister_recover(r) == PfisterBase(
         (frozenset("a"), frozenset("b")), frozenset("c"))
     two = torsor_forms(TorsorData(SpinId.SPIN9, ("a", "b", "c", "d", "e")))[1]

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from spindim import cli, repdim, spinlat
 from spindim.abelian import subgroup_span
-from spindim.repdim import (SpinCharData, WeylElt, build_char_data,
+from spindim.repdim import (MAX_RANK, SpinCharData, WeylElt, build_char_data,
                             center_restriction, free_transitive_check,
                             orbits_on_faithful, weyl_act, weyl_identity)
-from spindim.spinlat import (MAX_RANK, Parity, _f2_rank, expected_orbit_size,
+from spindim.spinlat import (Parity, _f2_rank, expected_orbit_size,
                              orbit_structure)
 
 PARITIES = (Parity.ODD, Parity.EVEN)
@@ -119,12 +119,13 @@ def test_build_is_cached():
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_both_parities_share_one_lattice(r):
-    # only the acting masks depend on the parity; the lattice is built once
+    # only the acting masks depend on the parity; the Smith form is built
+    # once per rank, the codes once per (rank, parity)
     odd, even = build_char_data(r, Parity.ODD), build_char_data(r, Parity.EVEN)
     assert odd is not even
     assert odd.xL is even.xL and odd.xT is even.xT
-    assert odd.shift_codes is even.shift_codes
-    assert odd.faithful_codes is even.faithful_codes
+    assert odd.shift_codes == even.shift_codes
+    assert odd.faithful_codes == even.faithful_codes
     assert len(odd.acting_masks) == 2 * len(even.acting_masks)
 
 

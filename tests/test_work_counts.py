@@ -1,14 +1,22 @@
-"""Work counts of single requests on the form and symbol layers.
+"""Work counts of single requests on the form and symbol layers, and
+the benchmark traffic that the library's caches rely on.
 
 Unlike wall-clock time, a count of calls or constructions is exact and
 the same on every host, so each test here pins an upper bound on the
-work one request does.
+work one request does, or the cache hits that keep a cache worth its
+code.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import spindim
+from cli_corpus import workloads
 from spindim import cli, invariants, qform2
 from spindim._record import Record
 from spindim.qform2 import ConcreteField2, QForm
@@ -120,3 +128,51 @@ def test_normalize_multiplies_at_most_the_pinned_count(monkeypatch):
             calls = count_calls(patch, ConcreteField2, "mul")
             qform2.block_normalize_with_basis(field, M)
         assert len(calls) <= NORMALIZE_MULS[k, n], (k, n, len(calls))
+
+
+# runs the JSON list of argv on stdin through `cli.run` in a fresh
+# process, then prints the `cache_info()` of `module.name`
+CACHE_PROBE = """
+import importlib, json, sys
+from spindim import cli
+fn = getattr(importlib.import_module(sys.argv[1]), sys.argv[2])
+for argv in json.load(sys.stdin):
+    cli.run(argv)
+print(json.dumps(fn.cache_info()._asdict()))
+"""
+
+
+def cold_cache_info(requests, module, name):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(spindim.__file__)))
+    proc = subprocess.run([sys.executable, "-c", CACHE_PROBE, module, name],
+                          input=json.dumps(requests), env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_the_option_table_reads_every_benchmark_request(workload, seed):
+    # so no benchmark request builds the argparse parser, and `cli`
+    # keeps no cache of it
+    for argv in workloads.generate(workload, seed):
+        assert cli._table_args(argv) is not None, argv
+
+
+def test_a_forms_warm_pass_hits_the_min_poly_cache():
+    # every qform request builds its field, and the modulus of each k is
+    # found once per process
+    info = cold_cache_info(workloads.generate("forms-warm", 1),
+                           "spindim.qform2", "min_poly_for")
+    assert info["hits"] > 0 and info["misses"] > 0, info
+
+
+def test_a_cold_ed_table_hits_the_smith_lattice_cache():
+    # the ed-table's gcd steps and the consistency checks read the same
+    # ranks' Smith forms
+    info = cold_cache_info([["ed-table", "--min", "3", "--max", "64",
+                             "--format", "json"]],
+                           "spindim.spinlat", "_smith_lattice")
+    assert info["hits"] > 0 and info["misses"] > 0, info
