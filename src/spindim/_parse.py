@@ -1,10 +1,11 @@
 """Parsers for the form, matrix, field and symbol expressions that
 `qform` and `symbol` take on the command line.
 
-The syntax is described in the `cli` docstring.  Like the layers, this
-module is registered lazily by `spindim/__init__`, so it compiles on
-the first request that parses an expression and never on a lattice
-request.
+The syntax is described in the `cli` docstring.  Neither grammar
+nests, so plain splits read both, bar one regex between symbol terms.
+Like the layers, this module is registered lazily by `spindim/__init__`,
+so it compiles on the first request that parses an expression and
+never on a lattice request.
 """
 
 from __future__ import annotations
@@ -36,24 +37,8 @@ _ELEMENT_RE = re.compile(r"[0-9a-fA-F]+")
 _BLOCK_RE = re.compile(r"\[[^][]*\]")
 _DIAG_RE = re.compile(r"<[^<>]*>")
 _FIELD_RE = re.compile(r"f2\^([0-9]+)")
-
-
-def _split_top(text: str, sep: str):
-    """Split on `sep` outside any brackets.  The symbol syntax closes
-    '{' with ']', so both count as closers for '{'."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "[(<{":
-            depth += 1
-        elif ch in ")>}]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+# '+' between symbol terms: after a ']', or before a '{' or '0' term
+_TERM_PLUS_RE = re.compile(r"(?<=\])\+|\+(?=[{0])")
 
 
 def _parse_element(field, tok: str) -> int:
@@ -80,7 +65,7 @@ def parse_form(field, text: str) -> qform2.QForm:
     if text == "0":     # the empty form, as `format_qform` prints it
         return qform2.QForm(field)
     blocks, diag, dim = [], [], 0
-    for part in _split_top(text, "+"):
+    for part in text.split("+"):
         if _BLOCK_RE.fullmatch(part):
             toks = part[1:-1].split(",")
             if len(toks) != 2:
@@ -139,30 +124,32 @@ def parse_symbol_expr(text: str) -> invariants.SymbolSum:
     if not text:
         raise ValueError("empty symbol expression")
 
-    def mono(mono_text):
-        # the product of the factors: a repeated one cancels, '1' adds
-        # nothing
+    def mono(mono_text, additive=False):
+        # the product of the factors, '1' adding nothing; a repeat cancels,
+        # but not in the additive slot, where b*b is b modulo x^2 + x
         out = frozenset()
         for piece in mono_text.split("*"):
             if piece == "1":
                 continue
             if not invariants._NAME_RE.fullmatch(piece):
                 raise ValueError(f"bad monomial factor {piece!r}")
+            if additive and piece in out:
+                raise ValueError(f"repeated additive factor {piece!r}")
             out ^= frozenset({piece})
         return out
 
     terms, expansion = [], 0
-    for part in _split_top(text, "+"):
+    for part in _TERM_PLUS_RE.split(text):
         if part == "0":
             continue
         if not (part.startswith("{") and part.endswith("]")):
             raise ValueError(f"cannot parse symbol term {part!r}")
-        slots = _split_top(part[1:-1], ",")
+        slots = part[1:-1].split(",")
         if len(slots) < 2:
             raise ValueError("a symbol needs at least two slots")
         a_slots = tuple(map(mono, slots[:-1]))
         b_pieces = slots[-1].split("+")
-        b_slot = tuple(map(mono, b_pieces))
+        b_slot = tuple(mono(m, True) for m in b_pieces)
         expansion += len(b_pieces) * math.prod(
             s.count("*") + 1 for s in slots[:-1])
         if expansion > MAX_SYMBOL_EXPANSION:

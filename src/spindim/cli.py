@@ -153,6 +153,8 @@ def _cmd_qform(args) -> tuple[int, str]:
 
 
 def _cmd_symbol(args) -> tuple[int, str]:
+    # beyond the docstring's syntax (the --help text): an additive
+    # monomial names each factor at most once, as b*b is b there, not 1
     s = _parse.parse_symbol_expr(args.normalize)
     return 0, invariants.format_symbol(invariants.symbol_normalize(s)) + "\n"
 

@@ -258,7 +258,8 @@ def symbol_generic_nonzero(s: SymbolSum, indeterminates) -> NonvanishingReport:
     given set: such a generic symbol is nonzero over the rational
     function field on those indeterminates.  That step is a citation,
     not a computation, and is labelled as such in the report.
-    Everything else is reported unknown.
+    Everything else is reported unknown.  Additive monomials must be
+    sets of names, never `FormalField2.mul` products (b*b is b, not 1).
     """
     return _nonzero_normal(symbol_normalize(s), set(indeterminates))
 

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -350,6 +351,16 @@ def _qform(form, op="arf"):
     (["symbol", "--normalize", "{a]"], "a symbol needs at least two slots"),
     (["symbol", "--normalize", "nonsense"],
      "cannot parse symbol term 'nonsense'"),
+    # neither grammar nests: a '+' or ',' inside brackets splits there
+    (_qform("[1+1,2]"), "cannot parse form summand '[1'"),
+    (_qform("pf(1+2;3)"), "cannot parse form summand 'pf(1'"),
+    (["symbol", "--normalize", "{a,{b,c]]"], "bad monomial factor '{b'"),
+    (["symbol", "--normalize", "{a,b+c"], "cannot parse symbol term '{a,b+c'"),
+    # b*b is b modulo x^2 + x, not 1: {a,b*b] + {a,b] = {a, b^2 + b] = 0,
+    # so reading b*b as 1 would print {a,1] + {a,b]
+    (["symbol", "--normalize", "{a,b*b]+{a,b]"],
+     "repeated additive factor 'b'"),
+    (["symbol", "--normalize", "{a,b*b*b]"], "repeated additive factor 'b'"),
 ])
 def test_expression_parser_guards(argv, message):
     assert run(argv) == (2, "", message + "\n")
@@ -454,6 +465,7 @@ def test_form_dimension_limit(monkeypatch):
     ("{b,a,c] + {a,b,c]", "0"),
     ("{1,c,d]", "0"),
     ("{a,a,c]", "0"),
+    ("{a*a,b]", "0"),     # a square in a multiplicative slot is trivial
     ("{a,b+c]", "{a,b] + {a,c]"),
     ("0", "0"),
     ("{d,a]", "{d,a]"),
@@ -484,6 +496,16 @@ def test_symbol_expansion_limit():
                  "{" + ",".join([mono] * 3) + ",b+c]",
                  "{" + ",".join([mono] * 5) + ",b]"):
         assert f"more than {limit}" in usage_error(["symbol", "--normalize", past])
+
+
+def test_a_long_symbol_expression_splits_in_linear_time():
+    # an argument as long as Linux allows (128 KiB with its NUL): a term
+    # split that rescans the rest of the text after each '+' takes many
+    # seconds on it, a linear one milliseconds
+    t0 = time.perf_counter()
+    err = usage_error(["symbol", "--normalize", "+" * 131071])
+    assert time.perf_counter() - t0 < 1.0
+    assert err.startswith("cannot parse symbol term '+")
 
 
 # ---------------------------------------------------------------------------

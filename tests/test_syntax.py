@@ -1,8 +1,9 @@
 """Every source and test file parses as Python 3.10, the oldest version
 `pyproject.toml` allows, whatever interpreter runs the suite; the
 library imports nothing outside the standard library, imports json only
-inside a function, sets record fields only in `_record.py`, and runs no
-generated code; bad CLI input takes one route to exit 2."""
+inside a function, sets record fields only in `_record.py`, runs no
+generated code and has no assert statement (`python -O` drops them);
+bad CLI input takes one route to exit 2."""
 
 import ast
 import builtins
@@ -80,6 +81,18 @@ def test_only_the_record_base_sets_fields_and_no_code_is_generated():
                         and isinstance(node.value, ast.Name)
                         and node.value.id == "object"), (
                 f"{path.name}:{node.lineno} uses object.__setattr__")
+
+
+def test_no_runtime_check_is_an_assert_statement():
+    # `python -O` strips assert statements; every check in the library
+    # must raise on its own
+    files = sorted((ROOT / "src" / "spindim").glob("*.py"))
+    assert ROOT / "src" / "spindim" / "invariants.py" in files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Assert), (
+                f"{path.name}:{node.lineno} uses an assert statement")
 
 
 def test_cli_turns_value_error_into_exit_2_in_run_alone():
