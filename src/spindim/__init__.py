@@ -3,11 +3,10 @@ characteristic 2: character lattices, orbit data, quadratic form
 classification, symbol invariants and the resulting bound tables.
 
 Each layer module runs on first use.  Importing the package registers
-all six, and the private expression parsers `_parse`, in `sys.modules`
-as `importlib.util.LazyLoader` modules.  A module compiles and runs
-when one of its attributes is first read, so a form request never
-compiles the lattice layer and a lattice request never compiles the
-parsers.
+all six in `sys.modules` as `importlib.util.LazyLoader` modules.  A
+layer compiles and runs when one of its attributes is first read, so
+a form request never compiles the lattice layer and a lattice request
+never compiles the form layer.
 Because they are registered, `sys.modules["spindim.<layer>"]` is there
 right after the import, for tools that look the layers up by name.
 The public names below are served from their layers by `__getattr__`:
@@ -52,8 +51,7 @@ def _lazy(layer):
     return module
 
 
-# `_parse` is lazy like a layer but private: it exports nothing
-globals().update((name, _lazy(name)) for name in (*_EXPORTS, "_parse"))
+globals().update((name, _lazy(name)) for name in _EXPORTS)
 
 __all__ = sorted([*_EXPORTS, *_HOME])
 

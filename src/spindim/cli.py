@@ -36,11 +36,10 @@ import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
 
-# The layers and the expression parsers (`_parse`) are lazy modules
-# (see `spindim/__init__`): each compiles on the first attribute a
-# subcommand reads, so refer to them only through the module, inside
-# the `_cmd_*` functions.
-from . import _json, _parse, edcalc, invariants, qform2, repdim, spinlat
+# The layers are lazy modules (see `spindim/__init__`): each compiles
+# on the first attribute a subcommand reads, so refer to them only
+# through the module, inside the `_cmd_*` functions.
+from . import _json, edcalc, invariants, qform2, repdim, spinlat
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +119,14 @@ def _cmd_verify_heisenberg(args) -> tuple[int, str]:
 def _cmd_qform(args) -> tuple[int, str]:
     if args.form2 is not None and args.op != "equiv":
         raise ValueError("--form2 is only valid with --op equiv")
-    field = _parse.parse_field_name(args.field)
+    field = qform2.parse_field_name(args.field)
     out = {"op": args.op, "field": args.field}
     if args.op == "normalize":
-        mat = _parse.parse_matrix(field, args.form)
+        mat = qform2.parse_matrix(field, args.form)
         q = qform2.block_normalize(field, mat)
         out["form"] = qform2.format_qform(q)
     else:
-        q = _parse.parse_form(field, args.form)
+        q = qform2.parse_form(field, args.form)
         out["form"] = qform2.format_qform(q)
         out["dim"] = q.dim
         if args.op == "arf":
@@ -146,7 +145,7 @@ def _cmd_qform(args) -> tuple[int, str]:
         else:   # equiv
             if args.form2 is None:
                 raise ValueError("--op equiv needs --form2")
-            q2 = _parse.parse_form(field, args.form2)
+            q2 = qform2.parse_form(field, args.form2)
             out["form2"] = qform2.format_qform(q2)
             out["equivalent"] = qform2.equivalent_ff(q, q2)
     return 0, _json.dumps(out) + "\n"
@@ -155,7 +154,7 @@ def _cmd_qform(args) -> tuple[int, str]:
 def _cmd_symbol(args) -> tuple[int, str]:
     # beyond the docstring's syntax (the --help text): an additive
     # monomial names each factor at most once, as b*b is b there, not 1
-    s = _parse.parse_symbol_expr(args.normalize)
+    s = invariants.parse_symbol_expr(args.normalize)
     return 0, invariants.format_symbol(invariants.symbol_normalize(s)) + "\n"
 
 
@@ -173,7 +172,8 @@ def _cmd_invariant(args) -> tuple[int, str]:
         "group": group.value,
         "labels": list(labels),
         "torsor_forms": [invariants.format_tagged(f) for f in rep.forms],
-        "expansion_identity_ok": rep.summands == rep.expansion,
+        # true: a failed identity makes `invariant_f` raise (exit 1 above)
+        "expansion_identity_ok": True,
         "symbol": invariants.format_symbol(rep.symbol),
         "nonvanishing": nv.verdict.value,
         "ok": True,

@@ -27,12 +27,14 @@ Pfister form, and the symbol of that bigger form is returned.  Those
 forms are kept symbolically, as `PfisterBase` keys with monomial
 scalars; this module owns the monomial field and the expansion
 (`pfister_expand`), and needs nothing from `qform2`, whose forms live
-over F_{2^k}.
+over F_{2^k}.  It also reads the syntax `format_symbol` prints
+(`parse_symbol_expr`): plain splits, bar one regex between terms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import Counter
 from enum import Enum
@@ -226,6 +228,59 @@ def format_symbol(s: SymbolSum) -> str:
     return " + ".join(parts)
 
 
+# Largest number of terms a symbol expression may expand into: for each
+# term, the product of its multiplicative slots' factor counts (as
+# written) times the number of its additive pieces, summed over the
+# terms.  `symbol_normalize` walks that many choices.
+MAX_SYMBOL_EXPANSION = 4096
+
+# an indeterminate name, in labels and in the symbol syntax
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+# '+' between symbol terms: after a ']', or before a '{' or '0' term
+_TERM_PLUS_RE = re.compile(r"(?<=\])\+|\+(?=[{0])")
+
+
+def parse_symbol_expr(text: str) -> SymbolSum:
+    """Parse a sum of symbol terms."""
+    text = text.replace(" ", "")
+    if not text:
+        raise ValueError("empty symbol expression")
+
+    def mono(mono_text, additive=False):
+        # the product of the factors, '1' adding nothing; a repeat cancels,
+        # but not in the additive slot, where b*b is b modulo x^2 + x
+        out = frozenset()
+        for piece in mono_text.split("*"):
+            if piece == "1":
+                continue
+            if not _NAME_RE.fullmatch(piece):
+                raise ValueError(f"bad monomial factor {piece!r}")
+            if additive and piece in out:
+                raise ValueError(f"repeated additive factor {piece!r}")
+            out ^= frozenset({piece})
+        return out
+
+    terms, expansion = [], 0
+    for part in _TERM_PLUS_RE.split(text):
+        if part == "0":
+            continue
+        if not (part.startswith("{") and part.endswith("]")):
+            raise ValueError(f"cannot parse symbol term {part!r}")
+        slots = part[1:-1].split(",")
+        if len(slots) < 2:
+            raise ValueError(f"a symbol needs at least two slots: {part!r}")
+        a_slots = tuple(map(mono, slots[:-1]))
+        b_pieces = slots[-1].split("+")
+        b_slot = tuple(mono(m, True) for m in b_pieces)
+        expansion += len(b_pieces) * math.prod(
+            s.count("*") + 1 for s in slots[:-1])
+        if expansion > MAX_SYMBOL_EXPANSION:
+            raise ValueError(f"symbol expression expands to more than "
+                             f"{MAX_SYMBOL_EXPANSION} terms")
+        terms.append(SymbolTerm(a_slots, b_slot))
+    return SymbolSum(tuple(terms))
+
+
 def format_tagged(form: "TaggedForm") -> str:
     def fmt_part(p):
         base = "<<" + ",".join(format_mono(s) for s in p.base.a_slots) \
@@ -295,10 +350,6 @@ class SpinId(Enum):
 # how many generic parameters each group's torsor carries
 PARAM_COUNT = {SpinId.SPIN7: 4, SpinId.SPIN8: 5,
                SpinId.SPIN9: 5, SpinId.SPIN10: 4}
-
-
-# an indeterminate name, in labels and in the symbol syntax
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 class TorsorData(Record):

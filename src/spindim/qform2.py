@@ -38,10 +38,15 @@ the class counts every product, and the one shift-and-add loop.  Up
 to k = 8 it looks products up in log/exp tables, which, like the trace
 mask, are built through `mul` on first use of each k.  `inv` is the
 extended Euclidean algorithm over F_2[t] and makes no multiply.
+
+This module also reads the syntax `format_qform` prints (`parse_form`),
+and the other `qform` inputs: `parse_matrix`, `parse_field_name`.  The
+grammar, which does not nest, is in the `cli` docstring.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import chain, compress
 from operator import xor
@@ -645,3 +650,101 @@ def format_qform(q: QForm) -> str:
     parts = [f"[{a:x},{b:x}]" for a, b in q.blocks]
     parts += [f"<{c:x}>" for c in q.diag]
     return "+".join(parts) if parts else "0"
+
+
+# ---------------------------------------------------------------------------
+# reading forms, matrices and fields
+
+
+# Largest coefficient matrix `qform --op normalize` accepts.  The
+# reduction and its certificate cost O(n^3) field multiplies; a cold
+# normalize over f2^16 takes about 0.22 s at n = 32 and 1.05 s at n = 64.
+MAX_MATRIX_DIM = 64
+
+# Largest dimension of a parsed form.  Each Pfister slot doubles the
+# form, so the sum is checked summand by summand, before any
+# pf(...) that would pass it is built.
+MAX_FORM_DIM = 4096
+
+_ELEMENT_RE = re.compile(r"[0-9a-fA-F]+")
+_BLOCK_RE = re.compile(r"\[[^][]*\]")
+_DIAG_RE = re.compile(r"<[^<>]*>")
+_FIELD_RE = re.compile(r"f2\^([0-9]+)")
+
+
+def _parse_element(field, tok: str) -> int:
+    tok = tok.strip()
+    if not _ELEMENT_RE.fullmatch(tok):
+        raise ValueError(f"bad field element {tok!r} (expected hex digits)")
+    x = int(tok, 16)
+    if x >= field.order:    # quote the hex as typed, not x in decimal
+        raise ValueError(f"not an element of F_{{2^{field.k}}}: {tok!r}")
+    return x
+
+
+def _grow_form(dim: int, extra: int) -> int:
+    dim += extra
+    if dim > MAX_FORM_DIM:
+        raise ValueError(f"form dimension is larger than {MAX_FORM_DIM}")
+    return dim
+
+
+def parse_form(field, text: str) -> QForm:
+    text = text.replace(" ", "")
+    if not text:
+        raise ValueError("empty form expression")
+    if text == "0":     # the empty form, as `format_qform` prints it
+        return QForm(field)
+    blocks, diag, dim = [], [], 0
+    for part in text.split("+"):
+        if _BLOCK_RE.fullmatch(part):
+            toks = part[1:-1].split(",")
+            if len(toks) != 2:
+                raise ValueError(f"block needs two entries: {part!r}")
+            dim = _grow_form(dim, 2)
+            blocks.append(BinaryBlock(_parse_element(field, toks[0]),
+                                      _parse_element(field, toks[1])))
+        elif _DIAG_RE.fullmatch(part):
+            dim = _grow_form(dim, 1)
+            diag.append(_parse_element(field, part[1:-1]))
+        elif part.startswith("pf(") and part.endswith(")"):
+            inner = part[3:-1]
+            if ";" not in inner:
+                raise ValueError(f"pf(...) needs 'slots;unit', e.g. "
+                                 f"pf(2,3;1): {part!r}")
+            slots_text, b_text = inner.rsplit(";", 1)
+            slots = ([_parse_element(field, t) for t in slots_text.split(",")]
+                     if slots_text else [])
+            b = _parse_element(field, b_text)
+            dim = _grow_form(dim, 2 << len(slots))
+            blocks += pfister_build(field, slots, b).blocks
+        else:
+            raise ValueError(f"cannot parse form summand {part!r}")
+    return QForm(field, tuple(blocks), tuple(diag))
+
+
+def parse_matrix(field, text: str):
+    text = text.replace(" ", "")
+    if not (text.startswith("mat(") and text.endswith(")")):
+        raise ValueError("normalize expects mat(row;row;...)")
+    cells = [row.split(",") for row in text[4:-1].split(";")]
+    if max(len(cells), *map(len, cells)) > MAX_MATRIX_DIM:
+        raise ValueError(f"coefficient matrix is larger than "
+                         f"{MAX_MATRIX_DIM}x{MAX_MATRIX_DIM}")
+    rows = [[_parse_element(field, t) for t in row] for row in cells]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("coefficient matrix must be square")
+    return rows
+
+
+def parse_field_name(text: str) -> ConcreteField2:
+    m = _FIELD_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"bad field {text!r} (expected f2^K)")
+    # int() refuses a string of more than 4300 digits; a degree with
+    # more digits than MAX_FIELD_BITS is out of range anyway, so the
+    # field gets one that is and reports it
+    digits = m.group(1).lstrip("0")
+    top = MAX_FIELD_BITS
+    k = int(digits or "0") if len(digits) <= len(str(top)) else top + 1
+    return ConcreteField2(k)

@@ -98,6 +98,9 @@ HAND_ARGV = [
     ["qform", "--field", "f2^1", "--op", "equiv", "--form", " 0 ",
      "--form2", "0"],
     ["qform", "--field", "f2^2", "--op", "arf", "--form", "[1,1]+0"],
+    # a Pfister summand with no ';', a symbol term with one slot
+    ["qform", "--field", "f2^2", "--op", "arf", "--form", "pf(1,2)"],
+    ["symbol", "--normalize", "{a]"],
 ]
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import spindim
 from cli_corpus import HAND_ARGV, corpus, workloads
-from spindim import _parse, cli, qform2
+from spindim import cli, invariants, qform2
 from spindim.cli import run
 from spindim.edcalc import MAX_N, ed_table
 from spindim.repdim import MAX_RANK, build_char_data, divisibility_report
@@ -255,7 +255,7 @@ def test_qform_normalize():
 def test_qform_normalize_size_limit():
     # the limit is checked before any entry is parsed, so an oversized
     # matrix of bad entries is a size error, not an element error
-    limit = _parse.MAX_MATRIX_DIM
+    limit = qform2.MAX_MATRIX_DIM
 
     def normalize(n, entry="1"):
         rows = ";".join(",".join(entry if j >= i else "0" for j in range(n))
@@ -342,13 +342,15 @@ def _qform(form, op="arf"):
 @pytest.mark.parametrize("argv, message", [
     (_qform(""), "empty form expression"),
     (_qform("[1,2,3]"), "block needs two entries: '[1,2,3]'"),
-    (_qform("pf(1,2)"), "pf(...) needs 'slots;unit', e.g. pf(2,3;1)"),
+    (_qform("pf(1,2)"),
+     "pf(...) needs 'slots;unit', e.g. pf(2,3;1): 'pf(1,2)'"),
     (_qform("foo"), "cannot parse form summand 'foo'"),
     (_qform("[1,1]", "normalize"), "normalize expects mat(row;row;...)"),
     (_qform("mat(1,2)", "normalize"), "coefficient matrix must be square"),
     (["symbol", "--normalize", ""], "empty symbol expression"),
     (["symbol", "--normalize", "{a,&,c]"], "bad monomial factor '&'"),
-    (["symbol", "--normalize", "{a]"], "a symbol needs at least two slots"),
+    (["symbol", "--normalize", "{a]"],
+     "a symbol needs at least two slots: '{a]'"),
     (["symbol", "--normalize", "nonsense"],
      "cannot parse symbol term 'nonsense'"),
     # neither grammar nests: a '+' or ',' inside brackets splits there
@@ -406,7 +408,7 @@ def test_parse_form_equals_orth_sum_fold(case):
     want = qform2.QForm(field)
     for _, q in summands:
         want = qform2.orth_sum(want, q)
-    assert _parse.parse_form(field, "+".join(t for t, _ in summands)) == want
+    assert qform2.parse_form(field, "+".join(t for t, _ in summands)) == want
 
 
 def test_every_printed_form_parses_back():
@@ -420,27 +422,46 @@ def test_every_printed_form_parses_back():
         if not out.startswith("{"):     # help or a usage error
             continue
         payload = json.loads(out)
-        field = _parse.parse_field_name(payload["field"])
+        field = qform2.parse_field_name(payload["field"])
         for key in ("form", "form2", "kernel"):
             if key in payload:
                 text = payload[key]
-                q = _parse.parse_form(field, text)
+                q = qform2.parse_form(field, text)
                 assert qform2.format_qform(q) == text, (argv, key)
                 printed.add(text)
     assert "0" in printed and len(printed) > 300
 
 
+def test_every_printed_symbol_parses_back():
+    # normalizing a printed symbol prints it again: the `symbol` output
+    # and the `invariant` payload's "symbol" both read back unchanged
+    printed = set()
+    for argv in corpus():
+        if argv[:1] not in (["symbol"], ["invariant"]):
+            continue
+        code, out, _ = run(argv)
+        if code != 0 or out.startswith("usage"):
+            continue
+        text = (json.loads(out)["symbol"] if argv[0] == "invariant"
+                else out.rstrip("\n"))
+        s = invariants.parse_symbol_expr(text)
+        assert invariants.format_symbol(invariants.symbol_normalize(s)) \
+            == text, (argv, text)
+        printed.add(text)
+    assert "0" in printed and len(printed) > 300
+
+
 def test_form_dimension_limit(monkeypatch):
-    limit = _parse.MAX_FORM_DIM
+    limit = qform2.MAX_FORM_DIM
     f = qform2.ConcreteField2(1)
     # pf with m slots has dimension 2^(m+1); the limit is a power of two
     slots = limit.bit_length() - 2
     at_limit = "pf(" + ",".join(["1"] * slots) + ";1)"
-    assert _parse.parse_form(f, at_limit).dim == limit
+    assert qform2.parse_form(f, at_limit).dim == limit
     # limit - 1 = 2^(m+1) - 1 = pf(m-1 slots) + ... + pf(0 slots) + <1>
     below = "+".join("pf(" + ",".join(["1"] * m) + ";1)"
                      for m in range(slots)) + "+<1>"
-    assert _parse.parse_form(f, below).dim == limit - 1
+    assert qform2.parse_form(f, below).dim == limit - 1
 
     def qform(form):
         return ["qform", "--field", "f2^2", "--op", "arf", "--form", form]
@@ -484,7 +505,7 @@ def test_symbol_usage_errors():
 
 
 def test_symbol_expansion_limit():
-    limit = _parse.MAX_SYMBOL_EXPANSION
+    limit = invariants.MAX_SYMBOL_EXPANSION
     # three slots of 16 factors: 16^3 = limit choices for one additive piece
     mono = "*".join(f"x{i}" for i in range(16))
     at_limit = "{" + ",".join([mono] * 3) + ",b]"

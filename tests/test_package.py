@@ -1,8 +1,9 @@
 """The package's public names and its lazy layers.
 
-`import spindim` registers the six layer modules and the private
-expression parsers `_parse` in `sys.modules` without running them;
-each runs on the first read of one of its attributes.  A module that
+`import spindim` registers the six layer modules in `sys.modules`
+without running them; each runs on the first read of one of its
+attributes.  `qform2` and `invariants` also read the expression
+syntax they print, so no other module is registered.  A module that
 has run is a plain `types.ModuleType`, a registered one that has not
 is a subclass, so the probes below test `type(m) is types.ModuleType`
 and never `hasattr` or `__file__`, which would load the module they
@@ -20,8 +21,6 @@ from spindim import cli
 from spindim.invariants import SpinId
 
 LAYERS = ("abelian", "spinlat", "repdim", "qform2", "invariants", "edcalc")
-# the lazy modules: the layers and the parsers of `qform` and `symbol`
-LAZY = (*LAYERS, "_parse")
 
 # spindim.__all__ before the layers became lazy: the 57 names the
 # package re-exports and the six layer modules
@@ -68,24 +67,24 @@ def cold(code, *argv):
 
 
 def layers_run(*argv):
-    """(exit code, the lazy modules that ran, whether argparse was
-    imported, whether json was) for one cold `cli.run(argv)`; the other
-    lazy modules must still be registered."""
+    """(exit code, the layers that ran, whether argparse was imported,
+    whether json was) for one cold `cli.run(argv)`; the other layers
+    must still be registered."""
     code, argparse_loaded, json_loaded, ran, lazy = cold(PROBE, *argv)
     ran, lazy = set(ran.split()), set(lazy.split())
-    assert ran | lazy >= set(LAZY)
-    return (int(code), ran & set(LAZY), argparse_loaded == "True",
+    assert ran | lazy >= set(LAYERS)
+    return (int(code), ran & set(LAYERS), argparse_loaded == "True",
             json_loaded == "True")
 
 
 @pytest.mark.parametrize("argv, want", [
-    (["symbol", "--normalize", "{a*b,c]+{b,c]"], {"invariants", "_parse"}),
+    (["symbol", "--normalize", "{a*b,c]+{b,c]"], {"invariants"}),
     (["qform", "--field", "f2^4", "--op", "classify", "--form", "[1,2]+<3>"],
-     {"qform2", "_parse"}),
+     {"qform2"}),
     (["qform", "--field", "f2^2", "--op", "normalize",
-      "--form", "mat(1,1;0,1)"], {"qform2", "_parse"}),
+      "--form", "mat(1,1;0,1)"], {"qform2"}),
     (["qform", "--field", "f2^1", "--op", "equiv", "--form", "[1,1]",
-      "--form2", "[0,0]"], {"qform2", "_parse"}),
+      "--form2", "[0,0]"], {"qform2"}),
     # the only form request that parses no expression
     (["invariant", "--group", "spin9", "--labels", "a,b,c,d,e"],
      {"invariants"}),
@@ -122,12 +121,15 @@ def test_help_and_parse_errors_run_no_layer(argv):
 
 def test_importing_the_cli_registers_every_layer_and_runs_none():
     # a tool that looks the layers up in sys.modules right after this
-    # import (bench/tracer.py does) must find all six, and `_parse`
+    # import (bench/tracer.py does) must find all six; no other lazy
+    # module is registered
     probe = ("import sys, types, spindim.cli\n"
-             "for name in " + repr(LAZY) + ":\n"
-             "    print(name, type(sys.modules['spindim.' + name])"
-             " is types.ModuleType)")
-    assert cold(probe) == [f"{name} False" for name in LAZY]
+             "for name, m in sorted(sys.modules.items()):\n"
+             "    if name.split('.')[0] == 'spindim':\n"
+             "        print(name, type(m) is types.ModuleType)")
+    want = {f"spindim.{name} False" for name in LAYERS}
+    want |= {"spindim True", "spindim.cli True", "spindim._json True"}
+    assert set(cold(probe)) == want
 
 
 def test_all_is_unchanged():
