@@ -26,10 +26,8 @@ def _encode(o, nl: str) -> str:
         return _string(o)
     if cls is int:
         return int.__repr__(o)
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
+    if cls is bool:
+        return "true" if o else "false"
     if o is None:
         return "null"
     inner = nl + "  "
@@ -45,7 +43,15 @@ def _encode(o, nl: str) -> str:
         for key, value in o.items():
             if key.__class__ is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_string(key) + ": " + _encode(value, inner))
+            # a plain key and str value, checked together, need no call
+            flat = value.__class__ is str
+            both = key + value if flat else key
+            if both.isascii() and both.isprintable() and '"' not in both \
+                    and "\\" not in both:
+                items.append('"' + key + '": '
+                             + ('"' + value + '"' if flat else _encode(value, inner)))
+            else:
+                items.append(_string(key) + ": " + _encode(value, inner))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 

@@ -22,7 +22,8 @@ values, and `Record` supplies, once for every record:
     the same way.
 
 A record that checks its input writes its own `__new__(cls, ...)` with
-one parameter per field, ending in `return super().__new__(cls, ...)`.
+one parameter per field, ending in `return super().__new__(cls, ...)`,
+or in `tuple.__new__(cls, (...))` when it is built on a warm path.
 Iteration, `len`, indexing, `in` and ordering (by field tuple, with no
 class check) are the tuple's.  `+` and `*` raise TypeError, where a
 tuple would return a plain tuple, unless a record defines its own

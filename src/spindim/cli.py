@@ -35,6 +35,7 @@ import os
 import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 
 # The layers are lazy modules (see `spindim/__init__`): each compiles
 # on the first attribute a subcommand reads, so refer to them only
@@ -261,39 +262,44 @@ def _build_parser():
     return p
 
 
+@cache   # -> ({flag: (dest, type, choices)}, required flags, defaults)
+def _plan(name: str) -> tuple:
+    fn, _, _, options = _COMMANDS[name]
+    flags = {flag: (flag[2:].replace("-", "_"), kw.get("type"),
+                    kw.get("choices")) for flag, kw in options}
+    return (flags, {flag for flag, kw in options if kw.get("required")},
+            {"command": name, "fn": fn,
+             **{flags[flag][0]: kw.get("default") for flag, kw in options}})
+
+
 def _table_args(argv):
     """The parse of a well-formed argv, read from `_COMMANDS` alone, or
     None.  Well formed: a subcommand, then distinct `flag value` pairs,
     each flag one of the subcommand's exactly, no value starting with
     '-', each value of its option's type and among its choices, and
     every required flag given."""
-    entry = _COMMANDS.get(argv[0]) if argv else None
+    name = argv[0] if argv else None
     given = dict(zip(argv[1::2], argv[2::2]))
-    if entry is None or 2 * len(given) + 1 != len(argv):
+    if name not in _COMMANDS or 2 * len(given) + 1 != len(argv):
         return None     # no subcommand, a flag with no value, or a repeat
-    fn, _, _, options = entry
-    args = types.SimpleNamespace(command=argv[0])
-    for flag, kwargs in options:
-        if flag in given:
-            value = given.pop(flag)
-            if value.startswith("-"):
+    flags, required, values = _plan(name)
+    if not required <= given.keys():
+        return None
+    values = values.copy()
+    for flag, value in given.items():
+        opt = flags.get(flag)
+        if opt is None or value.startswith("-"):
+            return None     # an unknown flag, or a value like a flag
+        dest, type_, choices = opt
+        if type_ is not None:
+            try:
+                value = type_(value)
+            except ValueError:
                 return None
-            if "type" in kwargs:
-                try:
-                    value = kwargs["type"](value)
-                except ValueError:
-                    return None
-            if "choices" in kwargs and value not in kwargs["choices"]:
-                return None
-        elif kwargs.get("required"):
+        if choices is not None and value not in choices:
             return None
-        else:
-            value = kwargs.get("default")
-        setattr(args, flag[2:].replace("-", "_"), value)
-    if given:
-        return None     # a flag the subcommand does not have
-    args.fn = fn
-    return args
+        values[dest] = value
+    return types.SimpleNamespace(**values)
 
 
 def run(argv):

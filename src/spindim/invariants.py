@@ -33,11 +33,11 @@ over F_{2^k}.  It also reads the syntax `format_symbol` prints
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections import Counter
 from enum import Enum
+from itertools import chain, product
 
 from ._record import Record
 
@@ -136,7 +136,7 @@ def pfister_expand(field, a_slots, b, peel: int) -> Counter:
     outer, inner = a_slots[:peel], a_slots[peel:]
     base = PfisterBase(inner, b)
     out: Counter = Counter()
-    for picks in itertools.product([False, True], repeat=peel):
+    for picks in product([False, True], repeat=peel):
         s = field.one
         for chosen, a in zip(picks, outer):
             if chosen:
@@ -185,15 +185,15 @@ def symbol_normalize(s: SymbolSum) -> SymbolSum:
     additive slots, cancel mod 2, sort.  The rules are confluent (the
     tests drive them in random orders); this computes the fixpoint in
     one pass."""
-    # a term is keyed by its sorted slot names and the sorted names of
-    # its additive monomial; ordering the keys orders the monomials by
-    # their sorted names, as the normal form does
+    # a term is keyed by its sorted slot names and the sorted names of its
+    # additive monomial (with the monomial, to reuse); ordering the keys
+    # orders the monomials by their sorted names, as the normal form does
     odd = {}    # the keys seen an odd number of times
-    for term in s.terms:
-        b_keys = [tuple(sorted(b)) for b in term.b_slot]
+    for a_slots, b_slot in s.terms:
+        b_keys = [(tuple(sorted(b)), frozenset(b)) for b in b_slot]
         # expand multilinearly; a slot equal to 1 has no choices at
         # all, so the term dies
-        for picked in itertools.product(*map(sorted, term.a_slots)):
+        for picked in product(*a_slots):
             if len(set(picked)) < len(picked):    # equal slots vanish
                 continue
             a_key = tuple(sorted(picked))
@@ -201,31 +201,27 @@ def symbol_normalize(s: SymbolSum) -> SymbolSum:
                 key = a_key, b
                 if odd.pop(key, None) is None:
                     odd[key] = True
-    kept = sorted(odd)
-    # one singleton monomial per name, shared by every slot holding it
-    names = {v for a_key, _ in kept for v in a_key}
-    single = {v: frozenset((v,)) for v in names}
-    return SymbolSum(tuple([
-        SymbolTerm(tuple(map(single.__getitem__, a_key)), (frozenset(b),))
-        for a_key, b in kept]))
+    # every slot is a monomial, so the terms are built as bare tuples
+    return tuple.__new__(SymbolSum, (tuple([
+        tuple.__new__(SymbolTerm, (tuple(map(frozenset, zip(a_key))), (b,)))
+        for a_key, (_, b) in sorted(odd)]),))
 
 
 def format_mono(m: Label) -> str:
-    if len(m) == 1:     # a single name needs no sort
-        (name,) = m
-        return name
-    return "*".join(sorted(m)) if m else "1"
+    return "*".join(sorted(m)) or "1"
 
 
 def format_symbol(s: SymbolSum) -> str:
-    if not s.terms:
-        return "0"
     parts = []
     for a_slots, b_slot in s.terms:
-        slots = list(map(format_mono, a_slots))
-        slots.append("+".join(map(format_mono, b_slot)))
-        parts.append("{" + ",".join(slots) + "]")
-    return " + ".join(parts)
+        # a normal form's slots: one name each, and one additive monomial
+        slots = [*chain.from_iterable(a_slots)]
+        if len(slots) != len(a_slots) or not all(a_slots):
+            slots = list(map(format_mono, a_slots))
+        slots.append("*".join(sorted(b_slot[0])) or "1" if len(b_slot) == 1
+                     else "+".join(map(format_mono, b_slot)))
+        parts.append(",".join(slots))
+    return "{" + "] + {".join(parts) + "]" if parts else "0"
 
 
 # Largest number of terms a symbol expression may expand into: for each
@@ -236,8 +232,28 @@ MAX_SYMBOL_EXPANSION = 4096
 
 # an indeterminate name, in labels and in the symbol syntax
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_PRODUCT_RE = re.compile(rf"{_NAME_RE.pattern}(?:\*{_NAME_RE.pattern})*")
 # '+' between symbol terms: after a ']', or before a '{' or '0' term
 _TERM_PLUS_RE = re.compile(r"(?<=\])\+|\+(?=[{0])")
+
+
+def _mono(text: str, additive: bool = False) -> frozenset:
+    # the factors' product; a repeat cancels, or raises in the additive slot
+    if _PRODUCT_RE.fullmatch(text):     # distinct names: no factor loop
+        names = text.split("*")
+        out = frozenset(names)
+        if len(out) == len(names):
+            return out
+    out = frozenset()
+    for piece in text.split("*"):
+        if piece == "1":
+            continue
+        if not _NAME_RE.fullmatch(piece):
+            raise ValueError(f"bad monomial factor {piece!r}")
+        if additive and piece in out:
+            raise ValueError(f"repeated additive factor {piece!r}")
+        out ^= frozenset({piece})
+    return out
 
 
 def parse_symbol_expr(text: str) -> SymbolSum:
@@ -245,40 +261,25 @@ def parse_symbol_expr(text: str) -> SymbolSum:
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty symbol expression")
-
-    def mono(mono_text, additive=False):
-        # the product of the factors, '1' adding nothing; a repeat cancels,
-        # but not in the additive slot, where b*b is b modulo x^2 + x
-        out = frozenset()
-        for piece in mono_text.split("*"):
-            if piece == "1":
-                continue
-            if not _NAME_RE.fullmatch(piece):
-                raise ValueError(f"bad monomial factor {piece!r}")
-            if additive and piece in out:
-                raise ValueError(f"repeated additive factor {piece!r}")
-            out ^= frozenset({piece})
-        return out
-
     terms, expansion = [], 0
     for part in _TERM_PLUS_RE.split(text):
         if part == "0":
             continue
         if not (part.startswith("{") and part.endswith("]")):
             raise ValueError(f"cannot parse symbol term {part!r}")
-        slots = part[1:-1].split(",")
-        if len(slots) < 2:
+        *a_texts, b_text = part[1:-1].split(",")
+        if not a_texts:
             raise ValueError(f"a symbol needs at least two slots: {part!r}")
-        a_slots = tuple(map(mono, slots[:-1]))
-        b_pieces = slots[-1].split("+")
-        b_slot = tuple(mono(m, True) for m in b_pieces)
+        a_slots = tuple(map(_mono, a_texts))
+        b_pieces = b_text.split("+")
+        b_slot = tuple([_mono(t, True) for t in b_pieces])
         expansion += len(b_pieces) * math.prod(
-            s.count("*") + 1 for s in slots[:-1])
+            [t.count("*") + 1 for t in a_texts])
         if expansion > MAX_SYMBOL_EXPANSION:
             raise ValueError(f"symbol expression expands to more than "
                              f"{MAX_SYMBOL_EXPANSION} terms")
-        terms.append(SymbolTerm(a_slots, b_slot))
-    return SymbolSum(tuple(terms))
+        terms.append(tuple.__new__(SymbolTerm, (a_slots, b_slot)))
+    return tuple.__new__(SymbolSum, (tuple(terms),))
 
 
 def format_tagged(form: "TaggedForm") -> str:

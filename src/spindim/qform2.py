@@ -284,7 +284,7 @@ class QForm(Record):
         for x in diag:
             if not (x.__class__ is int and 0 <= x < order):
                 field.check(x)
-        return super().__new__(cls, field, blocks, diag)
+        return tuple.__new__(cls, (field, blocks, diag))  # all fields given
 
     @property
     def dim(self) -> int:
@@ -292,7 +292,7 @@ class QForm(Record):
 
 
 def block(field, a, b) -> QForm:
-    return QForm(field, blocks=(BinaryBlock(a, b),))
+    return QForm(field, (tuple.__new__(BinaryBlock, (a, b)),))
 
 
 def diag_form(field, *entries) -> QForm:
@@ -373,10 +373,10 @@ def pfister_build(field, a_slots, b) -> QForm:
     q = block(field, field.one, b)      # the field gate
     # fold each slot as orth_sum(q, _fold_scale(a, q)) would, into one
     # block list, so that only the result is checked as a form
-    mul, blocks = field.mul, list(q.blocks)
+    mul, new, blocks = field.mul, tuple.__new__, list(q.blocks)
     for a in reversed(a_slots):
         a_inv = field.inv(a)
-        blocks += [BinaryBlock(mul(a, x), mul(a_inv, y)) for x, y in blocks]
+        blocks += [new(BinaryBlock, (mul(a, x), mul(a_inv, y))) for x, y in blocks]
     return QForm(field, tuple(blocks))
 
 
@@ -407,22 +407,22 @@ def classify_form(q: QForm) -> FormClass:
     f = q.field
     t = len(q.diag)
     offset = 2 * len(q.blocks)
-    # every field is given, so the record skips `Record._bind`
+    # every field is given, so the record is built as a bare tuple
     if t == 0:
-        return FormClass(NONDEGENERATE, 0, None)
+        return tuple.__new__(FormClass, (NONDEGENERATE, 0, None))
     for j, c in enumerate(q.diag):
         if f.is_zero(c):
             vec = [0] * q.dim
             vec[offset + j] = 1
-            return FormClass(SINGULAR, t, tuple(vec))
+            return tuple.__new__(FormClass, (SINGULAR, t, tuple(vec)))
     if t == 1:
-        return FormClass(NONSINGULAR_RADICAL_1, 1, None)
+        return tuple.__new__(FormClass, (NONSINGULAR_RADICAL_1, 1, None))
     vec = [0] * q.dim
     vec[offset] = f.sqrt(q.diag[1])
     vec[offset + 1] = f.sqrt(q.diag[0])
     if evaluate(q, vec) != 0:   # explicit, so it also runs under python -O
         raise AssertionError("radical vector does not vanish")
-    return FormClass(SINGULAR, t, tuple(vec))
+    return tuple.__new__(FormClass, (SINGULAR, t, tuple(vec)))
 
 
 def is_nonsingular(q: QForm) -> bool:
@@ -436,9 +436,9 @@ def arf(q: QForm) -> int:
     f = q.field
     if q.diag:
         raise ValueError("Arf invariant is defined for even nonsingular forms")
-    acc = 0
-    for bl in q.blocks:
-        acc ^= f.mul(bl.a, bl.b)
+    acc, mul = 0, f.mul
+    for a, b in q.blocks:
+        acc ^= mul(a, b)
     return f.trace(acc)
 
 
@@ -464,17 +464,16 @@ def witt_decompose(q: QForm) -> WittDecomposition:
     by dimension count.  The tests re-derive both outputs with an
     exhaustive splitting search on small inputs.
     """
-    f = q.field
+    f, new = q.field, tuple.__new__     # a bare tuple of the two fields
     cls = classify_form(q)
     if cls.kind == SINGULAR:
         raise ValueError("Witt decomposition needs a nonsingular form")
     s = len(q.blocks)
     if cls.kind == NONSINGULAR_RADICAL_1:
-        return WittDecomposition(s, diag_form(f, f.one))
-    bit = arf(q)
-    if bit == 0:
-        return WittDecomposition(s, QForm(f))
-    return WittDecomposition(s - 1, block(f, f.one, f.trace_one_element()))
+        return new(WittDecomposition, (s, diag_form(f, f.one)))
+    if arf(q) == 0:
+        return new(WittDecomposition, (s, QForm(f)))
+    return new(WittDecomposition, (s - 1, block(f, f.one, f.trace_one_element())))
 
 
 def equivalent_ff(q1: QForm, q2: QForm) -> bool:
@@ -647,9 +646,8 @@ def block_normalize(field, coeffs) -> QForm:
 
 def format_qform(q: QForm) -> str:
     # `QForm.__new__` has checked every coefficient
-    parts = [f"[{a:x},{b:x}]" for a, b in q.blocks]
-    parts += [f"<{c:x}>" for c in q.diag]
-    return "+".join(parts) if parts else "0"
+    return "+".join(["[%x,%x]" % bl for bl in q.blocks]
+                    + ["<%x>" % c for c in q.diag]) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +667,9 @@ MAX_FORM_DIM = 4096
 _ELEMENT_RE = re.compile(r"[0-9a-fA-F]+")
 _BLOCK_RE = re.compile(r"\[[^][]*\]")
 _DIAG_RE = re.compile(r"<[^<>]*>")
+# a block or diagonal summand; around each hex entry `\s*` is what `strip` drops
+_SUMMAND_RE = re.compile(r"\[\s*([0-9a-fA-F]+)\s*,\s*([0-9a-fA-F]+)\s*\]"
+                         r"|<\s*([0-9a-fA-F]+)\s*>")
 _FIELD_RE = re.compile(r"f2\^([0-9]+)")
 
 
@@ -695,19 +696,22 @@ def parse_form(field, text: str) -> QForm:
         raise ValueError("empty form expression")
     if text == "0":     # the empty form, as `format_qform` prints it
         return QForm(field)
-    blocks, diag, dim = [], [], 0
+    order, blocks, diag, dim = field.order, [], [], 0
     for part in text.split("+"):
-        if _BLOCK_RE.fullmatch(part):
-            toks = part[1:-1].split(",")
-            if len(toks) != 2:
-                raise ValueError(f"block needs two entries: {part!r}")
-            dim = _grow_form(dim, 2)
-            blocks.append(BinaryBlock(_parse_element(field, toks[0]),
-                                      _parse_element(field, toks[1])))
-        elif _DIAG_RE.fullmatch(part):
-            dim = _grow_form(dim, 1)
-            diag.append(_parse_element(field, part[1:-1]))
-        elif part.startswith("pf(") and part.endswith(")"):
+        m = _SUMMAND_RE.fullmatch(part)
+        if m is not None:   # one match reads a block or a diagonal entry
+            a, b, c = m.groups()
+            if c is None:
+                x, y = int(a, 16), int(b, 16)
+                if x < order > y and dim + 2 <= MAX_FORM_DIM:
+                    dim += 2
+                    blocks.append(tuple.__new__(BinaryBlock, (x, y)))
+                    continue
+            elif (x := int(c, 16)) < order and dim < MAX_FORM_DIM:
+                dim += 1
+                diag.append(x)
+                continue
+        if part.startswith("pf(") and part.endswith(")"):
             inner = part[3:-1]
             if ";" not in inner:
                 raise ValueError(f"pf(...) needs 'slots;unit', e.g. "
@@ -718,8 +722,20 @@ def parse_form(field, text: str) -> QForm:
             b = _parse_element(field, b_text)
             dim = _grow_form(dim, 2 << len(slots))
             blocks += pfister_build(field, slots, b).blocks
+            continue
+        # not a summand, or one with a fault: raise the first, read in order
+        if _BLOCK_RE.fullmatch(part):
+            toks = part[1:-1].split(",")
+            if len(toks) != 2:
+                raise ValueError(f"block needs two entries: {part!r}")
+        elif _DIAG_RE.fullmatch(part):
+            toks = [part[1:-1]]
         else:
             raise ValueError(f"cannot parse form summand {part!r}")
+        _grow_form(dim, len(toks))
+        for tok in toks:
+            _parse_element(field, tok)
+        raise AssertionError(f"summand {part!r} has no fault")
     return QForm(field, tuple(blocks), tuple(diag))
 
 

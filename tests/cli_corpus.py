@@ -101,6 +101,25 @@ HAND_ARGV = [
     # a Pfister summand with no ';', a symbol term with one slot
     ["qform", "--field", "f2^2", "--op", "arf", "--form", "pf(1,2)"],
     ["symbol", "--normalize", "{a]"],
+    # one argv per remaining message of the form, matrix, field, symbol
+    # and label readers
+    ["qform", "--field", "f2^2", "--op", "arf", "--form", "[g,1]"],
+    ["qform", "--field", "f2^2", "--op", "arf", "--form", "[4,1]"],
+    ["qform", "--field", "f2^2", "--op", "arf", "--form", "[1,2,3]"],
+    ["qform", "--field", "f2^1", "--op", "classify",
+     "--form", "pf(" + ",".join(["1"] * 12) + ";1)+<1>"],
+    ["qform", "--field", "f2^2", "--op", "normalize", "--form", "[1,1]"],
+    ["qform", "--field", "f2^2", "--op", "normalize",
+     "--form", "mat(" + ";".join(["1"] * 65) + ")"],
+    ["qform", "--field", "f2^2", "--op", "normalize", "--form", "mat(1,2)"],
+    ["qform", "--field", "f3^2", "--op", "arf", "--form", "[1,1]"],
+    ["symbol", "--normalize", ""],
+    ["symbol", "--normalize", "{a,&]"],
+    ["symbol", "--normalize", "{a,b*b]"],
+    ["symbol", "--normalize", "nonsense"],
+    ["symbol", "--normalize",
+     "{" + ",".join(["*".join(f"x{i}" for i in range(16))] * 3) + ",b+c]"],
+    ["invariant", "--group", "spin7", "--labels", "a,b,c,&"],
 ]
 
 

@@ -5,9 +5,11 @@ by field tuple within one class, frozen fields, the field repr,
 `_replace` re-running the checks in `__new__`, the tuple operators
 fenced off, and no `dataclasses` on the cold import path."""
 
+import ast
 import copy
 import inspect
 import os
+import pathlib
 import pickle
 import subprocess
 import sys
@@ -214,6 +216,72 @@ def test_replace_runs_the_init_checks():
         q._replace(blocks=((1, 2),))
     with pytest.raises(TypeError):
         q._replace(rank=2)
+
+
+def _is_tuple_new(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "tuple")
+
+
+def bare_constructions(path):
+    """(line, first argument, enclosing function) of each call in a
+    source file that builds a record without `Record.__new__`:
+    `tuple.__new__`, called directly or through a name bound to it, or a
+    `_make`.  The first argument is the class's name, or None when it is
+    not a plain name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {}      # node -> innermost enclosing function (walk is BFS)
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    aliases, seen = set(), 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                for name, value in pairs:
+                    if _is_tuple_new(value) and isinstance(name, ast.Name):
+                        aliases.add(name.id)
+                        seen += 1
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (_is_tuple_new(func)
+                or isinstance(func, ast.Name) and func.id in aliases
+                or isinstance(func, ast.Attribute) and func.attr == "_make"):
+            seen += _is_tuple_new(func)
+            first = node.args[0] if node.args else None
+            found.append((node.lineno, first.id if isinstance(
+                first, ast.Name) else None, owner.get(node)))
+    # every mention of tuple.__new__ is one of the calls or bindings above
+    assert seen == sum(map(_is_tuple_new, ast.walk(tree))), path.name
+    return found
+
+
+def test_bare_tuple_construction_skips_no_checked_new():
+    # a record built as a bare tuple skips `Record.__new__`; that is only
+    # sound for a class whose `__new__` is Record's, which checks nothing
+    # but the field count, so a field gate (QForm, TorsorData,
+    # Presentation, WeylElt) is never built around its checks.  Its own
+    # `__new__` may end in `tuple.__new__(cls, ...)`, once it has checked.
+    unchecked = {c.__name__ for c in RECORDS if c.__new__ is Record.__new__}
+    assert not CHECKED & unchecked
+    src = os.path.dirname(spindim.__file__)
+    seen = []
+    for name in sorted(os.listdir(src)):
+        path = pathlib.Path(src, name)
+        if name.endswith(".py") and name != "_record.py":  # Record itself
+            for line, cls, owner in bare_constructions(path):
+                assert cls in unchecked or (cls, owner) == ("cls", "__new__"), \
+                    f"{name}:{line} builds {cls} bare"
+                seen.append(cls)
+    assert {"BinaryBlock", "SymbolTerm", "WittDecomposition",
+            "FormClass", "cls"} <= set(seen)
 
 
 def test_cached_properties_still_cache():

@@ -110,6 +110,57 @@ def test_classify_form_builds_nonsingular_classes_by_position(monkeypatch):
     assert binds == []
 
 
+def count_record_news(monkeypatch):
+    """The classes built through a Python-level `__new__`: `Record`'s,
+    or that of a record that checks its input (QForm, TorsorData, ...),
+    whose own may hand on to `Record`'s, so such a record can count
+    twice."""
+    made = []
+    for cls in [Record, *(c for c in Record.__subclasses__()
+                          if "__new__" in vars(c))]:
+        def counted(kls, *args, _real=cls.__new__, **kwargs):
+            made.append(kls.__name__)
+            return _real(kls, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+    return made
+
+
+# Python-level `__new__` calls of one request of each warm kind (see
+# `count_record_news`).  The readers and writers build blocks, symbol
+# terms and sums, form classes and Witt decompositions as bare tuples,
+# and `QForm` builds itself once it has checked; building them all
+# through the checked constructors, these requests made 11, 8, 4, 20,
+# 4, 15 and 15 calls.  A change that puts a checked construction per
+# block or per term back on the warm path exceeds a bound here.
+RECORD_NEWS = [
+    (["qform", "--field", "f2^8", "--op", "arf",
+      "--form", "pf(3,5;7)+[1,2]"], 3),
+    (["qform", "--field", "f2^4", "--op", "witt",
+      "--form", "[1,2]+[3,4]+<5>"], 2),
+    (["qform", "--field", "f2^3", "--op", "classify",
+      "--form", "[1,2]+<3>+<5>"], 1),
+    (["qform", "--field", "f2^16", "--op", "equiv", "--form", "pf(3;7)+<1>",
+      "--form2", "[1,2]+[3,4]+<5>"], 6),
+    (["qform", "--field", "f2^8", "--op", "normalize",
+      "--form", "mat(1,2,3,4;0,5,6,7;0,0,8,9;0,0,0,a)"], 3),
+    (["symbol", "--normalize", "{a*b,c*d,e]+{f,g,h+1]+{a,b*c,d+e*f]"], 0),
+    (["invariant", "--group", "spin9", "--labels", "a,b,c,d,e"], 13),
+]
+
+
+@pytest.mark.parametrize("argv,bound", RECORD_NEWS,
+                         ids=[argv[argv.index("--op") + 1] if "--op" in argv
+                              else argv[0] for argv, _ in RECORD_NEWS])
+def test_a_request_makes_at_most_the_pinned_checked_records(monkeypatch,
+                                                           argv, bound):
+    cli.run(argv)                   # builds fields and tables first
+    made = count_record_news(monkeypatch)
+    code, out, err = cli.run(argv)
+    assert (code, err) == (0, "") and out
+    assert len(made) <= bound, (argv, made)
+
+
 # field multiplies of one reduction and its certificate, per benchmark
 # normalize shape (k, n), on a dense matrix: every entry on and above the
 # diagonal nonzero, as in the benchmark
