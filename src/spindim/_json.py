@@ -34,6 +34,11 @@ def _encode(o, nl: str) -> str:
     if cls is list:
         if not o:
             return "[]"
+        flat = all(x.__class__ is str for x in o) and "".join(o)
+        if flat and flat.isascii() and flat.isprintable() \
+                and '"' not in flat and "\\" not in flat:  # no call per str
+            body = ('",' + inner + '"').join(o)
+            return "[" + inner + '"' + body + '"' + nl + "]"
         body = ("," + inner).join([_encode(x, inner) for x in o])
         return "[" + inner + body + nl + "]"
     if cls is dict:

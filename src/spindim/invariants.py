@@ -27,8 +27,8 @@ Pfister form, and the symbol of that bigger form is returned.  Those
 forms are kept symbolically, as `PfisterBase` keys with monomial
 scalars; this module owns the monomial field and the expansion
 (`pfister_expand`), and needs nothing from `qform2`, whose forms live
-over F_{2^k}.  It also reads the syntax `format_symbol` prints
-(`parse_symbol_expr`): plain splits, bar one regex between terms.
+over F_{2^k}.  It serves `symbol` and `invariant`; `parse_symbol_expr`
+reads what `format_symbol` prints: plain splits, bar one regex between terms.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from collections import Counter
 from enum import Enum
 from itertools import chain, product
 
+from . import _json
 from ._record import Record
 
 Label = frozenset
@@ -494,3 +495,34 @@ def _freeze_counter(cnt: Counter) -> tuple:
                 tuple(tuple(sorted(s)) for s in base.a_slots),
                 tuple(sorted(base.b)))
     return tuple(sorted(cnt.items(), key=key))
+
+
+def symbol_request(expr: str) -> str:
+    """`symbol --normalize` stdout: the normal form of `expr`."""
+    # beyond the `cli` docstring's syntax (the --help text): an additive
+    # monomial names each factor at most once, as b*b is b there, not 1
+    return format_symbol(symbol_normalize(parse_symbol_expr(expr))) + "\n"
+
+
+def invariant_request(group: str, labels: str) -> tuple[int, str]:
+    """`invariant` stdout: (exit code, JSON); 1 if `invariant_f` fails."""
+    labels = tuple(labels.split(","))
+    try:     # a failed self-check, not bad input
+        rep = invariant_f(TorsorData(SpinId(group), labels))
+    except AssertionError as exc:
+        return 1, _json.dumps({"group": group, "labels": list(labels),
+                               "ok": False, "error": str(exc)}) + "\n"
+    nv = rep.nonvanishing
+    payload = {
+        "group": group,
+        "labels": list(labels),
+        "torsor_forms": [format_tagged(f) for f in rep.forms],
+        # true: a failed identity makes `invariant_f` raise (exit 1 above)
+        "expansion_identity_ok": True,
+        "symbol": format_symbol(rep.symbol),
+        "nonvanishing": nv.verdict.value,
+        "ok": True,
+    }
+    if nv.note:
+        payload["nonvanishing_note"] = nv.note
+    return 0, _json.dumps(payload) + "\n"

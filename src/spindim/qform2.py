@@ -39,9 +39,9 @@ to k = 8 it looks products up in log/exp tables, which, like the trace
 mask, are built through `mul` on first use of each k.  `inv` is the
 extended Euclidean algorithm over F_2[t] and makes no multiply.
 
-This module also reads the syntax `format_qform` prints (`parse_form`),
-and the other `qform` inputs: `parse_matrix`, `parse_field_name`.  The
-grammar, which does not nest, is in the `cli` docstring.
+This module serves `qform`: it reads the syntax `format_qform` prints
+(`parse_form`), and the other inputs: `parse_matrix`, `parse_field_name`.
+The grammar, which does not nest, is in the `cli` docstring.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from operator import xor
 
+from . import _json
 from ._record import Record
 
 MAX_FIELD_BITS = 16
@@ -721,6 +722,8 @@ def parse_form(field, text: str) -> QForm:
                      if slots_text else [])
             b = _parse_element(field, b_text)
             dim = _grow_form(dim, 2 << len(slots))
+            if part == text:    # the whole form, checked as it is built
+                return pfister_build(field, slots, b)
             blocks += pfister_build(field, slots, b).blocks
             continue
         # not a summand, or one with a fault: raise the first, read in order
@@ -764,3 +767,35 @@ def parse_field_name(text: str) -> ConcreteField2:
     top = MAX_FIELD_BITS
     k = int(digits or "0") if len(digits) <= len(str(top)) else top + 1
     return ConcreteField2(k)
+
+
+def qform_request(field_name: str, op: str, form: str, form2) -> str:
+    """`qform` stdout: the JSON of `op` on the forms over `f2^K`."""
+    if form2 is not None and op != "equiv":
+        raise ValueError("--form2 is only valid with --op equiv")
+    field = parse_field_name(field_name)
+    q = (block_normalize(field, parse_matrix(field, form)) if op == "normalize"
+         else parse_form(field, form))
+    out = {"op": op, "field": field_name, "form": format_qform(q)}
+    if op != "normalize":
+        out["dim"] = q.dim
+    if op == "arf":
+        out["arf"] = arf(q)
+    elif op == "witt":
+        dec = witt_decompose(q)
+        out["witt_index"] = dec.index
+        out["kernel"] = format_qform(dec.kernel)
+    elif op == "classify":
+        cls = classify_form(q)
+        out["class"] = cls.kind
+        out["radical_dim"] = cls.radical_dim
+        if cls.vanishing_radical_vector is not None:
+            out["vanishing_radical_vector"] = [
+                format(x, "x") for x in cls.vanishing_radical_vector]
+    elif op == "equiv":
+        if form2 is None:
+            raise ValueError("--op equiv needs --form2")
+        q2 = parse_form(field, form2)
+        out["form2"] = format_qform(q2)
+        out["equivalent"] = equivalent_ff(q, q2)
+    return _json.dumps(out) + "\n"

@@ -17,12 +17,12 @@ to s + sum_{i in I} x_i, since every s in S is A - (partial sum) and
 with subset-sum translations, on packed integer codes of X(L)
 (`FgAbGroup.pack`), where translation is one add and one mask.
 
-Everything is a function of the rank r.  This module reads the orbit
-shape at any rank from the Smith form and one elimination over F_2
-(`orbit_structure`).  Its oracle up to `repdim.MAX_RANK`, the full
-enumeration of X(K) and S (`repdim.build_char_data`), lives in
-`repdim` with the orbit lists and the Weyl action, so a request that
-needs only the shape never compiles it.
+Everything is a function of the rank r.  `verify-lattice` and
+`verify-heisenberg` read the orbit shape at any rank from the Smith form
+and one elimination over F_2 (`orbit_structure`).  Its oracle up to
+`repdim.MAX_RANK`, the full enumeration of X(K) and S, lives in `repdim`
+with the orbit lists and the Weyl action, so a request that needs only
+the shape never compiles it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
+from . import _json
 from ._record import Record
 from .abelian import FgAbGroup, Presentation
 
@@ -131,6 +132,76 @@ def orbit_structure(r: int, parity: Parity) -> OrbitStructure:
     return OrbitStructure(
         xT=xT, xL=xL, xK_order=xK_order, is_free=t_rank == len(acting),
         orbit_size=1 << t_rank, orbit_count=(xL.order() - xK_order) >> t_rank)
+
+
+def verify_lattice(r_max: int) -> tuple[int, str]:
+    """`verify-lattice`: (exit code, JSON) of one row per rank r <= r_max
+    and parity, checked against the paper's shapes; 1 if a row fails."""
+    if not 1 <= r_max <= MAX_R:
+        raise ValueError(f"--r-max must be between 1 and {MAX_R}")
+    rows = []
+    for r in range(1, r_max + 1):
+        for parity in (Parity.ODD, Parity.EVEN):
+            shape = orbit_structure(r, parity)
+            size = expected_orbit_size(r, parity)
+            ok = (shape.xL.invariant_factors == (2,) * (r - 1) + (4,)
+                  and shape.xT.free_rank == r
+                  and shape.xT.invariant_factors == ()
+                  and shape.xK_order == 1 << r
+                  and shape.faithful_count == 1 << r
+                  and shape.is_free
+                  # |S| = 2^r splits into orbits of the expected size
+                  and shape.orbit_sizes == (size,) * ((1 << r) // size))
+            rows.append({
+                "r": r, "parity": parity.value,
+                "xL_invariant_factors": list(shape.xL.invariant_factors),
+                "xT_free_rank": shape.xT.free_rank,
+                "xK_order": shape.xK_order,
+                "faithful_count": shape.faithful_count,
+                "action_free": shape.is_free,
+                "orbit_sizes": list(shape.orbit_sizes),
+                "ok": ok,
+            })
+    all_ok = all(row["ok"] for row in rows)
+    payload = {"r_max": r_max, "ok": all_ok, "rows": rows}
+    return 0 if all_ok else 1, _json.dumps(payload) + "\n"
+
+
+def verify_heisenberg(r: int, parity: str) -> tuple[int, str]:
+    """`verify-heisenberg`: (exit code, JSON) of one rank's orbit shape,
+    brute-force confirmed by `repdim` for r <= 6; 1 if a check fails."""
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"--r must be between 1 and {MAX_R}")
+    parity = Parity(parity)
+    # The orbits all have one size, so it is both the least dimension
+    # (one orbit with multiplicity one) and the gcd of the dimensions.
+    shape = orbit_structure(r, parity)
+    size = shape.orbit_size
+    expected = expected_orbit_size(r, parity)
+    ok = size == expected
+    checked_to = exhaustive_ok = None
+    if r <= 6:
+        # the 2^r brute force, an oracle independent of the shape
+        from . import repdim
+        rep = repdim.divisibility_report(
+            repdim.build_char_data(r, parity), exhaustive=True)
+        checked_to, exhaustive_ok = rep.exhaustive_checked_to, rep.exhaustive_ok
+        ok = (ok and exhaustive_ok is True
+              and rep.orbit_sizes == shape.orbit_sizes
+              and rep.min_dim == rep.gcd_dim == size
+              and rep.min_achieving.total_dim == size)
+    payload = {
+        "r": r, "parity": parity.value,
+        "orbit_sizes": list(shape.orbit_sizes),
+        "min_faithful_dim": size,
+        "gcd_dim": size,
+        "expected": expected,
+        "achieving_multiset_size": size,
+        "exhaustive_checked_to": checked_to,
+        "exhaustive_ok": exhaustive_ok,
+        "ok": ok,
+    }
+    return 0 if ok else 1, _json.dumps(payload) + "\n"
 
 
 # bench/tracer.py spans `build_char_data`, `orbits_on_faithful` and

@@ -168,7 +168,7 @@ def test_verify_heisenberg_enumerates_nothing_above_rank_6(monkeypatch):
     def forbidden(r, parity):
         raise AssertionError("verify-heisenberg enumerated the characters")
 
-    monkeypatch.setattr(cli.repdim, "build_char_data", forbidden)
+    monkeypatch.setattr(spindim.repdim, "build_char_data", forbidden)
     for r in range(7, MAX_N // 2 + 1):
         for parity in ("odd", "even"):
             payload = ok_json(["verify-heisenberg", "--r", str(r),
@@ -191,12 +191,12 @@ def test_verify_heisenberg_matches_enumerated_report(r, parity):
 
 
 def test_verify_heisenberg_failure_exit_code(monkeypatch):
-    real = cli.repdim.divisibility_report
+    real = spindim.repdim.divisibility_report
 
     def broken(data, exhaustive=False):
         return real(data, exhaustive=exhaustive)._replace(gcd_dim=3)
 
-    monkeypatch.setattr(cli.repdim, "divisibility_report", broken)
+    monkeypatch.setattr(spindim.repdim, "divisibility_report", broken)
     code, out, err = run(["verify-heisenberg", "--r", "2", "--parity", "odd"])
     assert code == 1
     assert json.loads(out)["ok"] is False

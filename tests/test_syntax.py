@@ -3,7 +3,8 @@
 library imports nothing outside the standard library, imports json only
 inside a function, sets record fields only in `_record.py`, runs no
 generated code and has no assert statement (`python -O` drops them);
-bad CLI input takes one route to exit 2."""
+bad CLI input takes one route to exit 2, and each subcommand is a
+function of the layer it drives."""
 
 import ast
 import builtins
@@ -127,3 +128,32 @@ def test_cli_turns_value_error_into_exit_2_in_run_alone():
                                 and issubclass(cls, BaseException)), (
                         f"cli.py:{node.lineno} defines exception {node.name}")
     assert catchers == {"run", "_table_args"}
+
+
+def test_each_subcommand_is_served_by_a_function_of_its_layer():
+    # `cli` keeps the option table, the argv reader and the process
+    # entry; each `_COMMANDS` entry names (layer, function), and that
+    # function is defined at the top of the layer's own module
+    src = ROOT / "src" / "spindim"
+    tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    assert not [name for name in functions if name.startswith("_cmd_")]
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert "repdim" not in imported
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["_COMMANDS"])
+    served = {}
+    for name, entry in zip(table.keys, table.values):
+        layer, function = entry.elts[0].elts
+        assert layer.id in imported, name.value
+        served[name.value] = (layer.id, function.value)
+    assert len(served) == 6
+    for layer, function in served.values():
+        body = ast.parse((src / f"{layer}.py").read_text(encoding="utf-8")).body
+        assert function in {node.name for node in body
+                            if isinstance(node, ast.FunctionDef)}, (
+            f"{layer}.{function}")
