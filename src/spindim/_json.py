@@ -48,13 +48,18 @@ def _encode(o, nl: str) -> str:
         for key, value in o.items():
             if key.__class__ is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            # a plain key and str value, checked together, need no call
-            flat = value.__class__ is str
+            # a plain key and a str (checked with it), int or bool value
+            # need no call
+            vcls = value.__class__
+            flat = vcls is str
             both = key + value if flat else key
             if both.isascii() and both.isprintable() and '"' not in both \
                     and "\\" not in both:
-                items.append('"' + key + '": '
-                             + ('"' + value + '"' if flat else _encode(value, inner)))
+                items.append('"' + key + '": ' + (
+                    '"' + value + '"' if flat
+                    else int.__repr__(value) if vcls is int
+                    else ("true" if value else "false") if vcls is bool
+                    else _encode(value, inner)))
             else:
                 items.append(_string(key) + ": " + _encode(value, inner))
         return "{" + inner + ("," + inner).join(items) + nl + "}"

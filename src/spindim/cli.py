@@ -33,7 +33,6 @@ import gc
 import io
 import os
 import sys
-import types
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 
@@ -108,30 +107,28 @@ def _build_parser():
     p = _Parser(prog="spindim", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (fn, help_, description, options) in _COMMANDS.items():
+    for name, (_, help_, description, options) in _COMMANDS.items():
         s = sub.add_parser(name, help=help_, description=description)
         for flag, kwargs in options:
             s.add_argument(flag, **kwargs)
-        s.set_defaults(fn=fn)
     return p
 
 
-@cache   # -> ({flag: (dest, type, choices)}, required flags, defaults)
+@cache   # -> ({flag: (position, type, choices)}, required flags, defaults)
 def _plan(name: str) -> tuple:
-    fn, _, _, options = _COMMANDS[name]
-    flags = {flag: (flag[2:].replace("-", "_"), kw.get("type"),
-                    kw.get("choices")) for flag, kw in options}
-    return (flags, {flag for flag, kw in options if kw.get("required")},
-            {"command": name, "fn": fn,
-             **{flags[flag][0]: kw.get("default") for flag, kw in options}})
+    options = _COMMANDS[name][3]
+    return ({flag: (i, kw.get("type"), kw.get("choices"))
+             for i, (flag, kw) in enumerate(options)},
+            {flag for flag, kw in options if kw.get("required")},
+            [kw.get("default") for _, kw in options])
 
 
 def _table_args(argv):
-    """The parse of a well-formed argv, read from `_COMMANDS` alone, or
-    None.  Well formed: a subcommand, then distinct `flag value` pairs,
-    each flag one of the subcommand's exactly, no value starting with
-    '-', each value of its option's type and among its choices, and
-    every required flag given."""
+    """The option values of a well-formed argv, in table order, read
+    from `_COMMANDS` alone, or None.  Well formed: a subcommand, then
+    distinct `flag value` pairs, each flag one of the subcommand's
+    exactly, no value starting with '-', each value of its option's
+    type and among its choices, and every required flag given."""
     name = argv[0] if argv else None
     given = dict(zip(argv[1::2], argv[2::2]))
     if name not in _COMMANDS or 2 * len(given) + 1 != len(argv):
@@ -144,7 +141,7 @@ def _table_args(argv):
         opt = flags.get(flag)
         if opt is None or value.startswith("-"):
             return None     # an unknown flag, or a value like a flag
-        dest, type_, choices = opt
+        i, type_, choices = opt
         if type_ is not None:
             try:
                 value = type_(value)
@@ -152,8 +149,8 @@ def _table_args(argv):
                 return None
         if choices is not None and value not in choices:
             return None
-        values[dest] = value
-    return types.SimpleNamespace(**values)
+        values[i] = value
+    return values
 
 
 def run(argv):
@@ -164,18 +161,22 @@ def run(argv):
     goes to argparse, whose printed help is caught here.  ValueError is
     bad input, from a parser, a subcommand's own check, a layer's guard
     or argparse's error hook alike: exit 2 with its message on stderr."""
-    args = _table_args(argv)
+    values = _table_args(argv)
     try:
-        if args is None:
+        if values is None:
             out, err = io.StringIO(), io.StringIO()
             try:
                 with redirect_stdout(out), redirect_stderr(err):
                     args = _build_parser().parse_args(argv)
             except SystemExit as exc:   # --help; errors raise ValueError
                 return exc.code, out.getvalue(), err.getvalue()
-        layer, name = args.fn
-        result = getattr(layer, name)(*[getattr(args, dest) for dest, _, _
-                                        in _plan(args.command)[0].values()])
+            command = args.command
+            values = [getattr(args, flag[2:].replace("-", "_"))
+                      for flag, _ in _COMMANDS[command][3]]
+        else:
+            command = argv[0]
+        layer, name = _COMMANDS[command][0]
+        result = getattr(layer, name)(*values)
     except ValueError as exc:
         return 2, "", f"{exc}\n"
     return (0, result, "") if result.__class__ is str else (*result, "")

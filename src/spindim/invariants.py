@@ -202,10 +202,17 @@ def symbol_normalize(s: SymbolSum) -> SymbolSum:
                 key = a_key, b
                 if odd.pop(key, None) is None:
                     odd[key] = True
-    # every slot is a monomial, so the terms are built as bare tuples
-    return tuple.__new__(SymbolSum, (tuple([
-        tuple.__new__(SymbolTerm, (tuple(map(frozenset, zip(a_key))), (b,)))
-        for a_key, (_, b) in sorted(odd)]),))
+    # every slot is a monomial, so the terms are built as bare tuples;
+    # sorted, the terms of one slot key are adjacent and share its slots,
+    # and the slots hold one monomial per name
+    mono, terms, last = {}, [], None
+    for a_key, (_, b) in sorted(odd):
+        if a_key != last:
+            last, a_slots = a_key, tuple([
+                mono.get(n) or mono.setdefault(n, frozenset((n,)))
+                for n in a_key])
+        terms.append(tuple.__new__(SymbolTerm, (a_slots, (b,))))
+    return tuple.__new__(SymbolSum, (tuple(terms),))
 
 
 def format_mono(m: Label) -> str:
@@ -213,15 +220,18 @@ def format_mono(m: Label) -> str:
 
 
 def format_symbol(s: SymbolSum) -> str:
-    parts = []
+    parts, last = [], None
     for a_slots, b_slot in s.terms:
-        # a normal form's slots: one name each, and one additive monomial
-        slots = [*chain.from_iterable(a_slots)]
-        if len(slots) != len(a_slots) or not all(a_slots):
-            slots = list(map(format_mono, a_slots))
-        slots.append("*".join(sorted(b_slot[0])) or "1" if len(b_slot) == 1
-                     else "+".join(map(format_mono, b_slot)))
-        parts.append(",".join(slots))
+        # a normal form's slots: one name each, written once for the
+        # adjacent terms that share them; and one additive monomial
+        if a_slots is not last:
+            last, head = a_slots, [*chain.from_iterable(a_slots)]
+            if len(head) != len(a_slots) or not all(a_slots):
+                head = map(format_mono, a_slots)
+            head = ",".join(head) + "," if a_slots else ""
+        parts.append(head + ("*".join(sorted(b_slot[0])) or "1"
+                             if len(b_slot) == 1
+                             else "+".join(map(format_mono, b_slot))))
     return "{" + "] + {".join(parts) + "]" if parts else "0"
 
 

@@ -34,9 +34,12 @@ of F_{2^k} is the smallest irreducible polynomial of degree k, found
 by trial division.
 
 `ConcreteField2.mul` is the one multiply entry point, so a wrapper on
-the class counts every product, and the one shift-and-add loop.  Up
-to k = 8 it looks products up in log/exp tables, which, like the trace
-mask, are built through `mul` on first use of each k.  `inv` is the
+the class counts every product.  Up to k = 8 it looks products up in
+log/exp tables, which, like the trace mask, are built through `mul` on
+first use of each k.  Otherwise its one kernel forms the carry-less
+product a 4-bit window of y at a time and reduces the bits from k up
+through two tables per k, of 256 and 2^(k-9) entries, built from
+`_poly_mod` when the first field of that degree is made.  `inv` is the
 extended Euclidean algorithm over F_2[t] and makes no multiply.
 
 This module serves `qform`: it reads the syntax `format_qform` prints
@@ -90,6 +93,18 @@ MAX_TABLE_BITS = 8
 # lookup hashes in C; each is built once, through `mul`, on first use
 _TABLES: dict = {}   # k -> (log, exp)
 _MASKS: dict = {}    # k -> trace mask
+_REDUCE: dict = {}   # k -> (low, high) reduction tables, see `mul`
+
+
+def _reduction(mod: int, shift: int, bits: int) -> list:
+    """t[j] = j t^shift mod `mod` for j < 2^bits (just t[0] = 0 when
+    bits <= 0), as bit patterns; t is linear in j, so each power of two
+    is reduced once and the rest are sums."""
+    table = [0]
+    for i in range(bits):
+        r = _poly_mod(1 << shift + i, mod)
+        table += [x ^ r for x in table]
+    return table
 
 
 def _log_exp(field) -> tuple:
@@ -130,7 +145,10 @@ class ConcreteField2:
         self.min_poly = min_poly_for(k)
         self.zero = 0
         self.one = 1
-        # built through mul, which runs its loop while _exp is None
+        self._low, self._high = _REDUCE.get(k) or _REDUCE.setdefault(k, (
+            _reduction(self.min_poly, k, 8),
+            _reduction(self.min_poly, k + 8, k - 9)))
+        # built through mul, which runs its kernel while _exp is None
         self._log = self._exp = None
         if k <= MAX_TABLE_BITS:
             self._log, self._exp = (_TABLES.get(k)
@@ -161,23 +179,24 @@ class ConcreteField2:
 
         The one multiply entry point, so a wrapper on the class sees
         every product.  Once the field has log/exp tables a product is
-        one lookup; otherwise the shift-and-add loop runs in this
-        frame, reducing by the modulus whenever bit k is set."""
+        one lookup; otherwise this frame forms the carry-less product p
+        from x's 16 multiples by a 4-bit window of y (y < 2^16), then
+        reduces p's bits k..k+7 and those from k+8 up (at most k - 9 of
+        them) through the two `_REDUCE` tables."""
         if self._exp is not None:
             if x and y:
                 log = self._log
                 return self._exp[log[x] + log[y]]
             return 0
-        r = 0
-        top, mod = self.order, self.min_poly
-        while y:
-            if y & 1:
-                r ^= x
-            y >>= 1
-            x <<= 1
-            if x & top:
-                x ^= mod
-        return r
+        x2, x4, x8 = x << 1, x << 2, x << 3
+        w = (0, x, x2, x2 ^ x, x4, x4 ^ x, x4 ^ x2, x4 ^ x2 ^ x, x8, x8 ^ x,
+             x8 ^ x2, x8 ^ x2 ^ x, x8 ^ x4, x8 ^ x4 ^ x, x8 ^ x4 ^ x2,
+             x8 ^ x4 ^ x2 ^ x)
+        p = (w[y & 15] ^ w[y >> 4 & 15] << 4 ^ w[y >> 8 & 15] << 8
+             ^ w[y >> 12] << 12)
+        k = self.k
+        return (p & self.order - 1 ^ self._low[p >> k & 255]
+                ^ self._high[p >> k + 8])
 
     def pow(self, x: int, e: int) -> int:
         self.check(x)
@@ -672,6 +691,7 @@ _DIAG_RE = re.compile(r"<[^<>]*>")
 _SUMMAND_RE = re.compile(r"\[\s*([0-9a-fA-F]+)\s*,\s*([0-9a-fA-F]+)\s*\]"
                          r"|<\s*([0-9a-fA-F]+)\s*>")
 _FIELD_RE = re.compile(r"f2\^([0-9]+)")
+_MATRIX_RE = re.compile(r"[0-9a-fA-F]+(?:[,;][0-9a-fA-F]+)*")
 
 
 def _parse_element(field, tok: str) -> int:
@@ -746,11 +766,18 @@ def parse_matrix(field, text: str):
     text = text.replace(" ", "")
     if not (text.startswith("mat(") and text.endswith(")")):
         raise ValueError("normalize expects mat(row;row;...)")
-    cells = [row.split(",") for row in text[4:-1].split(";")]
+    body = text[4:-1]
+    cells = [row.split(",") for row in body.split(";")]
     if max(len(cells), *map(len, cells)) > MAX_MATRIX_DIM:
         raise ValueError(f"coefficient matrix is larger than "
                          f"{MAX_MATRIX_DIM}x{MAX_MATRIX_DIM}")
-    rows = [[_parse_element(field, t) for t in row] for row in cells]
+    # cells of hex digits alone are read with one match and `int`; other
+    # text, or an entry out of range, is read again by `_parse_element`,
+    # which strips each cell and raises the first fault
+    rows = (_MATRIX_RE.fullmatch(body)
+            and [[int(t, 16) for t in row] for row in cells])
+    if not rows or max(map(max, rows)) >= field.order:
+        rows = [[_parse_element(field, t) for t in row] for row in cells]
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("coefficient matrix must be square")
     return rows

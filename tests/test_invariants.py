@@ -8,6 +8,7 @@ one-pass normal form on every input tried.
 
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,37 @@ def test_normalization_is_additive(s1, s2):
                   key=lambda t: (tuple(map(_sort_key, t.a_slots)),
                                  tuple(map(_sort_key, t.b_slot))))
     assert symbol_normalize(s1 + s2) == SymbolSum(tuple(want))
+
+
+def normalize_with_a_monomial_per_slot(s: SymbolSum) -> SymbolSum:
+    """`symbol_normalize` as it was before its terms shared their parts,
+    with a new frozenset for every slot of every term."""
+    odd = {}    # the keys seen an odd number of times
+    for a_slots, b_slot in s.terms:
+        b_keys = [(tuple(sorted(b)), frozenset(b)) for b in b_slot]
+        for picked in product(*a_slots):
+            if len(set(picked)) < len(picked):    # equal slots vanish
+                continue
+            a_key = tuple(sorted(picked))
+            for b in b_keys:                      # split the additive slot
+                key = a_key, b
+                if odd.pop(key, None) is None:
+                    odd[key] = True
+    return tuple.__new__(SymbolSum, (tuple([
+        tuple.__new__(SymbolTerm, (tuple(map(frozenset, zip(a_key))), (b,)))
+        for a_key, (_, b) in sorted(odd)]),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SUM)
+def test_normal_form_shares_one_monomial_per_name(s):
+    n = symbol_normalize(s)
+    assert n == normalize_with_a_monomial_per_slot(s)
+    # one monomial object per name, one slots tuple per distinct slots
+    slots = [m for t in n.terms for m in t.a_slots]
+    assert len(set(map(id, slots))) == len(set(slots))
+    assert len({id(t.a_slots) for t in n.terms}) == \
+        len({t.a_slots for t in n.terms})
 
 
 # ---------------------------------------------------------------------------

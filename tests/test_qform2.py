@@ -329,11 +329,23 @@ def field_pairs(k):
             for _ in range(2000)]
 
 
+def edge_elements(k):
+    """0, 1, the top element, and every element whose 4-bit windows are
+    each all ones or all zeros: the extremes of each window lookup and
+    of the reduction tables."""
+    top = (1 << k) - 1
+    nibbles = [sum(15 << 4 * i for i in range(4) if mask >> i & 1) & top
+               for mask in range(16)]
+    return sorted({0, 1, top, *nibbles})
+
+
 @pytest.mark.parametrize("k", range(1, MAX_FIELD_BITS + 1))
 def test_mul_matches_carry_less_product_and_long_division(k):
-    # both kernels: log/exp tables up to k = 8, the bit loop above
+    # both kernels: log/exp tables up to k = 8, the windowed product
+    # above, with its edge pairs at k = 9..16
     f = ConcreteField2(k)
-    for x, y in field_pairs(k):
+    edges = itertools.product(edge_elements(k), repeat=2) if k > 8 else ()
+    for x, y in itertools.chain(field_pairs(k), edges):
         assert f.mul(x, y) == ref_mul(k, x, y), (x, y)
 
 

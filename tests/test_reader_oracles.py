@@ -3,11 +3,11 @@ reference copies of the versions they replaced.
 
 The references below are the slower readers and writers the library
 used before each request's text was read in one pass: `parse_form` with
-`_parse_element` and `_grow_form`, `parse_symbol_expr`, `format_qform`,
-`format_symbol` with `format_mono`, `cli._table_args` and
-`_json._encode` with `_string`, kept verbatim bar the module prefixes
-they need here.  On well-formed input the library must return an equal
-value; on malformed input (one-character inserts, deletes and
+`_parse_element` and `_grow_form`, `parse_matrix`, `parse_symbol_expr`,
+`format_qform`, `format_symbol` with `format_mono`, `cli._table_args`
+and `_json._encode` with `_string`, kept verbatim bar the module
+prefixes they need here.  On well-formed input the library must return
+an equal value; on malformed input (one-character inserts, deletes and
 replacements of well-formed text) it must raise the same exception with
 byte-identical text.
 
@@ -26,7 +26,7 @@ from cli_corpus import HAND_ARGV, workloads
 from spindim import _json, cli, invariants, qform2
 from spindim.invariants import SymbolSum, SymbolTerm
 from spindim.qform2 import BinaryBlock, QForm, pfister_build
-from test_cli import form_summands
+from test_cli import form_summands, table_namespace
 from test_invariants import _SUM
 from test_json import _VALUES
 
@@ -34,6 +34,7 @@ from test_json import _VALUES
 # the references
 
 MAX_FORM_DIM = qform2.MAX_FORM_DIM
+MAX_MATRIX_DIM = qform2.MAX_MATRIX_DIM
 MAX_SYMBOL_EXPANSION = invariants.MAX_SYMBOL_EXPANSION
 _ELEMENT_RE = re.compile(r"[0-9a-fA-F]+")
 _BLOCK_RE = re.compile(r"\[[^][]*\]")
@@ -92,6 +93,20 @@ def parse_form(field, text: str) -> QForm:
         else:
             raise ValueError(f"cannot parse form summand {part!r}")
     return QForm(field, tuple(blocks), tuple(diag))
+
+
+def parse_matrix(field, text: str):
+    text = text.replace(" ", "")
+    if not (text.startswith("mat(") and text.endswith(")")):
+        raise ValueError("normalize expects mat(row;row;...)")
+    cells = [row.split(",") for row in text[4:-1].split(";")]
+    if max(len(cells), *map(len, cells)) > MAX_MATRIX_DIM:
+        raise ValueError(f"coefficient matrix is larger than "
+                         f"{MAX_MATRIX_DIM}x{MAX_MATRIX_DIM}")
+    rows = [[_parse_element(field, t) for t in row] for row in cells]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("coefficient matrix must be square")
+    return rows
 
 
 def format_qform(q: QForm) -> str:
@@ -269,6 +284,21 @@ def mutated(draw, text):
 _FORMS = form_summands().map(
     lambda case: (case[0], "+".join(t for t, _ in case[1])))
 
+@st.composite
+def matrices(draw):
+    """A field f2^k and `mat(...)` text of an n x n matrix over it, n <=
+    8, with entries in either case, some with leading zeros."""
+    field = qform2.ConcreteField2(draw(st.integers(1, 16)))
+    n = draw(st.integers(1, 8))
+    cell = st.builds(lambda x, zeros, upper: ("0" * zeros + f"{x:x}").upper()
+                     if upper else "0" * zeros + f"{x:x}",
+                     st.integers(0, field.order - 1), st.integers(0, 2),
+                     st.booleans())
+    rows = [",".join(draw(st.lists(cell, min_size=n, max_size=n)))
+            for _ in range(n)]
+    return field, "mat(" + ";".join(rows) + ")"
+
+
 # symbol text in the printed syntax, from `_SUM`, and written by hand
 # with repeated factors and '1's, which the printer never writes
 _FACTOR = st.sampled_from(["a", "b", "c", "1", "x_1", "y'"])
@@ -336,6 +366,23 @@ def test_every_whitespace_around_an_entry_is_read_as_the_reference_reads_it():
 
 
 @settings(deadline=None)
+@given(matrices())
+def test_parse_matrix_matches_the_reference(case):
+    field, text = case
+    assert outcome(qform2.parse_matrix, field, text) == \
+        outcome(parse_matrix, field, text)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_parse_matrix_faults_match_the_reference(data):
+    field, _ = data.draw(matrices())
+    text = data.draw(mutated(matrices().map(lambda case: case[1])))
+    assert outcome(qform2.parse_matrix, field, text) == \
+        outcome(parse_matrix, field, text)
+
+
+@settings(deadline=None)
 @given(form_summands())
 def test_format_qform_matches_the_reference(case):
     field, summands = case
@@ -371,7 +418,8 @@ def test_table_args_matches_the_reference(argv):
     got, want = cli._table_args(argv), _table_args(argv)
     assert (got is None) == (want is None), argv
     if got is not None:
-        assert vars(got) == vars(want), argv
+        assert {**table_namespace(argv, got),
+                "fn": _COMMANDS[argv[0]][0]} == vars(want), argv
 
 
 @settings(deadline=None)

@@ -167,6 +167,38 @@ def test_a_request_makes_at_most_the_pinned_checked_records(monkeypatch,
     assert len(made) <= bound, (argv, made)
 
 
+# Python-level calls in `spindim` frames of one warm `cli.run` of each
+# RECORD_NEWS argv, counted as the profiler's "call" events, which take
+# in comprehensions and each resume of a generator.  With the argv read
+# into a namespace and JSON ints and bools written by a call each, the
+# same requests made 50, 25, 59, 53, 95, 132, 28 and 137 calls; the
+# symbol request's 32 take in the comprehension that builds the shared
+# slots of each of its 6 distinct slot keys once.  Later interpreters
+# inline comprehensions, so they count fewer.
+RUN_CALLS = {"arf": 47, "witt": 22, "classify": 56, "equiv": 50,
+             "pf-equiv": 92, "normalize": 115, "symbol": 32, "invariant": 134}
+
+
+@pytest.mark.parametrize("kind", RUN_CALLS)
+def test_a_request_makes_at_most_the_pinned_python_calls(kind):
+    argv, _ = RECORD_NEWS[kind]
+    cli.run(argv)                   # builds fields and tables first
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get(
+                "__name__", "").startswith("spindim"):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code, out, err = cli.run(argv)
+    finally:
+        sys.setprofile(None)
+    assert (code, err) == (0, "") and out
+    assert len(calls) <= RUN_CALLS[kind], (argv, calls)
+
+
 # field multiplies of one reduction and its certificate, per benchmark
 # normalize shape (k, n), on a dense matrix: every entry on and above the
 # diagonal nonzero, as in the benchmark
