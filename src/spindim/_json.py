@@ -34,7 +34,7 @@ def _encode(o, nl: str) -> str:
     if cls is list:
         if not o:
             return "[]"
-        flat = all(x.__class__ is str for x in o) and "".join(o)
+        flat = set(map(type, o)) == {str} and "".join(o)   # no call per item
         if flat and flat.isascii() and flat.isprintable() \
                 and '"' not in flat and "\\" not in flat:  # no call per str
             body = ('",' + inner + '"').join(o)

@@ -34,7 +34,10 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
     loop does it all: the smallest nonzero entry of the remaining
     block is moved to (t, t) and divided out of its row and column; a
     remainder, or an entry the pivot does not divide (whose row is
-    added to row t), sends the loop back to pick a smaller pivot.
+    added to row t), sends the loop back to pick a smaller pivot.  At
+    one t the picked |pivot| never grows, falls strictly after a
+    remainder and repeats at most once after a bad row; a pick that
+    breaks this raises AssertionError.
     Rejects empty or ragged input and entries that are not ints.
     """
     if not mat or not mat[0]:
@@ -59,7 +62,9 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
         for row in A + V:
             row[dst] += q * row[src]
 
-    t = 0
+    # progress at one t: each |pivot| is at most the last one, and below
+    # it after a remainder; a bad-row step lets it repeat once
+    t, last, again = 0, None, False
     while True:
         # the smallest nonzero entry of the remaining block, first in
         # row-major order on ties, is swapped to (t, t)
@@ -67,7 +72,10 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
                     for j in range(t, g) if A[i][j]), default=None)
         if pick is None:
             return U, A, V
-        _, i, j = pick
+        size, i, j = pick
+        if last is not None and (size > last or size == last and not again):
+            # raised, not asserted, so that it holds under -O too
+            raise AssertionError("Smith reduction made no progress")
         A[t], A[i] = A[i], A[t]
         U[t], U[i] = U[i], U[t]
         for row in A + V:
@@ -85,16 +93,21 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
         # picking again makes progress
         if (any(A[i][t] for i in range(t + 1, n))
                 or any(A[t][j] for j in range(t + 1, g))):
+            last, again = size, False
             continue
         bad = next((i for i in range(t + 1, n)
                     if any(A[i][j] % p for j in range(t + 1, g))), None)
         if bad is not None:
-            add_row(bad, t, 1)      # row t now holds an entry p does not divide
+            # row t now holds an entry p does not divide: p may be picked
+            # again, unless this pick was that repeat, and its division
+            # then leaves a remainder
+            add_row(bad, t, 1)
+            last, again = size, size != last
             continue
         if p < 0:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
-        t += 1
+        t, last = t + 1, None
 
 
 class Presentation(Record):

@@ -1,4 +1,6 @@
-"""Command-line front end.
+# The text of `--help`: assigned, not a docstring, so that python -OO
+# keeps it.
+__doc__ = """Command-line front end.
 
 Subcommands:
 
@@ -11,9 +13,18 @@ Subcommands:
   invariant         torsor forms, expansion identity and symbol for
                     the small spin groups
 
-Exit codes: 0 success, 1 a verification failed, 2 usage error, 141
-stdout closed by its reader (128 + SIGPIPE).  All output is
-deterministic: identical invocations print identical bytes.
+Arguments: the subcommand, then '--flag value' pairs in any order.  Each
+flag is one of the subcommand's, spelled in full and given at most
+once; its value is the next argument, taken as is.  -h or --help prints
+this text when it comes first, and the subcommand's usage and
+description in place of a flag.  Any other argv is a usage error.
+
+Exit codes: 0 success, 1 a verification failed, 2 usage error (on
+stderr: 'spindim SUBCOMMAND: error: FAULT' and the usage line, or the
+message of the check that refused a value), 141 stdout closed by its
+reader (128 + SIGPIPE).  All output is deterministic: identical
+invocations print identical bytes, help and errors included, on every
+Python version and terminal width.
 
 Form expressions (qform): summands joined by '+', each '[a,b]' (the
 block ax^2 + xy + by^2), '<c>' (cz^2), or 'pf(a1,...,am-1;b)' (the
@@ -27,156 +38,139 @@ Symbol expressions: terms '{s1,...,sn-1,b]' joined by '+'; slots are
 '+'-sum of such monomials.
 """
 
-from __future__ import annotations
-
 import gc
-import io
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
 
 # The layers are lazy modules (see `spindim/__init__`), so the table
 # names each subcommand's function by layer and name, read in `run`.
 from . import edcalc, invariants, qform2, spinlat
 
-# subcommand -> ((layer, function), help, description, options); each
-# option is its flag and the keywords of its `add_argument` call.
-# `_table_args` reads well-formed argv from this table alone;
-# `_build_parser` builds the argparse parser, which reads the rest and
-# prints help and usage errors, from it.  The function takes the option
-# values in table order and returns stdout, or (exit code, stdout).
+_REQUIRED = object()    # the default of an option that must be given
+_HELP = ("-h", "--help")
+
+# subcommand -> ((layer, function), description, options); each option
+# is (flag, value kind, default or _REQUIRED), where the value kind is
+# int, a tuple of choices, or the name help shows for a string.  `_read`
+# reads argv and `_usage` writes help from this table alone.  The
+# function takes the option values in table order and returns stdout,
+# or (exit code, stdout).
 _COMMANDS = {
     "ed-table": (
-        (edcalc, "ed_table"), "essential dimension table",
-        "Print essential dimension rows: n, value, upper, lower, case.",
-        (("--min", {"type": int, "required": True}),
-         ("--max", {"type": int, "required": True}),
-         ("--format", {"choices": ("tsv", "json"), "default": "tsv"}))),
+        (edcalc, "ed_table"),
+        "Print essential dimension rows: n, value, upper, lower, case\n"
+        "(--format defaults to tsv).",
+        (("--min", int, _REQUIRED), ("--max", int, _REQUIRED),
+         ("--format", ("tsv", "json"), "tsv"))),
     "verify-lattice": (
-        (spinlat, "verify_lattice"), "character lattice structure checks",
-        "Recompute X(T), X(L), X(K), the faithful set and the sign-flip "
-        "orbits for every rank up to --r-max, both parities, and compare "
+        (spinlat, "verify_lattice"),
+        "Recompute X(T), X(L), X(K), the faithful set and the sign-flip\n"
+        "orbits for every rank up to --r-max, both parities, and compare\n"
         "with the expected shapes.",
-        (("--r-max", {"type": int, "required": True}),)),
+        (("--r-max", int, _REQUIRED),)),
     "verify-heisenberg": (
         (spinlat, "verify_heisenberg"),
-        "representation dimension divisibility report",
-        "Orbit sizes, minimal center-faithful dimension and the gcd bound "
+        "Orbit sizes, minimal center-faithful dimension and the gcd bound\n"
         "for one rank and parity (brute-force confirmed for small ranks).",
-        (("--r", {"type": int, "required": True}),
-         ("--parity", {"choices": ("odd", "even"), "required": True}))),
+        (("--r", int, _REQUIRED), ("--parity", ("odd", "even"), _REQUIRED))),
     "qform": (
-        (qform2, "qform_request"), "quadratic form operations",
-        "Evaluate classification, Arf, Witt decomposition, equivalence or "
+        (qform2, "qform_request"),
+        "Evaluate classification, Arf, Witt decomposition, equivalence or\n"
         "matrix reduction over F_{2^K}.",
-        (("--field", {"required": True, "metavar": "f2^K"}),
-         ("--op", {"required": True, "choices": ("classify", "arf", "witt",
-                                                 "normalize", "equiv")}),
-         ("--form", {"required": True}),
-         ("--form2", {}))),
+        (("--field", "f2^K", _REQUIRED),
+         ("--op", ("classify", "arf", "witt", "normalize", "equiv"),
+          _REQUIRED),
+         ("--form", "FORM", _REQUIRED), ("--form2", "FORM", None))),
     "symbol": (
-        (invariants, "symbol_request"), "normalize a symbol expression",
+        (invariants, "symbol_request"),
         "Normalize a mod-2 symbol sum and print it in the same syntax.",
-        (("--normalize", {"required": True, "metavar": "EXPR"}),)),
+        (("--normalize", "EXPR", _REQUIRED),)),
     "invariant": (
-        (invariants, "invariant_request"), "torsor invariant of a spin group",
-        "Build the generic torsor's quadratic forms, verify the Pfister "
-        "expansion identity behind the invariant, and print the "
-        "invariant's symbol.",
-        # the values of invariants.SpinId, spelled out so that parsing
-        # does not load the form layer
-        (("--group", {"required": True,
-                      "choices": ("spin7", "spin8", "spin9", "spin10")}),
-         ("--labels", {"required": True,
-                       "help": "comma-separated parameter names "
-                               "('1' = trivial)"}))),
+        (invariants, "invariant_request"),
+        "Build the generic torsor's quadratic forms, verify the Pfister\n"
+        "expansion identity behind the invariant, and print the\n"
+        "invariant's symbol.  LABELS: comma-separated parameter names\n"
+        "('1' = trivial).",
+        # the values of invariants.SpinId, spelled out so that reading
+        # argv does not load the form layer
+        (("--group", ("spin7", "spin8", "spin9", "spin10"), _REQUIRED),
+         ("--labels", "LABELS", _REQUIRED))),
 }
 
 
-def _build_parser():
-    """The argparse parser of `_COMMANDS`, built only for argv that
-    `_table_args` does not read."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise ValueError(
-                f"{self.prog}: error: {message}\n{self.format_usage()}")
-
-    p = _Parser(prog="spindim", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, help_, description, options) in _COMMANDS.items():
-        s = sub.add_parser(name, help=help_, description=description)
-        for flag, kwargs in options:
-            s.add_argument(flag, **kwargs)
-    return p
+def _usage(name) -> str:
+    """The usage line of subcommand `name`, or of the tool for any
+    other name."""
+    if name not in _COMMANDS:
+        return "usage: spindim [-h] SUBCOMMAND [--flag value]..."
+    words = ["usage: spindim", name, "[-h]"]
+    for flag, kind, default in _COMMANDS[name][2]:
+        shown = ("N" if kind is int else kind if kind.__class__ is str
+                 else "{" + ",".join(kind) + "}")
+        words.append(f"{flag} {shown}" if default is _REQUIRED
+                     else f"[{flag} {shown}]")
+    return " ".join(words)
 
 
-@cache   # -> ({flag: (position, type, choices)}, required flags, defaults)
-def _plan(name: str) -> tuple:
-    options = _COMMANDS[name][3]
-    return ({flag: (i, kw.get("type"), kw.get("choices"))
-             for i, (flag, kw) in enumerate(options)},
-            {flag for flag, kw in options if kw.get("required")},
-            [kw.get("default") for _, kw in options])
-
-
-def _table_args(argv):
-    """The option values of a well-formed argv, in table order, read
-    from `_COMMANDS` alone, or None.  Well formed: a subcommand, then
-    distinct `flag value` pairs, each flag one of the subcommand's
-    exactly, no value starting with '-', each value of its option's
-    type and among its choices, and every required flag given."""
+def _read(argv):
+    """The option values of `argv` in table order, or None for help.
+    ValueError names the first fault, scanning left to right."""
     name = argv[0] if argv else None
-    given = dict(zip(argv[1::2], argv[2::2]))
-    if name not in _COMMANDS or 2 * len(given) + 1 != len(argv):
-        return None     # no subcommand, a flag with no value, or a repeat
-    flags, required, values = _plan(name)
-    if not required <= given.keys():
-        return None
-    values = values.copy()
-    for flag, value in given.items():
-        opt = flags.get(flag)
-        if opt is None or value.startswith("-"):
-            return None     # an unknown flag, or a value like a flag
-        i, type_, choices = opt
-        if type_ is not None:
-            try:
-                value = type_(value)
-            except ValueError:
-                return None
-        if choices is not None and value not in choices:
+    command = _COMMANDS.get(name)
+    if command is None:
+        if name in _HELP:
             return None
-        values[i] = value
+        raise ValueError("expected a subcommand (" + ", ".join(_COMMANDS)
+                         + (f"), got {name!r}" if argv else ")"))
+    flags, kinds, defaults = zip(*command[2])
+    values, free = list(defaults), list(flags)    # free: flags not yet given
+    # a flag with no value left pairs with None
+    for flag, value in zip(argv[1::2], [*argv[2::2], None]):
+        try:
+            j = free.index(flag)
+        except ValueError:
+            if flag in _HELP:
+                return None
+            raise ValueError(f"argument {flag}: given twice" if flag in flags
+                             else f"unrecognized argument {flag!r}")
+        if value is None:
+            raise ValueError(f"argument {flag}: expected a value")
+        free[j], kind = None, kinds[j]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"argument {flag}: invalid int value: "
+                                 f"{value!r}")
+        elif kind.__class__ is tuple and value not in kind:
+            raise ValueError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(kind)})")
+        values[j] = value
+    if _REQUIRED in values:
+        raise ValueError("the following arguments are required: " + ", ".join(
+            flag for flag, value in zip(flags, values) if value is _REQUIRED))
     return values
 
 
 def run(argv):
     """Run one invocation; returns (exit_code, stdout, stderr).
 
-    A well-formed argv is read from the option table; any other (help,
-    errors, '--x=v', abbreviations, repeats, negative numbers, '--')
-    goes to argparse, whose printed help is caught here.  ValueError is
-    bad input, from a parser, a subcommand's own check, a layer's guard
-    or argparse's error hook alike: exit 2 with its message on stderr."""
-    values = _table_args(argv)
+    ValueError is bad input.  From `_read` it exits 2 with the fault,
+    under the subcommand's name, and the usage line; from a
+    subcommand's own check or a layer's guard it exits 2 with its
+    message alone."""
+    name = argv[0] if argv else None
     try:
-        if values is None:
-            out, err = io.StringIO(), io.StringIO()
-            try:
-                with redirect_stdout(out), redirect_stderr(err):
-                    args = _build_parser().parse_args(argv)
-            except SystemExit as exc:   # --help; errors raise ValueError
-                return exc.code, out.getvalue(), err.getvalue()
-            command = args.command
-            values = [getattr(args, flag[2:].replace("-", "_"))
-                      for flag, _ in _COMMANDS[command][3]]
-        else:
-            command = argv[0]
-        layer, name = _COMMANDS[command][0]
-        result = getattr(layer, name)(*values)
+        values = _read(argv)
+    except ValueError as exc:
+        prog = "spindim " + name if name in _COMMANDS else "spindim"
+        return 2, "", f"{prog}: error: {exc}\n{_usage(name)}\n"
+    if values is None:
+        text = _COMMANDS[name][1] + "\n" if name in _COMMANDS else __doc__
+        return 0, f"{_usage(name)}\n\n{text}", ""
+    layer, function = _COMMANDS[name][0]
+    try:
+        result = getattr(layer, function)(*values)
     except ValueError as exc:
         return 2, "", f"{exc}\n"
     return (0, result, "") if result.__class__ is str else (*result, "")

@@ -1,16 +1,13 @@
 """The argv corpus whose output `tests/data/cli_digests.json` pins.
 
 Each digest is the first 16 hex digits of the sha256 of
-f"{code}\\0{stdout}\\0{stderr}" from `cli.run`, with COLUMNS=80.  The
-corpus: every distinct request of the three benchmark workloads for
-seeds 1..3, help and bare argv for the top level and each subcommand,
-the hand-written argv of `test_cli.py`'s dispatch test, the rank caps,
-and both `ed-table 3..64` formats.
-
-argparse words help and usage errors differently across Python minor
-versions, so an argv that the option table in `cli` does not read (it
-goes to argparse) is compared only on the version the file was made
-with.
+f"{code}\\0{stdout}\\0{stderr}" from `cli.run`.  The corpus: every
+distinct request of the three benchmark workloads for seeds 1..3, help
+and bare argv for the top level and each subcommand, the hand-written
+argv of `test_cli.py`'s dispatch test, the rank caps, and both
+`ed-table 3..64` formats.  `cli` writes help and usage errors from its
+option table, so every digest holds on every Python version and
+terminal width.
 
 Regenerate after a change that alters output on purpose, and list the
 changed argv it prints in CHANGES.md:
@@ -23,8 +20,6 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
-import os
-import sys
 from pathlib import Path
 
 from spindim import cli
@@ -141,18 +136,8 @@ def corpus() -> list[list[str]]:
     return list(seen.values())
 
 
-def python_version() -> str:
-    return "{}.{}".format(*sys.version_info)
-
-
-def via_argparse(argv) -> bool:
-    """Whether argparse, not the option table, reads this argv."""
-    return cli._table_args(argv) is None
-
-
 def digests() -> dict[str, str]:
-    """JSON-encoded argv -> digest, for the whole corpus.  The caller
-    sets COLUMNS=80, the help width the file was made with."""
+    """JSON-encoded argv -> digest, for the whole corpus."""
     out = {}
     for argv in corpus():
         code, stdout, stderr = cli.run(argv)
@@ -164,14 +149,12 @@ def digests() -> dict[str, str]:
 def main() -> None:
     old = (json.loads(DIGESTS.read_text(encoding="utf-8"))["digests"]
            if DIGESTS.exists() else {})
-    os.environ["COLUMNS"] = "80"
     new = digests()
     for key in [*new, *(k for k in old if k not in new)]:
         if old.get(key) != new.get(key):
             print(f"{old.get(key)} -> {new.get(key)}  {key}")
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps({"python": python_version(),
-                                   "digests": new}, indent=0) + "\n",
+    DIGESTS.write_text(json.dumps({"digests": new}, indent=0) + "\n",
                        encoding="utf-8")
 
 

@@ -6,12 +6,16 @@ helpers so the checks do not depend on the code under test.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spindim
 from spindim import abelian
 from spindim.abelian import (FgAbGroup, Presentation, smith_normal_form,
                              subgroup_span)
@@ -121,6 +125,36 @@ def test_snf_seeded_wide_entries():
         M = [[rng.randint(-100, 100) for _ in range(g)] for _ in range(n)]
         assert_snf_contract(M)
         assert_inverse_tracked(M)
+
+
+# the largest entry as the pivot, on the seeded wide matrices above
+MAX_PIVOT = """
+import random
+import pytest
+from spindim import abelian
+rng = random.Random(29)
+with pytest.MonkeyPatch.context() as patch:
+    patch.setattr(abelian, "min", max, raising=False)
+    for _ in range(150):
+        n, g = rng.randint(1, 8), rng.randint(1, 8)
+        M = [[rng.randint(-100, 100) for _ in range(g)] for _ in range(n)]
+        try:
+            abelian.smith_normal_form(M)
+        except AssertionError as exc:
+            print(exc)
+            break
+"""
+
+
+def test_a_pivot_rule_that_makes_no_progress_fails_fast():
+    # the largest pivot leaves remainders as large as itself, round
+    # after round; the progress guard stops the reduction at once, and
+    # under -O too, where an assert statement would be gone
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(spindim.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", MAX_PIVOT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "Smith reduction made no progress\n", proc.stderr
 
 
 def test_snf_rejects_bad_input():

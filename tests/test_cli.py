@@ -8,6 +8,7 @@ verifications all pass on real data) are driven by monkeypatching the
 library functions the commands call.
 """
 
+import argparse
 import gc
 import io
 import json
@@ -639,6 +640,77 @@ def test_help_exits_zero():
     assert code == 0 and "--op" in out
 
 
+def test_help_is_the_usage_line_and_the_text_of_the_cli():
+    top = f"usage: spindim [-h] SUBCOMMAND [--flag value]...\n\n{cli.__doc__}"
+    for argv in (["-h"], ["--help"], ["--help", "qform"], ["-h", "--bogus"]):
+        assert run(argv) == (0, top, "")
+    help_ = run(["ed-table", "--help"])[1]
+    assert help_ == (
+        "usage: spindim ed-table [-h] --min N --max N [--format {tsv,json}]"
+        "\n\n" + cli._COMMANDS["ed-table"][1] + "\n")
+    # in any flag position, after well-formed pairs, even with a
+    # required flag missing; a value is taken as is
+    assert run(["ed-table", "--min", "3", "-h"]) == (0, help_, "")
+    assert run(["ed-table", "--min", "3", "-h", "--max", "x"])[1] == help_
+    assert run(["ed-table", "--bogus", "3", "-h"])[0] == 2
+    assert "invalid int value: '-h'" in usage_error(
+        ["ed-table", "--min", "-h"])
+
+
+@pytest.mark.parametrize("argv, fault", [
+    ([], "expected a subcommand (ed-table, verify-lattice, "
+         "verify-heisenberg, qform, symbol, invariant)"),
+    (["frobnicate"], "expected a subcommand (ed-table, verify-lattice, "
+                     "verify-heisenberg, qform, symbol, invariant), "
+                     "got 'frobnicate'"),
+    (["--min", "3", "ed-table"], "expected a subcommand (ed-table, "
+     "verify-lattice, verify-heisenberg, qform, symbol, invariant), "
+     "got '--min'"),
+    (["ed-table", "--min=3", "--max=4"], "unrecognized argument '--min=3'"),
+    (["ed-table", "--mi", "3", "--max", "4"], "unrecognized argument '--mi'"),
+    (["ed-table", "--", "--min", "3"], "unrecognized argument '--'"),
+    (["ed-table", "--min", "3", "--max", "4", "extra"],
+     "unrecognized argument 'extra'"),
+    (["ed-table", "--min", "3", "--min", "3", "--max", "4"],
+     "argument --min: given twice"),
+    (["ed-table", "--min", "3", "--max"], "argument --max: expected a value"),
+    (["ed-table", "--min", "x", "--max", "y"],
+     "argument --min: invalid int value: 'x'"),
+    (["ed-table", "--min", "3", "--max", "4", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from tsv, json)"),
+    (["qform", "--field", "f2^2"],
+     "the following arguments are required: --op, --form"),
+])
+def test_a_usage_error_names_the_first_fault_and_the_usage(argv, fault):
+    name = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    prog = f"spindim {name}" if name else "spindim"
+    assert run(argv) == (2, "", f"{prog}: error: {fault}\n"
+                                f"{cli._usage(name)}\n")
+
+
+def test_every_usage_line_is_written_from_the_table():
+    assert [cli._usage(name) for name in cli._COMMANDS] == [
+        "usage: spindim ed-table [-h] --min N --max N [--format {tsv,json}]",
+        "usage: spindim verify-lattice [-h] --r-max N",
+        "usage: spindim verify-heisenberg [-h] --r N --parity {odd,even}",
+        "usage: spindim qform [-h] --field f2^K --op "
+        "{classify,arf,witt,normalize,equiv} --form FORM [--form2 FORM]",
+        "usage: spindim symbol [-h] --normalize EXPR",
+        "usage: spindim invariant [-h] --group {spin7,spin8,spin9,spin10} "
+        "--labels LABELS"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["qform", "--help"], ["ed-table", "--min", "x"], [],
+    ["qform", "--field", "f2^2"], ["frobnicate"]])
+def test_help_and_errors_ignore_the_terminal_width(argv, monkeypatch):
+    seen = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        seen.add(run(argv))
+    assert len(seen) == 1
+
+
 def test_no_arguments_is_a_usage_error():
     usage_error([])
 
@@ -653,41 +725,90 @@ DISPATCH_CORPUS = HAND_ARGV + [argv for w in workloads.WORKLOADS
                                for argv in workloads.generate(w, 1)]
 
 
-def _parse_outcome(parse, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            return "parsed", vars(parse(argv))
-        except ValueError as exc:
-            return "usage error", str(exc)
-        except SystemExit as exc:
-            return "exit", exc.code, out.getvalue(), err.getvalue()
+def add_argument_keywords(kind, default) -> dict:
+    """The keywords of the `add_argument` call that declares an option of
+    value kind `kind` and default `default` of `cli._COMMANDS`."""
+    keywords = ({"required": True} if default is cli._REQUIRED
+                else {"default": default})
+    if kind is int:
+        keywords["type"] = int
+    elif isinstance(kind, tuple):
+        keywords["choices"] = kind
+    return keywords
 
 
-def table_namespace(argv, values) -> dict:
-    """The namespace argparse gives `argv`, from the values the table
-    reads for it: each in the position of its option in `_COMMANDS`."""
-    options = cli._COMMANDS[argv[0]][3]
-    assert len(values) == len(options)
-    return {"command": argv[0],
-            **{flag[2:].replace("-", "_"): value
-               for (flag, _), value in zip(options, values)}}
+class OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
 
 
 @pytest.fixture(scope="module")
 def full_parser():
-    return cli._build_parser()
+    """The argparse parser of `cli._COMMANDS`, with argparse's defaults."""
+    parser = OracleParser(prog="spindim")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, description, options) in cli._COMMANDS.items():
+        command = sub.add_parser(name, description=description)
+        for flag, kind, default in options:
+            command.add_argument(flag, **add_argument_keywords(kind, default))
+    return parser
+
+
+def read_outcome(argv):
+    try:
+        values = cli._read(argv)
+    except ValueError:
+        return "usage error"
+    return "help" if values is None else values
+
+
+def oracle_outcome(parser, argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except ValueError:
+            return "usage error"
+        except SystemExit:
+            return "help"
+    return [namespace[flag[2:].replace("-", "_")]
+            for flag, _, _ in cli._COMMANDS[namespace["command"]][2]]
+
+
+# The argv of DISPATCH_CORPUS that argparse reads otherwise than `_read`,
+# by the form `_read` leaves out on purpose: argparse reads
+# `--flag=value`, unambiguous abbreviations and repeated flags (the last
+# wins), and refuses a value that starts with '-' unless it reads as a
+# negative number.  Its '--' (the end of the options) is the fourth
+# dropped form, but every '--' argv of the corpus is an error either way.
+DROPPED_FORMS = {
+    "--flag=value": [["ed-table", "--min=3", "--max=4"]],
+    "abbreviation": [["ed-table", "--mi", "3", "--ma", "4"],
+                     ["verify-heisenberg", "--r", "3", "--par", "odd"],
+                     ["qform", "--he"]],
+    "repeated flag": [["ed-table", "--min", "3", "--min", "5", "--max", "6"],
+                      ["qform", "--field", "f2^2", "--op", "arf",
+                       "--form", "[1,1]", "--op", "witt"],
+                      # '--r' abbreviates '--r-max', given again
+                      ["verify-lattice", "--r-max", "3", "--r", "2"]],
+    "value starting with '-'": [["symbol", "--normalize", "-{a,b]"]],
+}
 
 
 @pytest.mark.parametrize("argv", DISPATCH_CORPUS)
-def test_dispatch_matches_full_parser(argv, full_parser, monkeypatch):
-    # the full parser stays the oracle for the table path; `run` hands
-    # every argv the table does not read to that parser itself
-    monkeypatch.setenv("COLUMNS", "80")
-    table = cli._table_args(argv)
-    if table is not None:
-        full = _parse_outcome(full_parser.parse_args, argv)
-        assert full == ("parsed", table_namespace(argv, table))
+def test_dispatch_matches_full_parser(argv, full_parser):
+    # argparse, built from the same table, is the independent oracle of
+    # the reader: the same values, help or usage error for every argv,
+    # but for the forms the reader refuses or reads as is on purpose
+    dropped = [form for form, listed in DROPPED_FORMS.items()
+               if argv in listed]
+    assert (read_outcome(argv) == oracle_outcome(full_parser, argv)) \
+        == (not dropped), dropped
+
+
+def test_every_dropped_form_is_in_the_dispatch_corpus():
+    # so that no listed exception goes stale unseen
+    assert all(argv in DISPATCH_CORPUS
+               for forms in DROPPED_FORMS.values() for argv in forms)
 
 
 @pytest.mark.parametrize("argv", [
@@ -738,10 +859,9 @@ def test_run_never_freezes_the_collector(argv, monkeypatch):
 
 
 @pytest.mark.parametrize("module", ["spindim", "spindim.cli"])
-def test_python_dash_m_matches_run(module, monkeypatch):
-    # exit 0, usage errors (exit 2) from a handler and from argparse, and
-    # help; COLUMNS pins the help and usage width
-    monkeypatch.setenv("COLUMNS", "80")
+def test_python_dash_m_matches_run(module):
+    # exit 0, usage errors (exit 2) from a layer and from the reader, and
+    # help
     env = dict(os.environ, PYTHONPATH=SRC)
     for argv in (["ed-table", "--min", "15", "--max", "20"],
                  ["verify-heisenberg", "--r", "0", "--parity", "odd"],
@@ -750,6 +870,16 @@ def test_python_dash_m_matches_run(module, monkeypatch):
                  ["qform", "--help"]):
         proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
                               capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(argv)
+
+
+def test_help_survives_python_dash_oo():
+    # -OO strips docstrings, but not the text help prints
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in (["--help"], ["qform", "-h"]):
+        proc = subprocess.run([sys.executable, "-OO", "-m", "spindim", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(argv)
 
 

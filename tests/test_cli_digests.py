@@ -23,18 +23,13 @@ print(json.dumps({"optimize": sys.flags.optimize,
 
 
 def moved_argv(got: dict) -> list:
-    """Keys of `got` whose digest is not the recorded one.  argparse
-    output is compared only on the version that recorded it."""
-    pinned = json.loads(cli_corpus.DIGESTS.read_text(encoding="utf-8"))
-    want = pinned["digests"]
+    """Keys of `got` whose digest is not the recorded one."""
+    want = json.loads(cli_corpus.DIGESTS.read_text(encoding="utf-8"))["digests"]
     assert list(got) == list(want), "corpus changed: regenerate the file"
-    same_python = pinned["python"] == cli_corpus.python_version()
-    return [key for key in got if got[key] != want[key]
-            and (same_python or not cli_corpus.via_argparse(json.loads(key)))]
+    return [key for key in got if got[key] != want[key]]
 
 
-def test_cli_output_matches_the_recorded_digests(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_cli_output_matches_the_recorded_digests():
     moved = moved_argv(cli_corpus.digests())
     assert not moved, (f"{len(moved)} argv print other bytes, first: "
                        + ", ".join(moved[:5]))
@@ -43,7 +38,7 @@ def test_cli_output_matches_the_recorded_digests(monkeypatch):
 def test_cli_output_survives_python_dash_o():
     # -O strips assert statements; every runtime check raises
     # explicitly, so the whole corpus prints the same bytes
-    env = dict(os.environ, COLUMNS="80",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([SRC, str(cli_corpus.TESTS)]))
     proc = subprocess.run([sys.executable, "-O", "-c", DIGESTS_UNDER_O],
                           env=env, capture_output=True, text=True,

@@ -1438,6 +1438,24 @@ def test_certificate_agrees_with_the_dense_certificate():
     assert rejected > 0
 
 
+def test_every_reduction_checks_its_certificate(monkeypatch):
+    # the certificate tests nothing unless the reduction runs it: with a
+    # certificate that refuses everything, no reduction returns
+    checked = []
+
+    def refuse(M, q, basis, S=None):
+        checked.append(len(basis))
+        raise AssertionError("block reduction failed its certificate")
+
+    monkeypatch.setattr(qform2, "_check_certificate", refuse)
+    cases = 0
+    for field, M, _ in certificate_cases():
+        cases += 1
+        with pytest.raises(AssertionError, match="certificate"):
+            block_normalize_with_basis(field, M)
+    assert len(checked) == cases
+
+
 # ---------------------------------------------------------------------------
 # formatting
 

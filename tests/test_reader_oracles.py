@@ -5,11 +5,13 @@ The references below are the slower readers and writers the library
 used before each request's text was read in one pass: `parse_form` with
 `_parse_element` and `_grow_form`, `parse_matrix`, `parse_symbol_expr`,
 `format_qform`, `format_symbol` with `format_mono`, `cli._table_args`
-and `_json._encode` with `_string`, kept verbatim bar the module
-prefixes they need here.  On well-formed input the library must return
-an equal value; on malformed input (one-character inserts, deletes and
-replacements of well-formed text) it must raise the same exception with
-byte-identical text.
+(now `cli._read`) and `_json._encode` with `_string`, kept verbatim bar
+the module prefixes they need here.  On well-formed input the library
+must return an equal value; on malformed input (one-character inserts,
+deletes and replacements of well-formed text) it must raise the same
+exception with byte-identical text.  `cli._read` also reads the argv
+whose values start with '-', which the reference refused, and names its
+own faults, where the reference returned None.
 
 The example counts come from the hypothesis profile (see conftest.py).
 """
@@ -26,7 +28,7 @@ from cli_corpus import HAND_ARGV, workloads
 from spindim import _json, cli, invariants, qform2
 from spindim.invariants import SymbolSum, SymbolTerm
 from spindim.qform2 import BinaryBlock, QForm, pfister_build
-from test_cli import form_summands, table_namespace
+from test_cli import add_argument_keywords, form_summands, read_outcome
 from test_invariants import _SUM
 from test_json import _VALUES
 
@@ -41,7 +43,12 @@ _BLOCK_RE = re.compile(r"\[[^][]*\]")
 _DIAG_RE = re.compile(r"<[^<>]*>")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TERM_PLUS_RE = re.compile(r"(?<=\])\+|\+(?=[{0])")
-_COMMANDS = cli._COMMANDS
+# `cli._COMMANDS` in the form the reference `_table_args` reads: each
+# option is its flag and the keywords of its `add_argument` call
+_COMMANDS = {name: (fn, None, description,
+                    tuple((flag, add_argument_keywords(kind, default))
+                          for flag, kind, default in options))
+             for name, (fn, description, options) in cli._COMMANDS.items()}
 
 
 def _parse_element(field, tok: str) -> int:
@@ -415,11 +422,15 @@ def test_format_symbol_matches_the_reference(s):
 @settings(deadline=None)
 @given(st.one_of(_ARGV, changed_argv()))
 def test_table_args_matches_the_reference(argv):
-    got, want = cli._table_args(argv), _table_args(argv)
-    assert (got is None) == (want is None), argv
-    if got is not None:
-        assert {**table_namespace(argv, got),
-                "fn": _COMMANDS[argv[0]][0]} == vars(want), argv
+    # `cli._read` reads what the reference reads, to the same values;
+    # of the rest it reads only argv with a value that starts with '-',
+    # which it takes as is where the reference refused it
+    got, want = read_outcome(argv), _table_args(argv)
+    if want is not None:
+        assert got == [getattr(want, flag[2:].replace("-", "_"))
+                       for flag, _, _ in cli._COMMANDS[argv[0]][2]], argv
+    elif got not in ("usage error", "help"):
+        assert any(value.startswith("-") for value in argv[2::2]), argv
 
 
 @settings(deadline=None)

@@ -3,8 +3,8 @@
 library imports nothing outside the standard library, imports json only
 inside a function, sets record fields only in `_record.py`, runs no
 generated code and has no assert statement (`python -O` drops them);
-bad CLI input takes one route to exit 2, and each subcommand is a
-function of the layer it drives."""
+no module reads argv with argparse, bad CLI input takes one route to
+exit 2, and each subcommand is a function of the layer it drives."""
 
 import ast
 import builtins
@@ -45,6 +45,24 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (
                     f"{path.name} imports {name}")
+
+
+def test_the_library_reads_argv_without_argparse():
+    # `cli._read` reads every argv and `cli._usage` writes its help and
+    # errors, so no module needs argparse, nor io or contextlib to catch
+    # what argparse prints
+    files = sorted((ROOT / "src" / "spindim").glob("*.py"))
+    assert ROOT / "src" / "spindim" / "cli.py" in files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            for name in names:
+                assert name.split(".")[0] not in {
+                    "argparse", "io", "contextlib"}, f"{path.name}: {name}"
 
 
 def test_no_module_imports_json_when_it_is_imported():
@@ -103,8 +121,8 @@ def test_no_runtime_check_is_an_assert_statement():
 
 def test_cli_turns_value_error_into_exit_2_in_run_alone():
     # bad input raises ValueError wherever it is found, and `run` alone
-    # catches it; `_table_args` catches a failed int conversion only to
-    # hand that argv to argparse
+    # catches it; `_read` catches a failed flag lookup or int conversion
+    # only to raise its own ValueError, which names the flag
     path = ROOT / "src" / "spindim" / "cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     catchers = set()
@@ -127,7 +145,7 @@ def test_cli_turns_value_error_into_exit_2_in_run_alone():
                     assert not (isinstance(cls, type)
                                 and issubclass(cls, BaseException)), (
                         f"cli.py:{node.lineno} defines exception {node.name}")
-    assert catchers == {"run", "_table_args"}
+    assert catchers == {"run", "_read"}
 
 
 def test_each_subcommand_is_served_by_a_function_of_its_layer():

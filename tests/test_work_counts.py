@@ -1,5 +1,5 @@
-"""Work counts of single requests on the form and symbol layers, and
-the benchmark traffic that the library's caches rely on.
+"""Work counts of single requests on the form, symbol and lattice
+layers, and the benchmark traffic that the library's caches rely on.
 
 Unlike wall-clock time, a count of calls or constructions is exact and
 the same on every host, so each test here pins an upper bound on the
@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 
@@ -173,10 +174,12 @@ def test_a_request_makes_at_most_the_pinned_checked_records(monkeypatch,
 # into a namespace and JSON ints and bools written by a call each, the
 # same requests made 50, 25, 59, 53, 95, 132, 28 and 137 calls; the
 # symbol request's 32 take in the comprehension that builds the shared
-# slots of each of its 6 distinct slot keys once.  Later interpreters
-# inline comprehensions, so they count fewer.
-RUN_CALLS = {"arf": 47, "witt": 22, "classify": 56, "equiv": 50,
-             "pf-equiv": 92, "normalize": 115, "symbol": 32, "invariant": 134}
+# slots of each of its 6 distinct slot keys once.  With a generator
+# resumed per item to test that a JSON list holds only strs, classify
+# made 56 calls and invariant 134.  Later interpreters inline
+# comprehensions, so they count fewer.
+RUN_CALLS = {"arf": 47, "witt": 22, "classify": 51, "equiv": 50,
+             "pf-equiv": 92, "normalize": 115, "symbol": 32, "invariant": 125}
 
 
 @pytest.mark.parametrize("kind", RUN_CALLS)
@@ -219,6 +222,80 @@ def test_normalize_multiplies_at_most_the_pinned_count(monkeypatch):
         assert len(calls) <= NORMALIZE_MULS[k, n], (k, n, len(calls))
 
 
+def test_a_ten_slot_pfister_build_multiplies_at_most_the_pinned_count(
+        monkeypatch):
+    # two multiplies per block of each fold: 2 * (2 + 4 + ... + 1024)
+    field = ConcreteField2(16)
+    calls = count_calls(monkeypatch, ConcreteField2, "mul")
+    q = qform2.pfister_build(field, tuple(range(1, 11)), 1)
+    assert q.dim == 2048
+    assert len(calls) <= 2046
+
+
+# runs `cli.run` on the argv in sys.argv in a fresh process, so that no
+# cache of lattices or Smith forms helps, and prints the Smith work it
+# did, counted with the profiler
+LATTICE_PROBE = """
+import collections, json, sys
+from spindim import abelian, cli
+smith = abelian.smith_normal_form.__code__
+add = abelian.GroupElement.__add__.__code__
+counts = collections.Counter()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call":
+        if code is smith or code is add:
+            counts["smith calls" if code is smith else "group adds"] += 1
+        elif code.co_name in ("add_row", "add_col") \\
+                and frame.f_back.f_code is smith:
+            counts["row ops" if code.co_name == "add_row"
+                   else "column ops"] += 1
+    elif event == "c_call" and arg is min and code is smith:
+        counts["pivots"] += 1
+
+sys.setprofile(profile)
+code = cli.run(sys.argv[1:])[0]
+sys.setprofile(None)
+print(json.dumps({"exit": code, **counts}))
+"""
+
+# the work of each request as counted above: every pick of a pivot is
+# one `min` over the remaining block, the last of each reduction finding
+# none
+LATTICE_WORK = {
+    "verify-lattice --r-max 14": (
+        ["verify-lattice", "--r-max", "14"],
+        {"smith calls": 28, "pivots": 161, "row ops": 105,
+         "column ops": 210, "group adds": 91}),
+    "ed-table 3..64 json": (
+        ["ed-table", "--min", "3", "--max", "64", "--format", "json"],
+        {"smith calls": 52, "pivots": 611, "row ops": 507,
+         "column ops": 1014, "group adds": 481}),
+}
+
+
+@cache
+def lattice_work(request: str) -> dict:
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(spindim.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LATTICE_PROBE, *LATTICE_WORK[request][0]],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("request_, counter", [
+    (request, counter) for request, (_, bounds) in LATTICE_WORK.items()
+    for counter in bounds])
+def test_a_lattice_request_does_at_most_the_pinned_smith_work(request_,
+                                                              counter):
+    work = lattice_work(request_)
+    assert work["exit"] == 0
+    # a counter the probe never saw is a KeyError, not a pass
+    assert work[counter] <= LATTICE_WORK[request_][1][counter], work
+
+
 # runs the JSON list of argv on stdin through `cli.run` in a fresh
 # process, then prints the `cache_info()` of `module.name`
 CACHE_PROBE = """
@@ -244,10 +321,9 @@ def cold_cache_info(requests, module, name):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_the_option_table_reads_every_benchmark_request(workload, seed):
-    # so no benchmark request builds the argparse parser, and `cli`
-    # keeps no cache of it
+    # so no benchmark request is a usage error or asks for help
     for argv in workloads.generate(workload, seed):
-        assert cli._table_args(argv) is not None, argv
+        assert cli._read(argv) is not None, argv
 
 
 def test_a_forms_warm_pass_hits_the_min_poly_cache():
