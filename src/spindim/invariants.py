@@ -294,14 +294,11 @@ def parse_symbol_expr(text: str) -> SymbolSum:
 
 
 def format_tagged(form: "TaggedForm") -> str:
-    def fmt_part(p):
-        base = "<<" + ",".join(format_mono(s) for s in p.base.a_slots) \
-               + ";" + format_mono(p.base.b) + "]]"
-        if p.scalar:
-            return f"({format_mono(p.scalar)})*{base}"
-        return base
-
-    pieces = ["H"] * form.h_copies + [fmt_part(p) for p in form.parts]
+    pieces = ["H"] * form.h_copies
+    for scalar, (a_slots, b) in form.parts:
+        base = ("<<" + ",".join(map(format_mono, a_slots)) + ";"
+                + format_mono(b) + "]]")
+        pieces.append(f"({format_mono(scalar)})*{base}" if scalar else base)
     return " + ".join(pieces)
 
 
@@ -421,29 +418,31 @@ def torsor_forms(t: TorsorData) -> tuple:
       spin10 (a,b,c,d):    r = H + d P
     """
     f = t.formal_field()
-    return _torsor_forms(t, f, [label(f, n) for n in t.labels])
+    return _torsor_forms(t, f, _monomials(t))
+
+
+def _monomials(t: TorsorData) -> list:
+    # `TorsorData` checked every label; `formal_field()` holds every name
+    return [frozenset() if n == "1" else frozenset((n,)) for n in t.labels]
 
 
 def _torsor_forms(t: TorsorData, f: FormalField2, lab: list) -> tuple:
-    # `torsor_forms` over the field and labels its caller has built
+    # `torsor_forms` over the field and monomials its caller has built
     base = PfisterBase((lab[0], lab[1]), lab[2])
-
-    def part(scalar):
-        return ScaledPfister(scalar, base)
-
     if t.group is SpinId.SPIN7:
-        d = lab[3]
-        return (TaggedForm(0, (part(f.one),)), TaggedForm(0, (part(d),)))
+        return (TaggedForm(0, (ScaledPfister(f.one, base),)),
+                TaggedForm(0, (ScaledPfister(lab[3], base),)))
     if t.group is SpinId.SPIN8:
         d, e = lab[3], lab[4]
-        return (TaggedForm(0, (part(d),)), TaggedForm(0, (part(e),)),
-                TaggedForm(0, (part(f.mul(d, e)),)))
+        return (TaggedForm(0, (ScaledPfister(d, base),)),
+                TaggedForm(0, (ScaledPfister(e, base),)),
+                TaggedForm(0, (ScaledPfister(f.mul(d, e), base),)))
     if t.group is SpinId.SPIN9:
         d, e = lab[3], lab[4]
-        return (TaggedForm(1, (part(d),)),
-                TaggedForm(0, (part(e), part(f.mul(d, e)))))
-    d = lab[3]
-    return (TaggedForm(1, (part(d),)),)
+        return (TaggedForm(1, (ScaledPfister(d, base),)),
+                TaggedForm(0, (ScaledPfister(e, base),
+                               ScaledPfister(f.mul(d, e), base))))
+    return (TaggedForm(1, (ScaledPfister(lab[3], base),)),)
 
 
 def pfister_recover(form: TaggedForm) -> PfisterBase:
@@ -474,7 +473,7 @@ def invariant_f(t: TorsorData) -> InvariantReport:
     raises, since it would mean the form data is inconsistent.
     """
     f = t.formal_field()
-    lab = [label(f, n) for n in t.labels]
+    lab = _monomials(t)
     forms = _torsor_forms(t, f, lab)
     a, b, c = lab[0], lab[1], lab[2]
     scales = lab[3:]
@@ -499,11 +498,10 @@ def invariant_f(t: TorsorData) -> InvariantReport:
 
 
 def _freeze_counter(cnt: Counter) -> tuple:
+    # by sorted names: lists of names compare as tuples of them would
     def key(item):
-        (scalar, base), _ = item
-        return (tuple(sorted(scalar)),
-                tuple(tuple(sorted(s)) for s in base.a_slots),
-                tuple(sorted(base.b)))
+        (scalar, (a_slots, b)), _ = item
+        return [sorted(scalar), list(map(sorted, a_slots)), sorted(b)]
     return tuple(sorted(cnt.items(), key=key))
 
 

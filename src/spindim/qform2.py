@@ -675,8 +675,7 @@ def format_qform(q: QForm) -> str:
 
 
 # Largest coefficient matrix `qform --op normalize` accepts.  The
-# reduction and its certificate cost O(n^3) field multiplies; a cold
-# normalize over f2^16 takes about 0.22 s at n = 32 and 1.05 s at n = 64.
+# reduction and its certificate cost O(n^3) field multiplies.
 MAX_MATRIX_DIM = 64
 
 # Largest dimension of a parsed form.  Each Pfister slot doubles the

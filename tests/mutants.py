@@ -43,6 +43,42 @@ MUTANTS = [
     ("JSON list check dropped", "src/spindim/_json.py",
      'flat = set(map(type, o)) == {str} and "".join(o)', 'flat = "".join(o)',
      "tests/test_json.py"),
+    ("normalize entry gate admits the field order", "src/spindim/qform2.py",
+     "0 <= x < field.order", "0 <= x <= field.order",
+     "tests/test_qform2.py::test_elements_are_checked_where_they_enter"),
+    ("option table refuses json", "src/spindim/cli.py",
+     '("--format", ("tsv", "json"), "tsv")', '("--format", ("tsv",), "tsv")',
+     "tests/test_work_counts.py"
+     "::test_the_option_table_reads_every_benchmark_request"),
+    ("min_poly_for uncached", "src/spindim/qform2.py",
+     "@lru_cache(maxsize=None)\ndef min_poly_for", "def min_poly_for",
+     "tests/test_work_counts.py"
+     "::test_a_forms_warm_pass_hits_the_min_poly_cache"),
+    ("_smith_lattice uncached", "src/spindim/spinlat.py",
+     "@lru_cache(maxsize=None)\ndef _smith_lattice", "def _smith_lattice",
+     "tests/test_work_counts.py"
+     "::test_a_cold_ed_table_hits_the_smith_lattice_cache"),
+    # entry 255 of the low table only, which no k <= 8 reads, so the
+    # log/exp tables still build when the test module is imported
+    ("one wrong reduction entry", "src/spindim/qform2.py",
+     "    return table\n", "    table[-1] ^= bits == 8\n    return table\n",
+     "tests/test_qform2.py"
+     "::test_mul_matches_carry_less_product_and_long_division"),
+    ("even-parity oracle: every sign flip acts", "src/spindim/repdim.py",
+     "if m.bit_count() % 2 == 0", "", "tests/test_repdim.py"),
+    ("even-parity shape: every x_i acts", "src/spindim/spinlat.py",
+     "acting = [a ^ b for a, b in zip(x_codes, x_codes[1:])]",
+     "acting = x_codes", "tests/test_spinlat.py"),
+    ("invariant identity check dropped", "src/spindim/invariants.py",
+     "    if collected != expansion:\n", "    if False:\n",
+     "tests/test_cli.py::test_invariant_identity_check_fires"),
+    ("torsor form printed without its scalar", "src/spindim/invariants.py",
+     'pieces.append(f"({format_mono(scalar)})*{base}" if scalar else base)',
+     "pieces.append(base)", "tests/test_cli.py::test_invariant_spin9"),
+    ("invariant multiset frozen in reverse", "src/spindim/invariants.py",
+     "tuple(sorted(cnt.items(), key=key))",
+     "tuple(sorted(cnt.items(), key=key, reverse=True))",
+     "tests/test_invariants.py::test_invariant_matches_the_two_freeze_version"),
 ]
 
 

@@ -270,6 +270,8 @@ def test_qform_normalize_size_limit():
             "--form", "mat(" + ",".join(["1"] * (limit + 1)) + ")"]
     assert "larger than" in usage_error(wide)
     payload = ok_json(normalize(limit))
+    # the --help text names the cap, so changing the cap alone fails here
+    assert f"at most {limit} rows" in " ".join(cli.__doc__.split())
     # q = sum_{i<=j} x_i x_j over F_2: its polar Gram matrix is J - I,
     # nonsingular at even n, so the form splits into n/2 blocks
     assert payload["form"].count("[") == limit // 2

@@ -21,8 +21,8 @@ from spindim.invariants import (PARAM_COUNT, ZERO_SYMBOL, InvariantReport,
                                 symbol_generic_nonzero, symbol_normalize,
                                 torsor_forms)
 from spindim.invariants import (FormalField2, NonvanishingReport,
-                                PfisterBase, _freeze_counter,
-                                _nonzero_normal, pfister_expand)
+                                PfisterBase, _nonzero_normal,
+                                pfister_expand)
 
 NAMES = ("a", "b", "c", "d", "e")
 FIELD = FormalField2(NAMES)
@@ -456,7 +456,9 @@ def test_invariant_expansion_multiset_spin9():
 
 def invariant_by_two_freezes(t):
     """`invariant_f` as it was before it froze one multiset for both
-    sides and normalized its symbol once."""
+    sides and normalized its symbol once, freezing with the reference
+    `_freeze_counter` (imported here: that module imports this one)."""
+    from test_reader_oracles import _freeze_counter
     f = t.formal_field()
     forms = torsor_forms(t)
     lab = [label(f, n) for n in t.labels]

@@ -6,7 +6,10 @@ used before each request's text was read in one pass: `parse_form` with
 `_parse_element` and `_grow_form`, `parse_matrix`, `parse_symbol_expr`,
 `format_qform`, `format_symbol` with `format_mono`, `cli._table_args`
 (now `cli._read`) and `_json._encode` with `_string`, kept verbatim bar
-the module prefixes they need here.  On well-formed input the library
+the module prefixes they need here.  So are the torsor-form printer
+`format_tagged` with its nested `fmt_part`, and `_freeze_counter` with
+its sort key of nested tuples, which `invariant` used before it built
+and printed a request in one pass.  On well-formed input the library
 must return an equal value; on malformed input (one-character inserts,
 deletes and replacements of well-formed text) it must raise the same
 exception with byte-identical text.  `cli._read` also reads the argv
@@ -18,15 +21,20 @@ The example counts come from the hypothesis profile (see conftest.py).
 
 import json
 import math
+import random
 import re
 import types
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_corpus import HAND_ARGV, workloads
 from spindim import _json, cli, invariants, qform2
-from spindim.invariants import SymbolSum, SymbolTerm
+from spindim.invariants import (PARAM_COUNT, PfisterBase, ScaledPfister,
+                                SpinId, SymbolSum, SymbolTerm, TaggedForm,
+                                TorsorData, label, pfister_expand)
 from spindim.qform2 import BinaryBlock, QForm, pfister_build
 from test_cli import add_argument_keywords, form_summands, read_outcome
 from test_invariants import _SUM
@@ -182,6 +190,27 @@ def parse_symbol_expr(text: str) -> SymbolSum:
     return SymbolSum(tuple(terms))
 
 
+def format_tagged(form: "TaggedForm") -> str:
+    def fmt_part(p):
+        base = "<<" + ",".join(format_mono(s) for s in p.base.a_slots) \
+               + ";" + format_mono(p.base.b) + "]]"
+        if p.scalar:
+            return f"({format_mono(p.scalar)})*{base}"
+        return base
+
+    pieces = ["H"] * form.h_copies + [fmt_part(p) for p in form.parts]
+    return " + ".join(pieces)
+
+
+def _freeze_counter(cnt: Counter) -> tuple:
+    def key(item):
+        (scalar, base), _ = item
+        return (tuple(sorted(scalar)),
+                tuple(tuple(sorted(s)) for s in base.a_slots),
+                tuple(sorted(base.b)))
+    return tuple(sorted(cnt.items(), key=key))
+
+
 def _table_args(argv):
     """The parse of a well-formed argv, read from `_COMMANDS` alone, or
     None.  Well formed: a subcommand, then distinct `flag value` pairs,
@@ -317,6 +346,16 @@ _TERM_TEXT = st.builds(
 _SYMBOLS = st.one_of(_SUM.map(format_symbol),
                      st.lists(_TERM_TEXT, min_size=1, max_size=3).map("+".join))
 
+# Pfister forms, scaled copies and multisets of them over monomials in
+# a few names, with any number of slots
+_NAME_MONO = st.frozensets(st.sampled_from("abcde"), max_size=3)
+_BASE = st.builds(PfisterBase, st.lists(_NAME_MONO, max_size=4).map(tuple),
+                  _NAME_MONO)
+_TAGGED = st.builds(TaggedForm, st.integers(0, 2), st.lists(
+    st.builds(ScaledPfister, _NAME_MONO, _BASE), max_size=4).map(tuple))
+_MULTISET = st.dictionaries(st.tuples(_NAME_MONO, _BASE), st.integers(1, 3),
+                            max_size=8).map(Counter)
+
 # every argv of the dispatch corpus, and each one changed by dropping a
 # word, repeating a flag and its value, or putting a word in a value
 _ARGV = st.sampled_from(HAND_ARGV + [argv for w in workloads.WORKLOADS
@@ -417,6 +456,37 @@ def test_parse_symbol_expr_faults_match_the_reference(text):
 def test_format_symbol_matches_the_reference(s):
     for t in (s, invariants.symbol_normalize(s)):
         assert invariants.format_symbol(t) == format_symbol(t)
+
+
+@pytest.mark.parametrize("group", list(SpinId))
+def test_torsor_forms_and_multisets_match_the_reference(group):
+    # seeded labels from names, "1" and repeats: each torsor form prints
+    # the same text, and each multiset of `invariant_f` freezes the same
+    rng = random.Random(f"tagged {group.value}")
+    for _ in range(300):
+        t = TorsorData(group, tuple(rng.choice("abcde1")
+                                    for _ in range(PARAM_COUNT[group])))
+        rep = invariants.invariant_f(t)
+        for form in rep.forms:
+            assert invariants.format_tagged(form) == format_tagged(form)
+        f = t.formal_field()
+        lab = [label(f, n) for n in t.labels]
+        expansion = pfister_expand(f, (*lab[3:], lab[0], lab[1]), lab[2],
+                                   peel=len(lab) - 3)
+        assert invariants._freeze_counter(expansion) == \
+            _freeze_counter(expansion) == rep.summands, t.labels
+
+
+@settings(deadline=None)
+@given(_TAGGED)
+def test_format_tagged_matches_the_reference(form):
+    assert invariants.format_tagged(form) == format_tagged(form)
+
+
+@settings(deadline=None)
+@given(_MULTISET)
+def test_freeze_counter_matches_the_reference(cnt):
+    assert invariants._freeze_counter(cnt) == _freeze_counter(cnt)
 
 
 @settings(deadline=None)

@@ -73,6 +73,21 @@ def test_an_invariant_request_builds_its_formal_field_once(monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("group,labels", [
+    ("spin7", "a,b,c,1"), ("spin8", "a,b,c,d,a"), ("spin9", "a,b,c,d,e"),
+    ("spin10", "1,b,c,d")])
+def test_an_invariant_request_builds_each_label_monomial_directly(
+        monkeypatch, group, labels):
+    # `TorsorData` has checked every label, so no monomial is checked again
+    labels_built = count_calls(monkeypatch, invariants, "label")
+    vars_built = count_calls(monkeypatch, invariants.FormalField2, "var")
+    code, out, _ = cli.run(["invariant", "--group", group, "--labels", labels])
+    assert code == 0 and '"ok": true' in out
+    invariants.torsor_forms(invariants.TorsorData(
+        invariants.SpinId(group), tuple(labels.split(","))))
+    assert labels_built == vars_built == []
+
+
 @pytest.mark.parametrize("form2", ["[1,1]+[2,3]", "[1,1]+<1>", "<3>+<5>"])
 def test_an_equiv_request_classifies_each_form_once(monkeypatch, form2):
     calls = count_calls(monkeypatch, qform2, "classify_form")
@@ -176,10 +191,13 @@ def test_a_request_makes_at_most_the_pinned_checked_records(monkeypatch,
 # symbol request's 32 take in the comprehension that builds the shared
 # slots of each of its 6 distinct slot keys once.  With a generator
 # resumed per item to test that a JSON list holds only strs, classify
-# made 56 calls and invariant 134.  Later interpreters inline
-# comprehensions, so they count fewer.
+# made 56 calls.  The invariant request made 125 while it printed each
+# Pfister form through a nested printer and a generator per slot, sorted
+# its multiset with three generators per entry, and built each label's
+# monomial through `label`, `FormalField2.var` and `mul`.  Later
+# interpreters inline comprehensions, so they count fewer.
 RUN_CALLS = {"arf": 47, "witt": 22, "classify": 51, "equiv": 50,
-             "pf-equiv": 92, "normalize": 115, "symbol": 32, "invariant": 125}
+             "pf-equiv": 92, "normalize": 115, "symbol": 32, "invariant": 82}
 
 
 @pytest.mark.parametrize("kind", RUN_CALLS)
