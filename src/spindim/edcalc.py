@@ -173,63 +173,21 @@ def verify_trace(steps) -> bool:
     return True
 
 
-def _case_of(n: int) -> str:
-    if n <= 6:
-        return "trivial"
-    if n <= 14:
-        return "low"
-    if n % 2:
-        return "odd"
-    if n % 4 == 2:
-        return "2mod4"
-    return "16" if n == 16 else "0mod4"
-
-
 def ed_upper_char2(n: int):
-    """Upper bound for n >= 15 with its derivation trace."""
+    """Upper bound for n >= 15 and its trace, read from `_ed_entry`."""
     if type(n) is not int or not 15 <= n <= MAX_N:
         raise ValueError("the case analysis starts at n = 15")
-    case = _case_of(n)
-    dim = _step("dim-so", n=n)
-    if case == "odd":
-        dv = _step("spin-dim-odd", n=n)
-        top = _step("generically-free-upper", dim_v=dv.out, dim_g=dim.out)
-        return top.out, (dim, dv, top)
-    dv = _step("half-spin-dim", n=n)
-    if case == "2mod4":
-        top = _step("generically-free-upper", dim_v=dv.out, dim_g=dim.out)
-        return top.out, (dim, dv, top)
-    if case == "16":
-        plus = _step("add-vector-rep", dim_v=dv.out, n=n)
-        top = _step("generically-free-upper", dim_v=plus.out, dim_g=dim.out)
-        return top.out, (dim, dv, plus, top)
-    gerbe = _step("pow2-part", n=n)
-    top = _step("central-quotient-upper",
-                dim_v=dv.out, dim_g=dim.out, gerbe_index=gerbe.out)
-    return top.out, (dim, dv, gerbe, top)
+    entry = _ed_entry(n)
+    return entry.upper, entry.upper_trace
 
 
 def ed_lower_char2(n: int):
-    """Lower bound for n >= 15 with its derivation trace.  The gcd
-    steps recompute from the character-lattice orbit structure."""
+    """Lower bound for n >= 15 and its trace, read from `_ed_entry`; its
+    gcd step recomputes from the character-lattice orbit structure."""
     if type(n) is not int or not 15 <= n <= MAX_N:
         raise ValueError("the case analysis starts at n = 15")
-    case = _case_of(n)
-    dim = _step("dim-so", n=n)
-    if case == "odd":
-        r = (n - 1) // 2
-        gcd = _step("heisenberg-gcd-odd", r=r)
-        low = _step("gerbe-index-lower", index=gcd.out, dim_g=dim.out)
-        return low.out, (dim, gcd, low)
-    r = n // 2
-    gcd = _step("heisenberg-gcd-even", r=r)
-    if case == "2mod4":
-        low = _step("gerbe-index-lower", index=gcd.out, dim_g=dim.out)
-        return low.out, (dim, gcd, low)
-    ind_a = _step("pow2-part", n=n)
-    low = _step("index-sum-lower",
-                index_a=ind_a.out, index_c=gcd.out, dim_g=dim.out)
-    return low.out, (dim, gcd, ind_a, low)
+    entry = _ed_entry(n)
+    return entry.lower, entry.lower_trace
 
 
 class EdEntry(Record):
@@ -251,21 +209,47 @@ def ed_value(n: int) -> EdEntry:
 
 def _ed_entry(n: int) -> EdEntry:
     """`ed_value` without its check that the bounds agree, so that
-    `consistency_check` can report a mismatch instead."""
+    `consistency_check` can report a mismatch.  Walks the case analysis
+    once; the two traces share their `dim-so` and `pow2-part` steps."""
     if type(n) is not int or not MIN_N <= n <= MAX_N:
         raise ValueError(f"n must be between {MIN_N} and {MAX_N}")
-    case = _case_of(n)
-    if case == "trivial":
+    if n <= 6:
         s = _step("trivial-low", n=n)
-        return EdEntry(n, 0, 0, 0, case, (s,), (s,))
-    if case == "low":
+        return EdEntry(n, 0, 0, 0, "trivial", (s,), (s,))
+    if n <= 14:
         if n in LOW_TABLE:
             s = _step("low-range-value", n=n)
-            return EdEntry(n, s.out, s.out, s.out, case, (s,), (s,))
-        return EdEntry(n, None, None, None, case, (), ())
-    upper, ut = ed_upper_char2(n)
-    lower, lt = ed_lower_char2(n)
-    return EdEntry(n, upper, upper, lower, case, ut, lt)
+            return EdEntry(n, s.out, s.out, s.out, "low", (s,), (s,))
+        return EdEntry(n, None, None, None, "low", (), ())
+    dim = _step("dim-so", n=n)
+    if n % 2:
+        dv = _step("spin-dim-odd", n=n)
+        gcd = _step("heisenberg-gcd-odd", r=n // 2)
+    else:
+        dv = _step("half-spin-dim", n=n)
+        gcd = _step("heisenberg-gcd-even", r=n // 2)
+    if n % 4:
+        case = "odd" if n % 2 else "2mod4"
+        top = _step("generically-free-upper", dim_v=dv.out, dim_g=dim.out)
+        low = _step("gerbe-index-lower", index=gcd.out, dim_g=dim.out)
+        ut, lt = (dim, dv, top), (dim, gcd, low)
+    else:
+        pow2 = _step("pow2-part", n=n)
+        low = _step("index-sum-lower",
+                    index_a=pow2.out, index_c=gcd.out, dim_g=dim.out)
+        lt = (dim, gcd, pow2, low)
+        if n == 16:
+            case = "16"
+            plus = _step("add-vector-rep", dim_v=dv.out, n=n)
+            top = _step("generically-free-upper",
+                        dim_v=plus.out, dim_g=dim.out)
+            ut = (dim, dv, plus, top)
+        else:
+            case = "0mod4"
+            top = _step("central-quotient-upper",
+                        dim_v=dv.out, dim_g=dim.out, gerbe_index=pow2.out)
+            ut = (dim, dv, pow2, top)
+    return EdEntry(n, top.out, top.out, low.out, case, ut, lt)
 
 
 class LiveCheck(Record):
@@ -309,8 +293,11 @@ def consistency_check(n: int) -> ConsistencyReport:
 
 
 def _trace_json(entry: EdEntry):
-    return [{"rule": s.rule, "quote": s.statement, "out": s.out}
-            for s in entry.upper_trace + entry.lower_trace]
+    return [{"rule": s.rule, "side": side, "live": RULES[s.rule].live,
+             "quote": s.statement, "inputs": dict(s.inputs), "out": s.out}
+            for side, trace in (("upper", entry.upper_trace),
+                                ("lower", entry.lower_trace))
+            for s in trace]
 
 
 def ed_table(lo: int, hi: int, fmt: str = "tsv") -> str:

@@ -79,6 +79,16 @@ MUTANTS = [
      "tuple(sorted(cnt.items(), key=key))",
      "tuple(sorted(cnt.items(), key=key, reverse=True))",
      "tests/test_invariants.py::test_invariant_matches_the_two_freeze_version"),
+    # the gcd and the half-spin dimension are equal at every even n, so
+    # the 2-adic part is the input a half-spin mix-up can break
+    ("4 | n lower bound: the half-spin dimension for the 2-adic part",
+     "src/spindim/edcalc.py", "index_a=pow2.out", "index_a=dv.out",
+     "tests/test_edcalc.py::test_closed_form_regression"),
+    ("the n = 16 case taken at n = 20", "src/spindim/edcalc.py",
+     "if n == 16:", "if n == 20:", "tests/test_edcalc.py::test_case_labels"),
+    ("ed-table json: side labels swapped", "src/spindim/edcalc.py",
+     '"side": side,', '"side": {"upper": "lower"}.get(side, "upper"),',
+     "tests/test_edcalc.py::test_ed_table_json_steps_say_what_they_used"),
 ]
 
 

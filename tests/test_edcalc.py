@@ -280,6 +280,26 @@ def test_ed_table_json():
     assert any("generically free" in q for q in quotes)
 
 
+def test_ed_table_json_steps_say_what_they_used():
+    # each step names the trace it is in (the upper trace first), its
+    # rule's live flag and its inputs by name, and its out follows from
+    # those inputs by its rule
+    keys = ["rule", "side", "live", "quote", "inputs", "out"]
+    for row in json.loads(ed_table(MIN_N, MAX_N, fmt="json")):
+        entry = ed_value(row["n"])
+        assert [s["side"] for s in row["trace"]] == (
+            ["upper"] * len(entry.upper_trace)
+            + ["lower"] * len(entry.lower_trace)), row["n"]
+        assert [s["rule"] for s in row["trace"]] == [
+            s.rule for s in entry.upper_trace + entry.lower_trace]
+        for s in row["trace"]:
+            assert list(s) == keys
+            rule = RULES[s["rule"]]
+            assert s["live"] is rule.live and s["quote"] == rule.statement
+            assert list(s["inputs"]) == sorted(s["inputs"])
+            assert rule.fn(s["inputs"]) == s["out"], (row["n"], s)
+
+
 def test_ed_table_guards(monkeypatch):
     # every guard fires before the first row is computed
     def no_rows(n):

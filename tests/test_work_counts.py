@@ -185,17 +185,9 @@ def test_a_request_makes_at_most_the_pinned_checked_records(monkeypatch,
 
 # Python-level calls in `spindim` frames of one warm `cli.run` of each
 # RECORD_NEWS argv, counted as the profiler's "call" events, which take
-# in comprehensions and each resume of a generator.  With the argv read
-# into a namespace and JSON ints and bools written by a call each, the
-# same requests made 50, 25, 59, 53, 95, 132, 28 and 137 calls; the
-# symbol request's 32 take in the comprehension that builds the shared
-# slots of each of its 6 distinct slot keys once.  With a generator
-# resumed per item to test that a JSON list holds only strs, classify
-# made 56 calls.  The invariant request made 125 while it printed each
-# Pfister form through a nested printer and a generator per slot, sorted
-# its multiset with three generators per entry, and built each label's
-# monomial through `label`, `FormalField2.var` and `mul`.  Later
-# interpreters inline comprehensions, so they count fewer.
+# in comprehensions and each resume of a generator.  Each pin is an
+# upper bound because later interpreters inline comprehensions, and so
+# count fewer calls.
 RUN_CALLS = {"arf": 47, "witt": 22, "classify": 51, "equiv": 50,
              "pf-equiv": 92, "normalize": 115, "symbol": 32, "invariant": 82}
 
@@ -251,13 +243,14 @@ def test_a_ten_slot_pfister_build_multiplies_at_most_the_pinned_count(
 
 
 # runs `cli.run` on the argv in sys.argv in a fresh process, so that no
-# cache of lattices or Smith forms helps, and prints the Smith work it
-# did, counted with the profiler
+# cache of lattices or Smith forms helps, and prints the Smith work and
+# the derivation steps it did, counted with the profiler
 LATTICE_PROBE = """
 import collections, json, sys
-from spindim import abelian, cli
+from spindim import abelian, cli, edcalc
 smith = abelian.smith_normal_form.__code__
 add = abelian.GroupElement.__add__.__code__
+step = edcalc._step.__code__
 counts = collections.Counter()
 
 def profile(frame, event, arg):
@@ -265,6 +258,8 @@ def profile(frame, event, arg):
     if event == "call":
         if code is smith or code is add:
             counts["smith calls" if code is smith else "group adds"] += 1
+        elif code is step:
+            counts["derivation steps"] += 1
         elif code.co_name in ("add_row", "add_col") \\
                 and frame.f_back.f_code is smith:
             counts["row ops" if code.co_name == "add_row"
@@ -280,7 +275,9 @@ print(json.dumps({"exit": code, **counts}))
 
 # the work of each request as counted above: every pick of a pivot is
 # one `min` over the remaining block, the last of each reduction finding
-# none
+# none.  Each row builds each derivation step once: one for n = 3..10,
+# none for 11..14, and for n >= 15 five, or six where 4 | n (seven at
+# n = 16), the two traces sharing their `dim-so` and `pow2-part` steps
 LATTICE_WORK = {
     "verify-lattice --r-max 14": (
         ["verify-lattice", "--r-max", "14"],
@@ -289,7 +286,7 @@ LATTICE_WORK = {
     "ed-table 3..64 json": (
         ["ed-table", "--min", "3", "--max", "64", "--format", "json"],
         {"smith calls": 52, "pivots": 611, "row ops": 507,
-         "column ops": 1014, "group adds": 481}),
+         "column ops": 1014, "group adds": 481, "derivation steps": 272}),
 }
 
 
