@@ -2,10 +2,12 @@
 derivations.
 
 Every bound is produced together with a trace of derivation steps.  A
-step names a rule, carries the rule's one-sentence justification, its
-integer inputs and its integer output; `verify_trace` re-runs every
-step's arithmetic (including the live group-theoretic recomputations)
-and accepts only exact matches.
+step names its rule, its integer inputs by name and its integer output.
+The rule, in `RULES`, holds the one-sentence justification and a
+function whose parameters are the names of its inputs; `verify_trace`
+re-runs every step's arithmetic (including the live group-theoretic
+recomputations) with exactly those names, and accepts only exact
+matches.
 
 The case analysis for n >= 15:
 
@@ -51,14 +53,14 @@ class GroupNumerics(Record):
 
 
 class DerivationStep(Record):
-    _fields = ("rule", "statement",
+    _fields = ("rule",
                "inputs",          # ((name, value), ...)
                "out")
 
 
 class Rule(Record):
     _fields = ("statement",
-               "fn",              # dict -> int, exact
+               "fn",              # the inputs by name -> int, exact
                "live")
     _defaults = {"live": False}
 
@@ -73,74 +75,71 @@ def _heisenberg_gcd(r: int, parity: Parity) -> int:
 RULES = {
     "spin-dim-odd": Rule(
         "for odd n the spin representation of Spin(n) has dimension 2^((n-1)/2)",
-        lambda v: 1 << ((v["n"] - 1) // 2)),
+        lambda n: 1 << ((n - 1) // 2)),
     "half-spin-dim": Rule(
         "for even n each half-spin representation of Spin(n) has dimension 2^((n-2)/2)",
-        lambda v: 1 << ((v["n"] - 2) // 2)),
+        lambda n: 1 << ((n - 2) // 2)),
     "dim-so": Rule(
         "dim Spin(n) = dim SO(n) = n(n-1)/2",
-        lambda v: v["n"] * (v["n"] - 1) // 2),
+        lambda n: n * (n - 1) // 2),
     "pow2-part": Rule(
         "the 2-adic part of n bounds the index of the mu_2 gerbe of the "
         "central quotient, via the even Clifford/discriminant algebra",
-        lambda v: v["n"] & -v["n"]),
+        lambda n: n & -n),
     "generically-free-upper": Rule(
         "a generically free representation V of G gives ed(G) <= dim V - dim G",
-        lambda v: v["dim_v"] - v["dim_g"]),
+        lambda dim_v, dim_g: dim_v - dim_g),
     "add-vector-rep": Rule(
         "for n = 16 the half-spin representation alone is not generically "
         "free; adding the n-dimensional vector representation makes it so",
-        lambda v: v["dim_v"] + v["n"]),
+        lambda dim_v, n: dim_v + n),
     "central-quotient-upper": Rule(
         "ed(G) <= ed(G/mu_2) + (index of the associated mu_2 gerbe); the "
         "half-spin quotient of Spin(n), 4 | n >= 20, has a generically free "
         "half-spin representation",
-        lambda v: (v["dim_v"] - v["dim_g"]) + v["gerbe_index"]),
+        lambda dim_v, dim_g, gerbe_index: dim_v - dim_g + gerbe_index),
     "heisenberg-gcd-odd": Rule(
         "every center-faithful representation of the Heisenberg subgroup of "
         "Spin(2r+1) has dimension a multiple of 2^r (gcd of the orbit sizes "
         "of the sign-flip action on the faithful characters)",
-        lambda v: _heisenberg_gcd(v["r"], Parity.ODD), live=True),
+        lambda r: _heisenberg_gcd(r, Parity.ODD), live=True),
     "heisenberg-gcd-even": Rule(
         "every center-faithful representation of the Heisenberg subgroup of "
         "Spin(2r) has dimension a multiple of 2^(r-1) (gcd of the orbit "
         "sizes of the even sign-flip action on the faithful characters)",
-        lambda v: _heisenberg_gcd(v["r"], Parity.EVEN), live=True),
+        lambda r: _heisenberg_gcd(r, Parity.EVEN), live=True),
     "gerbe-index-lower": Rule(
         "a mu_2 gerbe whose associated representations have index divisible "
         "by d forces ed_2 >= d - dim G on the classifying stack",
-        lambda v: v["index"] - v["dim_g"]),
+        lambda index, dim_g: index - dim_g),
     "index-sum-lower": Rule(
         "for 4 | n the generic Spin(n) torsor carries two independent "
         "algebras of index 2^v2(n) and 2^((n-2)/2), and ed_2 >= their index "
         "sum minus dim G",
-        lambda v: v["index_a"] + v["index_c"] - v["dim_g"]),
+        lambda index_a, index_c, dim_g: index_a + index_c - dim_g),
     "low-range-value": Rule(
         "known exact value for 7 <= n <= 10: the degree-4/5 invariant of "
         "the generic torsor is nonzero, matching the stabilizer upper bound",
-        lambda v: LOW_TABLE[v["n"]]),
+        lambda n: LOW_TABLE[n]),
     "trivial-low": Rule(
         "for n <= 6 the spin group is special (every torsor is Zariski-"
         "locally trivial), so its essential dimension is 0",
-        lambda v: 0),
+        lambda n: 0),
 }
 
 
 def group_numerics(n: int) -> GroupNumerics:
     if type(n) is not int or not MIN_N <= n <= MAX_N:
         raise ValueError(f"n must be between {MIN_N} and {MAX_N}")
-    v = {"n": n}
-    dim_so, pow2 = RULES["dim-so"].fn(v), RULES["pow2-part"].fn(v)
+    dim_so, pow2 = RULES["dim-so"].fn(n=n), RULES["pow2-part"].fn(n=n)
     if n % 2:
-        return GroupNumerics(n, dim_so, RULES["spin-dim-odd"].fn(v), None, pow2)
-    return GroupNumerics(n, dim_so, None, RULES["half-spin-dim"].fn(v), pow2)
+        return GroupNumerics(n, dim_so, RULES["spin-dim-odd"].fn(n=n), None, pow2)
+    return GroupNumerics(n, dim_so, None, RULES["half-spin-dim"].fn(n=n), pow2)
 
 
 def _step(rule_id: str, **inputs) -> DerivationStep:
-    rule = RULES[rule_id]
-    out = rule.fn(inputs)
-    return DerivationStep(rule_id, rule.statement,
-                          tuple(sorted(inputs.items())), out)
+    return DerivationStep(rule_id, tuple(sorted(inputs.items())),
+                          RULES[rule_id].fn(**inputs))
 
 
 def _well_typed(inputs: dict, out) -> bool:
@@ -154,19 +153,18 @@ def _well_typed(inputs: dict, out) -> bool:
 
 
 def verify_trace(steps) -> bool:
-    """Re-run every step's arithmetic, live rules included.  A step
-    with an unknown rule, a statement other than its rule's, a missing
-    or ill-typed input or output, an n or r outside the table's range,
-    or an item that is no `DerivationStep` is rejected, never raised
-    on."""
+    """Re-run every step's arithmetic, live rules included, calling its
+    rule with the step's inputs by name.  A step with an unknown rule,
+    an input its rule does not take or a missing one, an ill-typed
+    input or output, an n or r outside the table's range, or an item
+    that is no `DerivationStep` is rejected, never raised on."""
     for s in steps:
         if not isinstance(s, DerivationStep):
             return False
         try:
             rule = RULES[s.rule]
             inputs = dict(s.inputs)
-            if (s.statement != rule.statement or not _well_typed(inputs, s.out)
-                    or rule.fn(inputs) != s.out):
+            if not _well_typed(inputs, s.out) or rule.fn(**inputs) != s.out:
                 return False
         except (KeyError, TypeError, ValueError):
             return False
@@ -294,7 +292,8 @@ def consistency_check(n: int) -> ConsistencyReport:
 
 def _trace_json(entry: EdEntry):
     return [{"rule": s.rule, "side": side, "live": RULES[s.rule].live,
-             "quote": s.statement, "inputs": dict(s.inputs), "out": s.out}
+             "quote": RULES[s.rule].statement, "inputs": dict(s.inputs),
+             "out": s.out}
             for side, trace in (("upper", entry.upper_trace),
                                 ("lower", entry.lower_trace))
             for s in trace]

@@ -30,7 +30,8 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from . import _json
+# spindim/__init__ registers repdim lazily, so binding it here runs nothing
+from . import _json, repdim
 from ._record import Record
 from .abelian import FgAbGroup, Presentation
 
@@ -182,7 +183,6 @@ def verify_heisenberg(r: int, parity: str) -> tuple[int, str]:
     checked_to = exhaustive_ok = None
     if r <= 6:
         # the 2^r brute force, an oracle independent of the shape
-        from . import repdim
         rep = repdim.divisibility_report(
             repdim.build_char_data(r, parity), exhaustive=True)
         checked_to, exhaustive_ok = rep.exhaustive_checked_to, rep.exhaustive_ok
@@ -215,6 +215,5 @@ _SERVED_FROM_REPDIM = ("build_char_data", "orbits_on_faithful",
 
 def __getattr__(name):
     if name in _SERVED_FROM_REPDIM:
-        from . import repdim
         return getattr(repdim, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -89,6 +89,14 @@ MUTANTS = [
     ("ed-table json: side labels swapped", "src/spindim/edcalc.py",
      '"side": side,', '"side": {"upper": "lower"}.get(side, "upper"),',
      "tests/test_edcalc.py::test_ed_table_json_steps_say_what_they_used"),
+    # equal values at every even n, so only a gcd moved off its true
+    # value tells the two steps apart
+    ("4 | n lower bound: the half-spin dimension for the gcd",
+     "src/spindim/edcalc.py", "index_c=gcd.out", "index_c=dv.out",
+     "tests/test_edcalc.py::test_each_lower_bound_reads_the_gcd_step"),
+    ("gerbe-index lower bound: the representation dimension for the gcd",
+     "src/spindim/edcalc.py", "index=gcd.out", "index=dv.out",
+     "tests/test_edcalc.py::test_consistency_reports_a_bound_mismatch"),
 ]
 
 

@@ -5,6 +5,7 @@ formulas; the trace tests re-run every step's arithmetic and the
 consistency tests recompute the 2-power inputs from orbit data.
 """
 
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -133,10 +134,9 @@ def test_every_trace_reverifies():
 
 def test_verify_trace_catches_tampering():
     good = ed_value(15).upper_trace
-    bad = DerivationStep(good[0].rule, good[0].statement,
-                         good[0].inputs, good[0].out + 1)
+    bad = DerivationStep(good[0].rule, good[0].inputs, good[0].out + 1)
     assert not verify_trace((bad,) + good[1:])
-    assert not verify_trace((DerivationStep("no-such-rule", "", (), 0),))
+    assert not verify_trace((DerivationStep("no-such-rule", (), 0),))
     assert verify_trace(())
 
 
@@ -145,14 +145,9 @@ def test_verify_trace_rejects_malformed_steps():
     # an ill-typed input, inputs that are not name-value pairs, and
     # steps whose arithmetic holds but whose n or r no table row has
     # (beyond the table, a float, a bool), or whose other inputs or
-    # output are not exact ints, or whose statement is not its rule's,
-    # and an unhashable rule: the checker answers False instead of
-    # raising
-    def step(rule, inputs, out, statement=None):
-        if statement is None:
-            statement = RULES[rule].statement
-        return DerivationStep(rule, statement, inputs, out)
-
+    # output are not exact ints, and an unhashable rule: the checker
+    # answers False instead of raising
+    step = DerivationStep
     top = MAX_N // 2 + 1
     last_up = ed_value(15).upper_trace[-1]
     assert last_up.inputs == (("dim_g", 105), ("dim_v", 128))
@@ -169,20 +164,56 @@ def test_verify_trace_rejects_malformed_steps():
              step(last_up.rule, (("dim_g", 105.0), ("dim_v", 128.0)), 23),
              step(last_up.rule, last_up.inputs, 23.0),
              step("trivial-low", (("n", 5),), False),
-             step(last_up.rule, last_up.inputs, 23, RULES["dim-so"].statement),
-             step(["dim-so"], (("n", 15),), 105, RULES["dim-so"].statement)]
+             step(["dim-so"], (("n", 15),), 105)]
     # items that are no DerivationStep, a bare tuple of its fields too
-    steps += [None, ("dim-so", RULES["dim-so"].statement, (("n", 15),), 105),
-              ("dim-so", "x", (("n", 15),), 105), "abc"]
+    steps += [None, ("dim-so", (("n", 15),), 105), "abc"]
     for s in steps:
         assert verify_trace((s,)) is False, s
 
 
-def test_steps_carry_statements_and_inputs():
-    for s in ed_value(20).upper_trace + ed_value(20).lower_trace:
-        assert s.statement == RULES[s.rule].statement
-        assert s.statement
-        assert all(isinstance(k, str) for k, _ in s.inputs)
+def test_each_step_names_exactly_its_rules_parameters():
+    # a step's inputs, in name order, are the parameters of its rule's
+    # function, and every rule has a statement to quote
+    for n in range(MIN_N, MAX_N + 1):
+        entry = edcalc._ed_entry(n)
+        for s in entry.upper_trace + entry.lower_trace:
+            params = inspect.signature(RULES[s.rule].fn).parameters
+            assert [k for k, _ in s.inputs] == sorted(params), (n, s)
+            assert RULES[s.rule].statement
+
+
+def test_verify_trace_rejects_an_extra_or_a_missing_input():
+    # one step of every rule, taken from the table: it re-verifies as
+    # built, and fails with one more input or with its first one gone
+    found = {}
+    for n in range(MIN_N, MAX_N + 1):
+        entry = edcalc._ed_entry(n)
+        for s in entry.upper_trace + entry.lower_trace:
+            found.setdefault(s.rule, s)
+    assert sorted(found) == sorted(RULES)
+    for s in found.values():
+        assert verify_trace((s,)), s
+        extra = s._replace(inputs=s.inputs + (("junk", 7),))
+        assert verify_trace((extra,)) is False, extra
+        missing = s._replace(inputs=s.inputs[1:])
+        assert verify_trace((missing,)) is False, missing
+
+
+def test_each_lower_bound_reads_the_gcd_step(monkeypatch):
+    # the gcd is the only lower-bound input that can equal another
+    # step's value (the half-spin dimension, at every even n), so it is
+    # moved off that value: the lower bound must read the gcd step's out
+    real = edcalc._heisenberg_gcd
+    monkeypatch.setattr(edcalc, "_heisenberg_gcd",
+                        lambda r, parity: real(r, parity) + 2)
+    for n in range(15, MAX_N + 1):
+        lower_trace = edcalc._ed_entry(n).lower_trace
+        gcd, = [s for s in lower_trace
+                if s.rule.startswith("heisenberg-gcd-")]
+        parity = Parity.ODD if n % 2 else Parity.EVEN
+        assert gcd.out == real(n // 2, parity) + 2
+        inputs = dict(lower_trace[-1].inputs)
+        assert inputs.get("index", inputs.get("index_c")) == gcd.out, n
 
 
 def test_live_rules_are_marked():
@@ -297,7 +328,7 @@ def test_ed_table_json_steps_say_what_they_used():
             rule = RULES[s["rule"]]
             assert s["live"] is rule.live and s["quote"] == rule.statement
             assert list(s["inputs"]) == sorted(s["inputs"])
-            assert rule.fn(s["inputs"]) == s["out"], (row["n"], s)
+            assert rule.fn(**s["inputs"]) == s["out"], (row["n"], s)
 
 
 def test_ed_table_guards(monkeypatch):

@@ -103,7 +103,7 @@ def outcome(fn, n):
 
 
 def step_fields(trace):
-    return [(s.rule, s.statement, s.inputs, s.out) for s in trace]
+    return [(s.rule, s.inputs, s.out) for s in trace]
 
 
 @pytest.mark.parametrize("n", range(MIN_N, MAX_N + 1))

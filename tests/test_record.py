@@ -100,7 +100,7 @@ def test_bad_construction_raises_type_error():
     lambda: BinaryBlock(1, 2),
     lambda: PfisterBase((frozenset("a"),), frozenset("b")),
     lambda: QForm(F4, (BinaryBlock(1, 2),), (3,)),
-    lambda: DerivationStep("rule", "statement", (("n", 3),), 4),
+    lambda: DerivationStep("rule", (("n", 3),), 4),
     lambda: LiveCheck("gcd", 8, 8),
     lambda: SymbolSum((SymbolTerm((frozenset("a"),), (frozenset("b"),)),)),
     lambda: CharMultiset(((3, 1), (5, 2))),
@@ -189,7 +189,7 @@ def test_fields_are_frozen():
         bl.extra = 3
     with pytest.raises(AttributeError):
         del bl.b
-    step = DerivationStep("rule", "statement", (), 4)
+    step = DerivationStep("rule", (), 4)
     with pytest.raises(AttributeError):
         step.out = 5
     assert (bl.a, bl.b, step.out) == (1, 2, 4)
